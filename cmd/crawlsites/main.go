@@ -50,17 +50,11 @@ func main() {
 	rateLimit := flag.Int("ratelimit", 40, "clicks before an account restriction (0 = off)")
 	workers := flag.Int("workers", 1, "max visits in flight across app lanes (1 = sequential)")
 	devices := flag.Int("devices", 1, "simulated handsets to split app lanes over")
-	engine := flag.String("jsvm-engine", "bytecode", "script engine: bytecode or ast (differential fallback)")
 	var prof profiling.Flags
 	prof.Register(nil)
 	var telem telemetry.Flags
 	telem.Register(nil)
 	flag.Parse()
-	eng, ok := jsvm.ParseEngine(*engine)
-	if !ok {
-		log.Fatalf("unknown -jsvm-engine %q (want bytecode or ast)", *engine)
-	}
-	jsvm.SetDefaultEngine(eng)
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)
 	}

@@ -57,17 +57,11 @@ func main() {
 	workers := flag.Int("workers", 1, "max app probes in flight (1 = sequential)")
 	devices := flag.Int("devices", 1, "simulated handsets to pin app probes to")
 	urls := flag.Bool("urls", false, "cross-validate static URL extraction against the probes' network logs")
-	engine := flag.String("jsvm-engine", "bytecode", "script engine: bytecode or ast (differential fallback)")
 	var prof profiling.Flags
 	prof.Register(nil)
 	var telem telemetry.Flags
 	telem.Register(nil)
 	flag.Parse()
-	eng, ok := jsvm.ParseEngine(*engine)
-	if !ok {
-		log.Fatalf("unknown -jsvm-engine %q (want bytecode or ast)", *engine)
-	}
-	jsvm.SetDefaultEngine(eng)
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)
 	}

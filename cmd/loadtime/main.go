@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/measure"
 	"repro/internal/pageload"
 	"repro/internal/profiling"
 	"repro/internal/report"
@@ -173,9 +174,9 @@ func runServingBench(cfg servingBenchConfig) error {
 }
 
 func benchOneScale(cfg servingBenchConfig, users int) (*serving.LoadResult, error) {
-	agg := serving.NewAggregator()
+	sink := measure.NewServer()
 	svc := serving.NewService(serving.Config{
-		Sink:          agg,
+		Sink:          sink,
 		QueueDepth:    cfg.QueueDepth,
 		Workers:       cfg.Workers,
 		MaxConcurrent: cfg.MaxConc,
@@ -206,8 +207,8 @@ func benchOneScale(cfg servingBenchConfig, users int) (*serving.LoadResult, erro
 	if err := res.Reconcile(svc.Stats()); err != nil {
 		return nil, fmt.Errorf("loadtime: %d users: %w", users, err)
 	}
-	if got := agg.Beacons(); got != res.BeaconsAccepted {
-		return nil, fmt.Errorf("loadtime: %d users: aggregator holds %d beacons, client counted %d accepted",
+	if got := sink.Beacons(); got != res.BeaconsAccepted {
+		return nil, fmt.Errorf("loadtime: %d users: sink holds %d beacons, client counted %d accepted",
 			users, got, res.BeaconsAccepted)
 	}
 	return res, nil

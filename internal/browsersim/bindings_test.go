@@ -253,7 +253,7 @@ func runProbeAPIs(t *testing.T, eng jsvm.Engine) []APICall {
 // TestProbeAPIInterception asserts the new Web-API surfaces are
 // intercepted per call, row for row.
 func TestProbeAPIInterception(t *testing.T) {
-	got := runProbeAPIs(t, jsvm.EngineDefault)
+	got := runProbeAPIs(t, jsvm.EngineBytecode)
 	if len(got) != len(probeAPIWant) {
 		t.Fatalf("api calls = %+v, want %+v", got, probeAPIWant)
 	}

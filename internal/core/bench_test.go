@@ -5,14 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/jsvm"
 )
 
 // BenchmarkIABProbeCPU measures one full §3.2.2 dynamic-harness pass —
 // every named IAB app visiting the controlled page and executing its
-// probe scripts — under each jsvm engine. Unlike the crawler benches
-// (wait-dominated by design), this path is pure CPU, so the engine pair
-// is the crawl-CPU before/after BENCH_dynamic.json records.
+// probe scripts. Unlike the crawler benches (wait-dominated by design),
+// this path is pure CPU.
 func BenchmarkIABProbeCPU(b *testing.B) {
 	var specs []*corpus.Spec
 	for _, n := range corpus.NamedApps {
@@ -21,18 +19,11 @@ func BenchmarkIABProbeCPU(b *testing.B) {
 			OnPlayStore: true, Dynamic: n.Dynamic,
 		})
 	}
-	for _, eng := range []jsvm.Engine{jsvm.EngineBytecode, jsvm.EngineAST} {
-		b.Run(eng.String(), func(b *testing.B) {
-			prev := jsvm.DefaultEngine()
-			jsvm.SetDefaultEngine(eng)
-			defer jsvm.SetDefaultEngine(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				study := NewDynamicStudy()
-				if _, _, err := study.ProbeIABs(context.Background(), specs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		study := NewDynamicStudy()
+		if _, _, err := study.ProbeIABs(context.Background(), specs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

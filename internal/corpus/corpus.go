@@ -57,12 +57,16 @@ func ScaledCounts(scale int) Counts {
 	if c.Filtered > c.Popular {
 		c.Filtered = c.Popular
 	}
-	if c.Broken > c.Filtered-1 {
-		c.Broken = 0
-	}
+	// Broken APKs are planted only beyond the dynamic top-1K prefix, so
+	// there can be no more of them than filtered apps past it.
+	c.Broken = min(c.Broken, max(c.Filtered-dynamicPrefix, 0))
 	c.Analyzed = c.Filtered - c.Broken
 	return c
 }
+
+// dynamicPrefix is the size of the top-apps prefix the dynamic study
+// probes (§3.2): always updated, never broken.
+const dynamicPrefix = 1000
 
 // UpdateCutoff is the maintenance filter: apps must have been updated after
 // this date (§3.1.1).
@@ -125,10 +129,7 @@ func newGenerator(cfg Config) (*generator, error) {
 		return nil, fmt.Errorf("corpus: scale %d < 1", cfg.Scale)
 	}
 	g := &generator{cfg: cfg, counts: ScaledCounts(cfg.Scale), idx: sdkindex.Default()}
-	g.topK = g.counts.Filtered
-	if g.topK > 1000 {
-		g.topK = 1000
-	}
+	g.topK = min(g.counts.Filtered, dynamicPrefix)
 	g.behaviors = topBehaviors(cfg.Seed, g.topK)
 	g.beyondPopular = g.counts.Popular - g.topK
 	g.beyondFiltered = g.counts.Filtered - g.topK

@@ -42,7 +42,10 @@ func TestScaledCountsMonotone(t *testing.T) {
 }
 
 func TestGenerateFunnelExact(t *testing.T) {
-	for _, scale := range []int{100, 500, 2000} {
+	// 146/147, 161/162 and 484/485 bracket the scales where the expected
+	// broken count changes or where every filtered app falls inside the
+	// dynamic prefix; 200 is staticscan's default.
+	for _, scale := range []int{100, 146, 147, 161, 162, 200, 484, 485, 500, 2000} {
 		c := gen(t, scale)
 		counts := ScaledCounts(scale)
 		if len(c.Apps) != counts.Total {

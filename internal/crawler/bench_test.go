@@ -8,11 +8,7 @@ package crawler
 // BenchmarkCrawlParallel overlaps them across app lanes and devices —
 // the wall-clock ratio is the scheduler's speedup.
 
-import (
-	"testing"
-
-	"repro/internal/jsvm"
-)
+import "testing"
 
 // benchWaitScale makes each visit sleep ~24ms (80s of modelled waiting at
 // 3e-4). The scale keeps waiting dominant over the simulator's CPU work —
@@ -50,20 +46,9 @@ func BenchmarkCrawlSequential(b *testing.B) { benchCrawl(b, 1, 1) }
 
 func BenchmarkCrawlParallel(b *testing.B) { benchCrawl(b, 2, 4) }
 
-// The CrawlCPU pair disables the modelled waits (WaitScale 0): with no
-// sleeping, ns/op is the CPU one full crawl burns, so the two variants
-// measure the script engines' contribution to crawl CPU directly —
-// the before/after BENCH_dynamic.json records.
+// BenchmarkCrawlCPUBytecode disables the modelled waits (WaitScale 0):
+// with no sleeping, ns/op is the CPU one full crawl burns, script engine
+// included.
 func BenchmarkCrawlCPUBytecode(b *testing.B) {
-	prev := jsvm.DefaultEngine()
-	jsvm.SetDefaultEngine(jsvm.EngineBytecode)
-	defer jsvm.SetDefaultEngine(prev)
-	benchCrawlScaled(b, 1, 1, 0)
-}
-
-func BenchmarkCrawlCPUAST(b *testing.B) {
-	prev := jsvm.DefaultEngine()
-	jsvm.SetDefaultEngine(jsvm.EngineAST)
-	defer jsvm.SetDefaultEngine(prev)
 	benchCrawlScaled(b, 1, 1, 0)
 }

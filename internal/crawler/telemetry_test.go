@@ -22,7 +22,7 @@ func crawlTelemetry(t *testing.T, workers int) (metrics, trace string) {
 		t.Fatalf("Run (workers=%d): %v", workers, err)
 	}
 	var mb, tb bytes.Buffer
-	if err := hub.Registry().WriteJSON(&mb); err != nil {
+	if err := hub.Registry().Snapshot().WriteJSON(&mb); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.Tracer().WriteJSONL(&tb); err != nil {

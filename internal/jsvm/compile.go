@@ -200,8 +200,7 @@ type constKey struct {
 type compileError struct{ err error }
 
 // compileProgram lowers a parsed program to bytecode. Errors indicate an
-// AST shape the compiler does not handle; callers fall back to the tree
-// walker.
+// AST shape the compiler does not handle.
 func compileProgram(p *Program) (mp *funcProto, err error) {
 	defer func() {
 		if r := recover(); r != nil {

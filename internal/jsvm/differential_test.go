@@ -197,17 +197,16 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialCorpusLowers pins that every corpus program actually
-// takes the bytecode path (a silent fallback to the walker would make
-// the differential comparison vacuous).
+// TestDifferentialCorpusLowers pins that every corpus program that parses
+// also lowers to bytecode (a lowering error would fail both engines alike
+// and make the differential comparison vacuous).
 func TestDifferentialCorpusLowers(t *testing.T) {
 	for _, src := range differentialCorpus {
-		p, err := Compile(src)
-		if err != nil {
+		if _, err := parseProgram(src); err != nil {
 			continue // parse-error entries exercise the error path instead
 		}
-		if p.main == nil {
-			t.Errorf("%q: no bytecode form; differential run would be vacuous", src)
+		if _, err := Compile(src); err != nil {
+			t.Errorf("%q: lowering failed: %v", src, err)
 		}
 	}
 }

@@ -29,9 +29,7 @@ type VM struct {
 	steps    int
 
 	// Engine selects the execution strategy for RunProgram; the zero value
-	// means the package default (bytecode, unless SetDefaultEngine changed
-	// it). Programs whose bytecode compilation failed always fall back to
-	// the tree walker.
+	// is bytecode.
 	Engine Engine
 
 	// scopeFree recycles call/block scopes that no closure captured;
@@ -180,15 +178,10 @@ func (vm *VM) Run(src string) (Value, error) {
 // RunProgram executes a compiled program in the global scope. The program
 // is not mutated and may be shared with other VMs running concurrently.
 func (vm *VM) RunProgram(p *Program) (Value, error) {
-	eng := vm.Engine
-	if eng == EngineDefault {
-		eng = DefaultEngine()
-	}
-	if eng == EngineBytecode && p.main != nil {
-		executeCounter.Load().Inc()
+	executeCounter.Load().Inc()
+	if vm.Engine == EngineBytecode {
 		return vm.runBytecode(p)
 	}
-	executeCounter.Load().Inc()
 	vm.steps = 0
 	// Hoisted function declarations (split out at compile time).
 	for i := range p.decls {

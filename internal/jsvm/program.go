@@ -20,71 +20,32 @@ type Program struct {
 	// time removes the two hoisting passes Run used to make per execution.
 	stmts []node
 	decls []funcDecl
-	// main is the bytecode form (compile.go). nil when bytecode
-	// compilation declined the program; such programs always run on the
-	// tree walker regardless of the selected engine.
+	// main is the bytecode form (compile.go).
 	main *funcProto
 }
 
-// Engine selects how RunProgram executes a compiled program.
+// Engine selects how RunProgram executes a compiled program. The zero
+// value is the production bytecode VM; the tree walker is the reference
+// implementation the differential tests and fuzzer compare it against.
 type Engine int
 
 // Engines.
 const (
-	EngineDefault  Engine = iota // package default (SetDefaultEngine)
-	EngineBytecode               // compile.go stack VM
+	EngineBytecode Engine = iota // compile.go stack VM
 	EngineAST                    // tree-walking interpreter
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineBytecode:
-		return "bytecode"
-	case EngineAST:
+	if e == EngineAST {
 		return "ast"
-	default:
-		return "default"
 	}
-}
-
-// defaultEngine is the process-wide engine used when VM.Engine is
-// EngineDefault. Stored atomically so flag parsing may race with worker
-// startup without a data race.
-var defaultEngine atomic.Int32
-
-func init() { defaultEngine.Store(int32(EngineBytecode)) }
-
-// SetDefaultEngine selects the process-wide default execution engine
-// (the -jsvm-engine flag).
-func SetDefaultEngine(e Engine) {
-	if e == EngineDefault {
-		e = EngineBytecode
-	}
-	defaultEngine.Store(int32(e))
-}
-
-// DefaultEngine reports the process-wide default execution engine.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// ParseEngine parses a -jsvm-engine flag value.
-func ParseEngine(s string) (Engine, bool) {
-	switch s {
-	case "bytecode", "":
-		return EngineBytecode, true
-	case "ast":
-		return EngineAST, true
-	default:
-		return EngineDefault, false
-	}
+	return "bytecode"
 }
 
 // Src returns the source the program was compiled from.
 func (p *Program) Src() string { return p.src }
 
-// HasBytecode reports whether the program carries a bytecode form.
-func (p *Program) HasBytecode() bool { return p.main != nil }
-
-// Compile parses src into an executable Program.
+// Compile parses src and lowers it to bytecode.
 func Compile(src string) (*Program, error) {
 	body, err := parseProgram(src)
 	if err != nil {
@@ -98,12 +59,10 @@ func Compile(src string) (*Program, error) {
 			p.stmts = append(p.stmts, st)
 		}
 	}
-	// Lower to bytecode. A compile error is not a program error: the AST
-	// form stays authoritative and the walker executes it.
-	if main, cerr := compileProgram(p); cerr == nil {
-		p.main = main
-		compileCounter.Load().Inc()
+	if p.main, err = compileProgram(p); err != nil {
+		return nil, err
 	}
+	compileCounter.Load().Inc()
 	return p, nil
 }
 

@@ -37,14 +37,20 @@ type Trace struct {
 	Method    string `json:"method"`
 }
 
-// Server hosts the controlled page and collects traces.
+// Server hosts the controlled page and collects traces. It folds beacons
+// into per-(app, interface, method) counts as they arrive, so resident
+// memory is O(distinct triples) however many beacons pass through — the
+// property that lets one collector absorb a million-user replay. Counting
+// is commutative, so a concurrent drain yields the same counts as a
+// sequential one.
 type Server struct {
-	mu     sync.Mutex
-	traces []Trace
+	mu      sync.Mutex
+	counts  map[Trace]int64
+	beacons int64
 }
 
 // NewServer returns an empty collection server.
-func NewServer() *Server { return &Server{} }
+func NewServer() *Server { return &Server{counts: make(map[Trace]int64)} }
 
 // Handler returns the HTTP surface:
 //
@@ -140,31 +146,37 @@ func (s *Server) Accept(app string, batch []Trace) error {
 		if tr.App == "" {
 			tr.App = app
 		}
-		s.traces = append(s.traces, tr)
+		s.counts[tr]++
+		s.beacons++
 	}
 	return nil
 }
 
-// Traces returns every collected trace.
-func (s *Server) Traces() []Trace {
+// Beacons returns the total beacons collected.
+func (s *Server) Beacons() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Trace(nil), s.traces...)
+	return s.beacons
+}
+
+// Counts returns a copy of the per-(app, interface, method) beacon counts.
+func (s *Server) Counts() map[Trace]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[Trace]int64, len(s.counts))
+	for tr, n := range s.counts {
+		out[tr] = n
+	}
+	return out
 }
 
 // ForApp returns the distinct (interface, method) pairs recorded for one
 // app, sorted — the rows of Table 9.
 func (s *Server) ForApp(app string) []Trace {
-	seen := make(map[Trace]bool)
 	var out []Trace
-	for _, tr := range s.Traces() {
-		if tr.App != app {
-			continue
-		}
-		key := Trace{Interface: tr.Interface, Method: tr.Method}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
+	for tr := range s.Counts() {
+		if tr.App == app {
+			out = append(out, Trace{Interface: tr.Interface, Method: tr.Method})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -179,7 +191,8 @@ func (s *Server) ForApp(app string) []Trace {
 // Reset clears collected traces between experiments.
 func (s *Server) Reset() {
 	s.mu.Lock()
-	s.traces = nil
+	s.counts = make(map[Trace]int64)
+	s.beacons = 0
 	s.mu.Unlock()
 }
 

@@ -129,11 +129,11 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = wv.EvaluateJavascript(`document.createElement("div")`, nil)
-	if len(srv.Traces()) == 0 {
+	if srv.Beacons() == 0 {
 		t.Fatal("no traces to reset")
 	}
 	srv.Reset()
-	if len(srv.Traces()) != 0 {
+	if srv.Beacons() != 0 || len(srv.Counts()) != 0 {
 		t.Error("Reset left traces")
 	}
 }
@@ -165,7 +165,7 @@ func TestCollectRejectsMalformedBatch(t *testing.T) {
 			}
 		})
 	}
-	if got := len(srv.Traces()); got != 1 {
+	if got := srv.Beacons(); got != 1 {
 		t.Errorf("traces after malformed batches = %d, want only the valid one", got)
 	}
 }
@@ -183,7 +183,7 @@ func TestCollectCapsBodySize(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch = %d, want 413", resp.StatusCode)
 	}
-	if got := len(srv.Traces()); got != 0 {
+	if got := srv.Beacons(); got != 0 {
 		t.Errorf("oversized batch recorded %d traces", got)
 	}
 }

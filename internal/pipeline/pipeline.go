@@ -117,12 +117,6 @@ type Config struct {
 	// key — so a worker refuses to resume another shard's journal while
 	// all shards still share one blob-tier cache.
 	Partition string
-	// TracePrefix, when non-empty, is prepended to every per-APK trace id
-	// (the sharded fleet plane passes "<fleet-trace-id>/", so traces
-	// recorded by many worker processes stitch into one namespace). It
-	// shapes trace ids only — never the analysis fingerprint, the journal
-	// binding, or the cache keys.
-	TracePrefix string
 	// Telemetry, when non-nil, receives the run's metrics (per-stage item
 	// and latency families, cache and journal traffic, in-flight bytes) and,
 	// if the hub has tracing enabled, one trace per downloaded APK
@@ -301,7 +295,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	m := newRunMetrics(p.cfg.Telemetry, p.cfg.TracePrefix)
+	m := newRunMetrics(p.cfg.Telemetry)
 	if p.cfg.Telemetry != nil {
 		p.instrumentShared(p.cfg.Telemetry)
 	}

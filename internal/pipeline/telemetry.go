@@ -30,8 +30,6 @@ const (
 // the counter values captured at Run start.
 type runMetrics struct {
 	hub *telemetry.Hub
-	// tracePrefix namespaces per-APK trace ids (Config.TracePrefix).
-	tracePrefix string
 
 	metaIn, metaOut *telemetry.Counter
 	dlIn, dlOut     *telemetry.Counter
@@ -73,7 +71,7 @@ type statsBase struct {
 // newRunMetrics builds the handle set against hub, or against a fresh
 // private hub when the run has no telemetry configured — the stages then
 // update real counters either way and never branch on instrumentation.
-func newRunMetrics(hub *telemetry.Hub, tracePrefix string) *runMetrics {
+func newRunMetrics(hub *telemetry.Hub) *runMetrics {
 	if hub == nil {
 		hub = telemetry.New(telemetry.Options{})
 	}
@@ -93,18 +91,17 @@ func newRunMetrics(hub *telemetry.Hub, tracePrefix string) *runMetrics {
 		return hub.Counter(famJournal, "checkpoint-journal events (skip = package replayed, error = append failed)", "event", event)
 	}
 	m := &runMetrics{
-		hub:         hub,
-		tracePrefix: tracePrefix,
-		metaIn:      items("metadata", "in"),
-		metaOut:     items("metadata", "out"),
-		dlIn:        items("download", "in"),
-		dlOut:       items("download", "out"),
-		anIn:        items("analyze", "in"),
-		anOut:       items("analyze", "out"),
-		lintIn:      items("lint", "in"),
-		lintOut:     items("lint", "out"),
-		urlsIn:      items("urls", "in"),
-		urlsOut:     items("urls", "out"),
+		hub:     hub,
+		metaIn:  items("metadata", "in"),
+		metaOut: items("metadata", "out"),
+		dlIn:    items("download", "in"),
+		dlOut:   items("download", "out"),
+		anIn:    items("analyze", "in"),
+		anOut:   items("analyze", "out"),
+		lintIn:  items("lint", "in"),
+		lintOut: items("lint", "out"),
+		urlsIn:  items("urls", "in"),
+		urlsOut: items("urls", "out"),
 
 		quarMeta: quar("metadata"),
 		quarDL:   quar("download"),
@@ -148,7 +145,7 @@ func (m *runMetrics) base() statsBase {
 // trace resolves the per-APK trace for a package, under the run's trace
 // namespace. Nil (a no-op trace) when tracing is off.
 func (m *runMetrics) trace(pkg string) *telemetry.Trace {
-	return m.hub.Trace(m.tracePrefix + "apk:" + pkg)
+	return m.hub.Trace("apk:" + pkg)
 }
 
 // quarantined returns the counter for one stage's quarantine events.

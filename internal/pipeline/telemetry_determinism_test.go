@@ -42,7 +42,7 @@ func telemetryRun(t *testing.T, c *corpus.Corpus, workers int, faulted bool) (hu
 		t.Fatalf("run (workers=%d faulted=%v): %v", workers, faulted, err)
 	}
 	var mb, tb bytes.Buffer
-	if err := hub.Registry().WriteJSON(&mb); err != nil {
+	if err := hub.Registry().Snapshot().WriteJSON(&mb); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.Tracer().WriteJSONL(&tb); err != nil {

@@ -80,7 +80,7 @@ func TestDrainFlushesInFlightThenRefuses(t *testing.T) {
 }
 
 func TestDrainIsIdempotent(t *testing.T) {
-	svc := NewService(Config{Sink: NewAggregator()})
+	svc := NewService(Config{Sink: measure.NewServer()})
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEndpointShutdownRefusesNewConnections(t *testing.T) {
 		t.Error("dial succeeded after Shutdown")
 	}
 	// And the beacon accepted before shutdown was flushed, not lost.
-	if got := len(ms.Traces()); got != 1 {
+	if got := ms.Beacons(); got != 1 {
 		t.Errorf("traces after drain = %d, want 1", got)
 	}
 }

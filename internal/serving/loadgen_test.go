@@ -15,9 +15,9 @@ import (
 
 // startPlane boots a full serving plane on a loopback socket and returns
 // the service, its sink and the collect URL.
-func startPlane(t *testing.T, cfg Config) (*Service, *Aggregator, string) {
+func startPlane(t *testing.T, cfg Config) (*Service, *measure.Server, string) {
 	t.Helper()
-	agg := NewAggregator()
+	agg := measure.NewServer()
 	cfg.Sink = agg
 	svc := NewService(cfg)
 	ep, err := Listen("127.0.0.1:0", svc.Handler())

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/measure"
 )
 
 // fakeClock is an injectable quota clock.
@@ -75,7 +77,7 @@ func TestQuotaDisabledWhenRateZero(t *testing.T) {
 func TestServiceQuotaShedsWithRefillHint(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	svc := NewService(Config{
-		Sink:       NewAggregator(),
+		Sink:       measure.NewServer(),
 		TenantRate: 4, TenantBurst: 4,
 		Now: clk.now,
 	})

@@ -31,7 +31,7 @@ import (
 )
 
 // Sink consumes accepted beacon batches. Implementations must be safe for
-// concurrent use; both *measure.Server and *Aggregator qualify.
+// concurrent use; *measure.Server is the production sink.
 type Sink interface {
 	Accept(app string, batch []measure.Trace) error
 }

@@ -105,11 +105,11 @@ func (c *Coordinator) FleetTraceID() string { return c.traceID }
 //
 // With Federation enabled the fleet observability surface rides along:
 //
-//	POST /v1/snapshot       {"worker":W,"metricsProm":B} final registry flush
+//	POST /v1/snapshot       {"worker":W,"metrics":S} final registry flush
 //	GET  /fleet/metrics     federated Prometheus text (shard-labeled series
 //	                        plus shard="fleet" rollups; ?view=rollup for the
 //	                        deterministic rollup alone)
-//	GET  /fleet/metrics.json  the same exposition as JSON
+//	GET  /fleet/metrics.json  the same view in /metrics.json's schema
 //	GET  /fleet/status      live run status (JSON; ?format=text for human text)
 //	GET  /fleet/trace       stitched fleet-wide per-APK trace as JSONL
 //	                        (?view=control for the partition/run control spans)
@@ -160,9 +160,9 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 // (all partitions complete — the worker can exit).
 //
 // With Federation enabled a grant also carries the propagated trace
-// context: the seed-derived fleet trace id the worker must prefix its
-// per-APK trace ids with, and the name of the coordinator's per-partition
-// span to parent the worker's run span under.
+// context: the seed-derived fleet trace id the worker records its run
+// span under, and the name of the coordinator's per-partition span to
+// parent it under.
 type LeaseGrant struct {
 	Partition int           `json:"partition"`
 	Tag       string        `json:"tag,omitempty"`
@@ -175,7 +175,7 @@ type LeaseGrant struct {
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
-	// MetricsURL announces the worker's live /metrics endpoint for
+	// MetricsURL announces the worker's live /metrics.json endpoint for
 	// coordinator pulls (Federation only; "" = not scrapeable).
 	MetricsURL string `json:"metricsUrl,omitempty"`
 }
@@ -271,13 +271,15 @@ type resultRequest struct {
 	Partition int              `json:"partition"`
 	ConfigKey string           `json:"configKey"`
 	Result    *pipeline.Result `json:"result"`
-	// MetricsProm / TraceJSONL are the partition's federated telemetry
-	// (Federation only): the registry delta this partition's run added to
-	// the worker's hub as Prometheus text, and the spans it recorded as
-	// JSONL. They are ingested if and only if the result is accepted, so
-	// the fleet rollup inherits the merge's exactly-once semantics.
-	MetricsProm []byte `json:"metricsProm,omitempty"`
-	TraceJSONL  []byte `json:"traceJsonl,omitempty"`
+	// Metrics / Spans are the partition's federated telemetry (Federation
+	// only): the registry snapshot delta this partition's run added to the
+	// worker's hub, and the spans it recorded. Metrics stays raw until
+	// telemetry.DecodeSnapshot validates it, so a bad delta is refused
+	// without refusing the report. Both are ingested if and only if the
+	// result is accepted, so the fleet rollup inherits the merge's
+	// exactly-once semantics.
+	Metrics json.RawMessage      `json:"metrics,omitempty"`
+	Spans   []telemetry.SpanLine `json:"spans,omitempty"`
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -320,7 +322,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if c.fed != nil {
 		c.fed.Heartbeat(req.Worker)
 		wall := c.now().Sub(l.granted)
-		if err := c.fed.AcceptResult(req.Partition, req.Worker, req.MetricsProm, req.TraceJSONL, wall); err != nil {
+		if err := c.fed.AcceptResult(req.Partition, req.Worker, req.Metrics, req.Spans, wall); err != nil {
 			// The report is good even when the telemetry payload is not;
 			// log-by-metric and move on rather than failing the partition.
 			c.metrics.snapshotRejects.Inc()
@@ -366,8 +368,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // graceful shutdown so even a worker that exits between leases reports
 // its final counters.
 type snapshotRequest struct {
-	Worker      string `json:"worker"`
-	MetricsProm []byte `json:"metricsProm"`
+	Worker  string          `json:"worker"`
+	Metrics json.RawMessage `json:"metrics"`
 }
 
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -379,7 +381,7 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing worker", http.StatusBadRequest)
 		return
 	}
-	if err := c.fed.FinalFlush(req.Worker, req.MetricsProm); err != nil {
+	if err := c.fed.FinalFlush(req.Worker, req.Metrics); err != nil {
 		http.Error(w, "bad snapshot", http.StatusBadRequest)
 		return
 	}
@@ -416,14 +418,9 @@ func (c *Coordinator) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 // served separately from the deterministic per-APK export.
 func (c *Coordinator) controlSpans() []telemetry.SpanLine {
 	lines := c.fed.ControlSpans()
-	var sb strings.Builder
-	if err := c.hub.Tracer().WriteJSONL(&sb); err == nil {
-		if own, err := telemetry.ParseTraceJSONL(strings.NewReader(sb.String())); err == nil {
-			for _, line := range own {
-				if line.Trace == c.traceID {
-					lines = append(lines, line)
-				}
-			}
+	for _, line := range c.hub.Tracer().SpansSince(nil) {
+		if line.Trace == c.traceID {
+			lines = append(lines, line)
 		}
 	}
 	return lines

@@ -13,6 +13,7 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/retry"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/fleet"
 )
 
 // fleetSpec is the federated scan configuration shared by the fleet tests.
@@ -118,8 +118,8 @@ func TestFleetRollupAndTraceDeterministicAcrossTopologies(t *testing.T) {
 	if refProm == "" {
 		t.Fatal("reference rollup is empty")
 	}
-	if !strings.Contains(refTrace, fleet.TraceID(seed)+"/apk:") {
-		t.Fatalf("stitched trace carries no fleet-prefixed per-APK spans:\n%.400s", refTrace)
+	if !strings.Contains(refTrace, `"trace":"apk:`) {
+		t.Fatalf("stitched trace carries no per-APK spans:\n%.400s", refTrace)
 	}
 	// The rollup accounts for every analysed APK.
 	if got := refCoord.Fleet().RollupCounts().APKs; got != int64(refMerged.Funnel.Filtered) {
@@ -181,23 +181,23 @@ func TestFleetEndpointsServeFederatedViews(t *testing.T) {
 	}
 	// Reconciliation: the shard="fleet" rollup series equals the sum of the
 	// per-shard series for the download-out counter.
-	fams, err := telemetry.ParseProm(strings.NewReader(metrics))
+	snap, err := telemetry.DecodeSnapshot([]byte(get("/fleet/metrics.json")))
 	if err != nil {
-		t.Fatalf("parse /fleet/metrics: %v", err)
+		t.Fatalf("decode /fleet/metrics.json: %v", err)
 	}
-	items := fams["pipeline_stage_items_total"]
+	items := snap.Family("pipeline_stage_items_total")
 	if items == nil {
 		t.Fatal("no pipeline_stage_items_total family")
 	}
-	var shardSum, fleetVal float64
-	for series, v := range items.Samples {
-		if !strings.Contains(series, `stage="download"`) || !strings.Contains(series, `dir="out"`) {
+	var shardSum, fleetVal int64
+	for _, m := range items.Metrics {
+		if m.Labels["stage"] != "download" || m.Labels["dir"] != "out" {
 			continue
 		}
-		if strings.Contains(series, `shard="fleet"`) {
-			fleetVal = v
+		if m.Labels["shard"] == "fleet" {
+			fleetVal = *m.Value
 		} else {
-			shardSum += v
+			shardSum += *m.Value
 		}
 	}
 	if fleetVal == 0 || fleetVal != shardSum {
@@ -209,9 +209,6 @@ func TestFleetEndpointsServeFederatedViews(t *testing.T) {
 
 	if rollup := get("/fleet/metrics?view=rollup"); strings.Contains(rollup, `shard="`) {
 		t.Fatalf("rollup view carries shard labels:\n%.400s", rollup)
-	}
-	if js := get("/fleet/metrics.json"); !strings.Contains(js, "pipeline_stage_items_total") {
-		t.Fatalf("/fleet/metrics.json missing families:\n%.400s", js)
 	}
 
 	status := get("/fleet/status")
@@ -226,7 +223,7 @@ func TestFleetEndpointsServeFederatedViews(t *testing.T) {
 	}
 
 	trace := get("/fleet/trace")
-	if !strings.Contains(trace, "/apk:") {
+	if !strings.Contains(trace, `"trace":"apk:`) {
 		t.Fatalf("/fleet/trace carries no per-APK spans:\n%.400s", trace)
 	}
 	if strings.Contains(trace, `"span":"partition:`) || strings.Contains(trace, `"span":"run:`) {
@@ -338,8 +335,8 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 	// downloaded by an accepted partition run or replayed from the dead
 	// worker's journal — never both, never twice.
 	rollup := fed.Rollup()
-	dlOut := sampleOf(rollup, "pipeline_stage_items_total", telemetry.LabelString("stage", "download", "dir", "out"))
-	skips := sampleOf(rollup, "pipeline_journal_total", telemetry.LabelString("event", "skip"))
+	dlOut := sampleOf(rollup, "pipeline_stage_items_total", "stage", "download", "dir", "out")
+	skips := sampleOf(rollup, "pipeline_journal_total", "event", "skip")
 	if int(skips) != journaled {
 		t.Fatalf("rollup journal skips = %v, journaled = %d", skips, journaled)
 	}
@@ -352,7 +349,7 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 	// down, the survivor on clean exit) and four accepted result deltas
 	// (the survivor's partitions).
 	var prom bytes.Buffer
-	if err := hub.Registry().WriteProm(&prom); err != nil {
+	if err := hub.Registry().Snapshot().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -361,6 +358,68 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 	} {
 		if !bytes.Contains(prom.Bytes(), []byte(want)) {
 			t.Fatalf("snapshot ledger missing %q in:\n%s", want, prom.String())
+		}
+	}
+}
+
+// TestFleetRefusesBadSnapshotKeepsReport pins the decoder boundary on
+// POST /v1/result and /v1/snapshot: a delta that fails to decode, or
+// that conflicts with an accepted one, is refused and counted as
+// bad_snapshot while its report still merges; a bad final flush is a 400.
+func TestFleetRefusesBadSnapshotKeepsReport(t *testing.T) {
+	hub := telemetry.New(telemetry.Options{})
+	coord, srv := startCoordinator(t, shard.CoordinatorConfig{
+		Spec:      shard.RunSpec{Shards: 3, LeaseTTL: time.Minute, Federation: true},
+		Telemetry: hub,
+	})
+	deltas := []string{
+		`{"families":[{"name":"x_total","type":"counter","metrics":[{"value":1}]}]}`,
+		`{"families":[{"name":"x total","type":"counter","metrics":[{"value":1}]}]}`,
+		`{"families":[{"name":"x_total","type":"gauge","metrics":[{"value":1}]}]}`,
+	}
+	for p, delta := range deltas {
+		g := decodeGrant(t, postJSON(t, srv.URL+"/v1/lease", map[string]string{"worker": "w"}))
+		resp := postJSON(t, srv.URL+"/v1/result", map[string]any{
+			"worker": "w", "partition": g.Partition, "metrics": json.RawMessage(delta),
+			"result": &pipeline.Result{Funnel: pipeline.Funnel{Snapshot: 1}},
+		})
+		resp.Body.Close()
+		if g.Partition != p || resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition %d: grant %d, result status %d", p, g.Partition, resp.StatusCode)
+		}
+	}
+	merged, err := coord.Wait(context.Background())
+	if err != nil || merged.Funnel.Snapshot != 3 {
+		t.Fatalf("merged report lost partitions: %+v, %v", merged, err)
+	}
+	if got := sampleOf(coord.Fleet().Rollup(), "x_total"); got != 1 {
+		t.Errorf("rollup x_total = %d, want only the valid delta's 1", got)
+	}
+	for body, want := range map[string]int{
+		`{"worker":"w","metrics":{"families":[{"name":"h","type":"histogram","metrics":[{"count":1,"sum":0,"buckets":[{"le":"1","count":1}]}]}]}}`: http.StatusBadRequest,
+		`{"worker":"w","metrics":{"families":[]}}`: http.StatusOK,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/snapshot", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST /v1/snapshot %s: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+	var prom bytes.Buffer
+	if err := hub.Registry().Snapshot().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`shard_results_total{status="accepted"} 3`,
+		`shard_results_total{status="bad_snapshot"} 2`,
+		`fleet_snapshot_total{source="result"} 1`,
+		`fleet_snapshot_total{source="final"} 1`,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("telemetry missing %q in:\n%s", want, prom.String())
 		}
 	}
 }
@@ -386,11 +445,10 @@ func journalLen(t *testing.T, path string) int {
 	return j.Len()
 }
 
-// sampleOf reads one counter series from an exposition (0 when absent).
-func sampleOf(fams telemetry.Fams, fam, series string) float64 {
-	f := fams[fam]
-	if f == nil {
-		return 0
+// sampleOf reads one counter series from a snapshot (0 when absent).
+func sampleOf(snap *telemetry.Snapshot, fam string, labels ...string) int64 {
+	if m := snap.Family(fam).Series(labels...); m != nil {
+		return *m.Value
 	}
-	return f.Samples[series]
+	return 0
 }

@@ -334,7 +334,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	// Telemetry saw the lifecycle: grants, a renewal, expiries, rejects,
 	// accepted and refused results.
 	var prom bytes.Buffer
-	if err := hub.Registry().WriteProm(&prom); err != nil {
+	if err := hub.Registry().Snapshot().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -39,8 +39,8 @@ func newCoordMetrics(hub *telemetry.Hub) *coordMetrics {
 		accepted: result("accepted"),
 		stale:    result("stale"),
 		mismatch: result("mismatch"),
-		// bad_snapshot counts accepted results whose attached telemetry
-		// payload failed to parse (the report is still merged).
+		// bad_snapshot counts accepted results whose attached metrics
+		// delta failed to decode or merge (the report is still merged).
 		snapshotRejects: result("bad_snapshot"),
 		mergeSeconds:    hub.Histogram(famMerge, "wall time of the final result merge in seconds", nil),
 	}

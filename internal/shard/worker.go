@@ -50,10 +50,10 @@ type WorkerConfig struct {
 	// unbounded either way.
 	CacheEntries int
 	// MetricsAddr, when non-empty and the spec enables Federation, is the
-	// listen address for this worker's /metrics endpoint (e.g.
-	// "127.0.0.1:0"); the bound URL is announced to the coordinator for
-	// live scrapes. The endpoint's /trace answers 404 pointing at the
-	// coordinator's stitched /fleet/trace.
+	// listen address for this worker's debug endpoint (e.g.
+	// "127.0.0.1:0"); its /metrics.json URL is announced to the
+	// coordinator for live scrapes. The endpoint's /trace answers 404
+	// pointing at the coordinator's stitched /fleet/trace.
 	MetricsAddr string
 }
 
@@ -132,7 +132,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return fmt.Errorf("shard: worker metrics endpoint: %w", err)
 			}
 			defer srv.Close()
-			w.metricsURL = "http://" + srv.Addr + "/metrics"
+			w.metricsURL = "http://" + srv.Addr + "/metrics.json"
 		}
 		// Graceful-shutdown flush: however Run exits — done, cancelled,
 		// failed — push the final registry snapshot so workers that exit
@@ -197,26 +197,22 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 	}
 
 	// Under Federation the partition runs against the worker hub and its
-	// contribution is captured as a registry delta + trace spans, snapped
-	// against marks taken here. The pipeline gets its own retry policy
+	// contribution is captured as a registry snapshot delta + trace spans,
+	// measured from marks taken here. The pipeline gets its own retry policy
 	// (same schedule, fresh metrics) so the federated retry counters carry
 	// only the deterministic per-package traffic, never this worker's
 	// scheduling-dependent lease and renew calls.
 	hub := w.cfg.Telemetry
 	retryPolicy := w.cfg.Retry
-	var fedBefore telemetry.Fams
+	var before *telemetry.Snapshot
 	var traceMark map[string]int
 	var runSpan *telemetry.Span
-	tracePrefix := ""
 	if spec.Federation {
 		hub = w.hub
 		retryPolicy = pipelinePolicy(w.cfg.Retry)
-		if fedBefore, err = telemetry.RegistryFams(hub.Registry()); err != nil {
-			return fmt.Errorf("shard: partition %d snapshot: %w", grant.Partition, err)
-		}
+		before = hub.Registry().Snapshot()
 		traceMark = hub.Tracer().Mark()
 		if grant.TraceID != "" {
-			tracePrefix = grant.TraceID + "/"
 			runSpan = hub.Trace(grant.TraceID).Child(grant.Parent, "run:"+grant.Tag, "worker", w.cfg.Name)
 		}
 	}
@@ -230,7 +226,6 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		MaxFailureFrac: spec.MaxFailureFrac,
 		Retry:          retryPolicy,
 		Telemetry:      hub,
-		TracePrefix:    tracePrefix,
 		Partition:      grant.Tag,
 	}
 	if cfg.MinDownloads == 0 {
@@ -329,20 +324,10 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		Result:    res,
 	}
 	if spec.Federation {
-		after, err := telemetry.RegistryFams(hub.Registry())
-		if err != nil {
+		if req.Metrics, err = json.Marshal(hub.Registry().Snapshot().Sub(before)); err != nil {
 			return fmt.Errorf("shard: partition %d snapshot: %w", grant.Partition, err)
 		}
-		var mb bytes.Buffer
-		if err := telemetry.WriteFams(&mb, telemetry.DiffFams(after, fedBefore)); err != nil {
-			return fmt.Errorf("shard: partition %d snapshot: %w", grant.Partition, err)
-		}
-		req.MetricsProm = mb.Bytes()
-		var tb bytes.Buffer
-		if err := hub.Tracer().WriteJSONLSince(&tb, traceMark); err != nil {
-			return fmt.Errorf("shard: partition %d trace: %w", grant.Partition, err)
-		}
-		req.TraceJSONL = tb.Bytes()
+		req.Spans = hub.Tracer().SpansSince(traceMark)
 	}
 
 	code, err := w.call(ctx, "POST", "/v1/result", req, &struct{}{})
@@ -364,12 +349,12 @@ func (w *Worker) flushSnapshot(ctx context.Context) {
 	if w.hub == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := w.hub.Registry().WriteProm(&buf); err != nil {
+	metrics, err := json.Marshal(w.hub.Registry().Snapshot())
+	if err != nil {
 		return
 	}
 	w.call(ctx, "POST", "/v1/snapshot",
-		snapshotRequest{Worker: w.cfg.Name, MetricsProm: buf.Bytes()}, &struct{}{})
+		snapshotRequest{Worker: w.cfg.Name, Metrics: metrics}, &struct{}{})
 }
 
 // pipelinePolicy derives a partition's retry policy from the worker's

@@ -137,20 +137,22 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
-// WriteJSON writes the canonical JSON snapshot: two-space indented, keys
-// in struct order, map keys sorted by encoding/json — byte-stable for
+// WriteJSON writes the snapshot as canonical JSON: two-space indented,
+// keys in struct order, map keys sorted by encoding/json — byte-stable for
 // equal metric state.
-func (r *Registry) WriteJSON(w io.Writer) error {
+func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(s)
 }
 
-// WriteProm writes the registry in the Prometheus text exposition format
-// (version 0.0.4): HELP/TYPE headers, one line per series, canonical
-// family and label order.
-func (r *Registry) WriteProm(w io.Writer) error {
-	for _, f := range r.Snapshot().Families {
+// WriteProm writes the snapshot in the Prometheus text exposition format
+// (version 0.0.4): HELP/TYPE headers, one line per series, in the
+// snapshot's family and series order — canonical for every snapshot the
+// registry, DecodeSnapshot or the federation operations produce. It is
+// the one renderer behind /metrics and the fleet's /fleet/metrics.
+func (s *Snapshot) WriteProm(w io.Writer) error {
+	for _, f := range s.Families {
 		if f.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help)); err != nil {
 				return err

@@ -93,7 +93,7 @@ func (f *Flags) Finish() error {
 		return nil
 	}
 	if f.MetricsOut != "" {
-		if err := writeTo(f.MetricsOut, f.hub.Registry().WriteJSON); err != nil {
+		if err := writeTo(f.MetricsOut, f.hub.Registry().Snapshot().WriteJSON); err != nil {
 			return fmt.Errorf("telemetry: metrics-out: %w", err)
 		}
 	}

@@ -15,10 +15,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -32,10 +30,10 @@ import (
 )
 
 // TraceID derives the deterministic fleet trace id for a run seed. Every
-// process in the run — coordinator and workers alike — addresses the same
-// fleet trace through this id, and per-APK trace ids are prefixed with it
-// (`<fleet-id>/apk:<pkg>`), which is what lets spans recorded by
-// different OS processes stitch into one export.
+// process in the run — coordinator and workers alike — records its
+// control-plane spans (partition leases, worker runs) under this id.
+// Per-APK traces keep their single-process ids (`apk:<pkg>`): each
+// package sits in exactly one partition, so they are unique fleet-wide.
 func TraceID(seed int64) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -68,7 +66,7 @@ type Config struct {
 	// Now is the staleness/scrape clock (nil = time.Now); injectable so
 	// tests steer it like the coordinator's lease clock.
 	Now func() time.Time
-	// Client performs live /metrics scrapes (nil = 5s-timeout default).
+	// Client performs live /metrics.json scrapes (nil = 5s-timeout default).
 	Client *http.Client
 	// ScrapeGap is the minimum interval between scrape sweeps; /fleet/*
 	// requests arriving faster than this reuse the previous scrape
@@ -85,7 +83,7 @@ type Config struct {
 // delta its run added to the worker's hub, and the spans it recorded.
 type partitionData struct {
 	worker   string
-	fams     telemetry.Fams
+	delta    *telemetry.Snapshot
 	apkSpans []telemetry.SpanLine
 	ctl      []telemetry.SpanLine
 	wall     time.Duration
@@ -95,7 +93,7 @@ type partitionData struct {
 type workerData struct {
 	metricsURL string
 	lastSeen   time.Time
-	fams       telemetry.Fams // cumulative, from scrape or final flush
+	snap       *telemetry.Snapshot // cumulative, from scrape or final flush
 	scrapeErr  string
 	finalFlush bool
 }
@@ -143,22 +141,21 @@ func New(cfg Config) *Federator {
 	}
 }
 
-// AcceptResult ingests the metrics delta and trace spans a worker
-// submitted alongside an accepted /v1/result. Call it only for accepted
-// results — the lease check upstream is what makes the rollup
-// exactly-once. Span lines on the fleet trace id itself are control-plane
-// spans and are routed to the control view, not the per-APK export.
-func (f *Federator) AcceptResult(partition int, worker string, prom, trace []byte, wall time.Duration) error {
-	fams, err := telemetry.ParseProm(bytes.NewReader(prom))
+// AcceptResult ingests the metrics delta (a JSON snapshot, decoded with
+// telemetry.DecodeSnapshot) and trace spans a worker submitted alongside
+// an accepted /v1/result. Call it only for accepted results — the lease
+// check upstream is what makes the rollup exactly-once. A delta that does
+// not decode, or does not merge with the deltas already accepted, is
+// refused whole. Span lines on the fleet trace id itself are
+// control-plane spans and are routed to the control view, not the
+// per-APK export.
+func (f *Federator) AcceptResult(partition int, worker string, metrics []byte, spans []telemetry.SpanLine, wall time.Duration) error {
+	delta, err := telemetry.DecodeSnapshot(metrics)
 	if err != nil {
 		return fmt.Errorf("fleet: partition %d metrics: %w", partition, err)
 	}
-	lines, err := telemetry.ParseTraceJSONL(bytes.NewReader(trace))
-	if err != nil {
-		return fmt.Errorf("fleet: partition %d trace: %w", partition, err)
-	}
-	pd := &partitionData{worker: worker, fams: fams, wall: wall}
-	for _, line := range lines {
+	pd := &partitionData{worker: worker, delta: delta, wall: wall}
+	for _, line := range spans {
 		if line.Trace == f.cfg.TraceID {
 			pd.ctl = append(pd.ctl, line)
 		} else {
@@ -166,8 +163,11 @@ func (f *Federator) AcceptResult(partition int, worker string, prom, trace []byt
 		}
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, err := telemetry.Merge(f.rollupLocked(), delta); err != nil {
+		return fmt.Errorf("fleet: partition %d metrics: %w", partition, err)
+	}
 	f.partitions[partition] = pd
-	f.mu.Unlock()
 	f.snapResult.Inc()
 	return nil
 }
@@ -195,12 +195,12 @@ func (f *Federator) RegisterWorker(name, metricsURL string) {
 // Heartbeat marks a worker seen (renewals, result posts).
 func (f *Federator) Heartbeat(name string) { f.RegisterWorker(name, "") }
 
-// FinalFlush ingests the cumulative registry snapshot a worker pushes on
-// graceful shutdown. It feeds the live worker view only — the rollup is
-// built from per-partition deltas, so a final flush can never
+// FinalFlush ingests the cumulative registry snapshot (JSON) a worker
+// pushes on graceful shutdown. It feeds the live worker view only — the
+// rollup is built from per-partition deltas, so a final flush can never
 // double-count work that was already accepted.
-func (f *Federator) FinalFlush(worker string, prom []byte) error {
-	fams, err := telemetry.ParseProm(bytes.NewReader(prom))
+func (f *Federator) FinalFlush(worker string, metrics []byte) error {
+	snap, err := telemetry.DecodeSnapshot(metrics)
 	if err != nil {
 		return fmt.Errorf("fleet: final snapshot from %s: %w", worker, err)
 	}
@@ -210,7 +210,7 @@ func (f *Federator) FinalFlush(worker string, prom []byte) error {
 		wd = &workerData{}
 		f.workers[worker] = wd
 	}
-	wd.fams = fams
+	wd.snap = snap
 	wd.lastSeen = f.now()
 	wd.finalFlush = true
 	f.mu.Unlock()
@@ -218,7 +218,7 @@ func (f *Federator) FinalFlush(worker string, prom []byte) error {
 	return nil
 }
 
-// Scrape pulls /metrics from every registered worker, rate-limited by
+// Scrape pulls /metrics.json from every registered worker, rate-limited by
 // ScrapeGap. It is called on demand when a /fleet/* view is requested;
 // failures are recorded per worker and surfaced in the status document
 // rather than failing the request.
@@ -240,14 +240,14 @@ func (f *Federator) Scrape(ctx context.Context) {
 	f.mu.Unlock()
 
 	for _, t := range targets {
-		fams, err := f.scrapeOne(ctx, t.url)
+		snap, err := f.scrapeOne(ctx, t.url)
 		f.mu.Lock()
 		if wd := f.workers[t.name]; wd != nil {
 			if err != nil {
 				wd.scrapeErr = err.Error()
 			} else {
 				wd.scrapeErr = ""
-				wd.fams = fams
+				wd.snap = snap
 			}
 		}
 		f.mu.Unlock()
@@ -257,7 +257,7 @@ func (f *Federator) Scrape(ctx context.Context) {
 	}
 }
 
-func (f *Federator) scrapeOne(ctx context.Context, url string) (telemetry.Fams, error) {
+func (f *Federator) scrapeOne(ctx context.Context, url string) (*telemetry.Snapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -270,23 +270,30 @@ func (f *Federator) scrapeOne(ctx context.Context, url string) (telemetry.Fams, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	return telemetry.ParseProm(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return nil, err
+	}
+	return telemetry.DecodeSnapshot(body)
 }
 
-// Rollup merges every accepted partition delta into one exposition — the
-// deterministic fleet totals. Partitions merge in index order; the
-// arithmetic is commutative, the order just keeps iteration observable.
-func (f *Federator) Rollup() telemetry.Fams {
+// Rollup merges every accepted partition delta into one snapshot — the
+// deterministic fleet totals. Partitions merge in index order, so Help
+// sticks to the lowest partition's; the arithmetic is commutative.
+func (f *Federator) Rollup() *telemetry.Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.rollupLocked()
 }
 
-func (f *Federator) rollupLocked() telemetry.Fams {
-	rollup := make(telemetry.Fams)
+// rollupLocked merges the accepted deltas, which AcceptResult admitted
+// only if they merge, so the merge cannot fail.
+func (f *Federator) rollupLocked() *telemetry.Snapshot {
+	var deltas []*telemetry.Snapshot
 	for _, p := range f.partitionOrder() {
-		telemetry.MergeFams(rollup, f.partitions[p].fams)
+		deltas = append(deltas, f.partitions[p].delta)
 	}
+	rollup, _ := telemetry.Merge(deltas...)
 	return rollup
 }
 
@@ -299,38 +306,35 @@ func (f *Federator) partitionOrder() []int {
 	return parts
 }
 
-// FleetFams builds the full federated exposition: every accepted
+// fleetSnapshot builds the full federated view: every accepted
 // partition's delta labeled shard="<index>", plus the rollup labeled
 // shard="fleet" — so `fleet == Σ shards` holds series-wise for every
 // counter family and is checkable straight off /fleet/metrics.
-func (f *Federator) FleetFams() telemetry.Fams {
+func (f *Federator) fleetSnapshot() *telemetry.Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fleet := make(telemetry.Fams)
+	var views []*telemetry.Snapshot
 	for _, p := range f.partitionOrder() {
-		telemetry.MergeFams(fleet, telemetry.FamsWithLabel(f.partitions[p].fams, "shard", strconv.Itoa(p)))
+		views = append(views, f.partitions[p].delta.WithLabel("shard", strconv.Itoa(p)))
 	}
-	telemetry.MergeFams(fleet, telemetry.FamsWithLabel(f.rollupLocked(), "shard", "fleet"))
+	fleet, _ := telemetry.Merge(append(views, f.rollupLocked().WithLabel("shard", "fleet"))...)
 	return fleet
 }
 
 // WriteRollupProm writes the deterministic rollup as Prometheus text —
 // the byte-identity surface the fleet determinism test asserts.
 func (f *Federator) WriteRollupProm(w io.Writer) error {
-	return telemetry.WriteFams(w, f.Rollup())
+	return f.Rollup().WriteProm(w)
 }
 
 // WriteFleetProm writes the shard-labeled + rollup exposition.
 func (f *Federator) WriteFleetProm(w io.Writer) error {
-	return telemetry.WriteFams(w, f.FleetFams())
+	return f.fleetSnapshot().WriteProm(w)
 }
 
-// WriteFleetJSON writes the same exposition as structured JSON, keyed by
-// family name.
+// WriteFleetJSON writes the same view in /metrics.json's schema.
 func (f *Federator) WriteFleetJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f.FleetFams())
+	return f.fleetSnapshot().WriteJSON(w)
 }
 
 // WriteTraceJSONL writes the stitched fleet-wide per-APK trace: every
@@ -370,12 +374,12 @@ type Counts struct {
 	Quarantined int64 `json:"quarantined"`
 }
 
-func countsOf(fams telemetry.Fams) Counts {
+func countsOf(snap *telemetry.Snapshot) Counts {
 	return Counts{
-		APKs:        counterSeries(fams, famStageItems, telemetry.LabelString("stage", "download", "dir", "out")),
-		CacheHits:   counterSeries(fams, famCache, telemetry.LabelString("result", "hit")),
-		Retries:     counterTotal(fams, famRetries),
-		Quarantined: counterTotal(fams, famStageQuar),
+		APKs:        counterSeries(snap, famStageItems, "stage", "download", "dir", "out"),
+		CacheHits:   counterSeries(snap, famCache, "result", "hit"),
+		Retries:     snap.Family(famRetries).Total(),
+		Quarantined: snap.Family(famStageQuar).Total(),
 	}
 }
 
@@ -391,7 +395,7 @@ func (f *Federator) PartitionCounts(partition int) (c Counts, worker string, wal
 	if pd == nil {
 		return Counts{}, "", 0, false
 	}
-	return countsOf(pd.fams), pd.worker, pd.wall, true
+	return countsOf(pd.delta), pd.worker, pd.wall, true
 }
 
 // WorkerCounts extracts a worker's live headline counters from its latest
@@ -400,10 +404,10 @@ func (f *Federator) WorkerCounts(name string) (Counts, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	wd := f.workers[name]
-	if wd == nil || wd.fams == nil {
+	if wd == nil || wd.snap == nil {
 		return Counts{}, false
 	}
-	return countsOf(wd.fams), true
+	return countsOf(wd.snap), true
 }
 
 // WorkerInfo is the live view of one worker process.
@@ -436,18 +440,16 @@ func (f *Federator) StageQuantiles() map[string]Quantiles {
 	return StageQuantiles(f.Rollup())
 }
 
-// StageQuantiles extracts per-stage latency quantiles from any exposition
+// StageQuantiles extracts per-stage latency quantiles from any snapshot
 // carrying pipeline_stage_latency_seconds.
-func StageQuantiles(fams telemetry.Fams) map[string]Quantiles {
-	fam := fams[famStageLatency]
+func StageQuantiles(snap *telemetry.Snapshot) map[string]Quantiles {
+	fam := snap.Family(famStageLatency)
 	if fam == nil {
 		return nil
 	}
 	out := make(map[string]Quantiles)
 	for _, stage := range []string{"metadata", "download", "analyze", "lint", "urls"} {
-		series := telemetry.LabelString("stage", stage)
-		q, ok := QuantilesOf(fam, series)
-		if ok {
+		if q, ok := QuantilesOf(fam.Series("stage", stage)); ok {
 			out[stage] = q
 		}
 	}
@@ -464,35 +466,20 @@ type Quantiles struct {
 
 // QuantilesOf summarises one histogram series. ok reports whether the
 // series exists and is non-empty.
-func QuantilesOf(fam *telemetry.PromFamily, series string) (Quantiles, bool) {
-	p50, ok1 := fam.Quantile(series, 0.50)
-	p95, ok2 := fam.Quantile(series, 0.95)
-	p99, ok3 := fam.Quantile(series, 0.99)
+func QuantilesOf(series *telemetry.SeriesSnapshot) (Quantiles, bool) {
+	p50, ok1 := series.Quantile(0.50)
+	p95, ok2 := series.Quantile(0.95)
+	p99, ok3 := series.Quantile(0.99)
 	if !ok1 || !ok2 || !ok3 {
 		return Quantiles{}, false
 	}
 	return Quantiles{P50: p50, P95: p95, P99: p99}, true
 }
 
-// counterTotal sums every series of a counter family.
-func counterTotal(fams telemetry.Fams, name string) int64 {
-	fam := fams[name]
-	if fam == nil {
-		return 0
+// counterSeries reads one series of a counter family by its labels.
+func counterSeries(snap *telemetry.Snapshot, name string, labels ...string) int64 {
+	if m := snap.Family(name).Series(labels...); m != nil && m.Value != nil {
+		return *m.Value
 	}
-	var total float64
-	for _, v := range fam.Samples {
-		total += v
-	}
-	return int64(total)
-}
-
-// counterSeries reads one series of a counter family by its canonical
-// label set.
-func counterSeries(fams telemetry.Fams, name, series string) int64 {
-	fam := fams[name]
-	if fam == nil {
-		return 0
-	}
-	return int64(fam.Samples[series])
+	return 0
 }

@@ -36,11 +36,8 @@ func TestQuantilesFromHistogram(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(2.0) // slow tail in the (1, 5] bucket
 	}
-	fams, err := telemetry.RegistryFams(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, ok := QuantilesOf(fams["pipeline_stage_latency_seconds"], telemetry.LabelString("stage", "download"))
+	snap := r.Snapshot()
+	q, ok := QuantilesOf(snap.Family("pipeline_stage_latency_seconds").Series("stage", "download"))
 	if !ok {
 		t.Fatal("QuantilesOf reported no data")
 	}
@@ -54,7 +51,7 @@ func TestQuantilesFromHistogram(t *testing.T) {
 		t.Errorf("p99 = %v, want in the slow-tail bucket (1, 5]", q.P99)
 	}
 
-	byStage := StageQuantiles(fams)
+	byStage := StageQuantiles(snap)
 	if _, ok := byStage["download"]; !ok {
 		t.Errorf("StageQuantiles missing download stage: %v", byStage)
 	}
@@ -65,10 +62,13 @@ func TestQuantilesFromHistogram(t *testing.T) {
 
 // TestQuantilesOfMissingSeries covers the no-data path.
 func TestQuantilesOfMissingSeries(t *testing.T) {
-	if _, ok := QuantilesOf(&telemetry.PromFamily{}, ""); ok {
-		t.Error("QuantilesOf on an empty family reported data")
+	if _, ok := QuantilesOf(nil); ok {
+		t.Error("QuantilesOf on a missing series reported data")
 	}
-	if StageQuantiles(telemetry.Fams{}) != nil {
+	if _, ok := QuantilesOf(&telemetry.SeriesSnapshot{}); ok {
+		t.Error("QuantilesOf on an empty series reported data")
+	}
+	if StageQuantiles(&telemetry.Snapshot{}) != nil {
 		t.Error("StageQuantiles without the latency family should be nil")
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"strconv"
 )
 
 // HistogramQuantile estimates the q-quantile (0 ≤ q ≤ 1) of a fixed-bucket
@@ -49,56 +50,18 @@ func HistogramQuantile(q float64, bounds, cumulative []float64) (float64, bool) 
 	return lower + (bounds[idx]-lower)*(rank-below)/inBucket, true
 }
 
-// Quantile estimates the q-quantile of one histogram series in a parsed
-// family, identified by its rendered label set without the "le" pair (""
-// for an unlabeled histogram). Reports false when the series is missing
-// or empty.
-func (f *PromFamily) Quantile(series string, q float64) (float64, bool) {
-	if f == nil {
+// Quantile estimates the q-quantile of a histogram series from its
+// cumulative buckets. Reports false for a nil, non-histogram or empty
+// series.
+func (m *SeriesSnapshot) Quantile(q float64) (float64, bool) {
+	if m == nil {
 		return 0, false
 	}
-	type bkt struct {
-		le    float64
-		count float64
-	}
-	var bkts []bkt
-	for bk, v := range f.Buckets {
-		rest, le, ok := splitLe(bk)
-		if !ok || rest != series {
-			continue
-		}
-		bkts = append(bkts, bkt{le: le, count: v})
-	}
-	if len(bkts) == 0 {
-		return 0, false
-	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
-	bounds := make([]float64, len(bkts))
-	cumulative := make([]float64, len(bkts))
-	for i, b := range bkts {
-		bounds[i] = b.le
-		cumulative[i] = b.count
-	}
-	return HistogramQuantile(q, bounds, cumulative)
-}
-
-// Quantile estimates the q-quantile of a live histogram from its current
-// bucket counts. Reports false on a nil or empty histogram.
-func (h *Histogram) Quantile(q float64) (float64, bool) {
-	if h == nil {
-		return 0, false
-	}
-	bounds := make([]float64, 0, len(h.bounds)+1)
-	cumulative := make([]float64, 0, len(h.bounds)+1)
-	var running int64
-	for i := range h.counts {
-		running += h.counts[i].Load()
-		if i < len(h.bounds) {
-			bounds = append(bounds, h.bounds[i])
-		} else {
-			bounds = append(bounds, math.Inf(1))
-		}
-		cumulative = append(cumulative, float64(running))
+	bounds := make([]float64, len(m.Buckets))
+	cumulative := make([]float64, len(m.Buckets))
+	for i, b := range m.Buckets {
+		bounds[i], _ = strconv.ParseFloat(b.Le, 64)
+		cumulative[i] = float64(b.Count)
 	}
 	return HistogramQuantile(q, bounds, cumulative)
 }

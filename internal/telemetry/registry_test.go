@@ -110,10 +110,10 @@ func TestJSONSnapshotByteStable(t *testing.T) {
 		return r
 	}
 	var a, b bytes.Buffer
-	if err := build().WriteJSON(&a); err != nil {
+	if err := build().Snapshot().WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteJSON(&b); err != nil {
+	if err := build().Snapshot().WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -126,9 +126,10 @@ func TestJSONSnapshotByteStable(t *testing.T) {
 	}
 }
 
-// TestPromExpositionRoundTrips renders a registry as Prometheus text,
-// parses it back, and checks every series and histogram bucket survived —
-// the exposition contract a scraper relies on.
+// TestPromExpositionRoundTrips renders a registry as Prometheus text and
+// pins every line: HELP/TYPE headers, escaped label values, cumulative
+// histogram buckets, and the sum and count — the exposition contract a
+// scraper relies on.
 func TestPromExpositionRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("req_total", "requests served", "code", "200", "path", `with"quote`).Add(12)
@@ -138,42 +139,25 @@ func TestPromExpositionRoundTrips(t *testing.T) {
 	h.Observe(2)
 
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.Snapshot().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseProm(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ParseProm: %v\n%s", err, buf.String())
-	}
-
-	if fams["req_total"].Type != "counter" {
-		t.Errorf("req_total type = %q", fams["req_total"].Type)
-	}
-	if got := fams["req_total"].Samples[`code="200",path="with\"quote"`]; got != 12 {
-		t.Errorf("req_total = %v, want 12 (samples: %v)", got, fams["req_total"].Samples)
-	}
-	if got := fams["inflight"].Samples[""]; got != 3 {
-		t.Errorf("inflight = %v", got)
-	}
-	lat := fams["lat_seconds"]
-	if lat.Type != "histogram" {
-		t.Fatalf("lat type = %q", lat.Type)
-	}
-	checks := map[string]float64{
-		`le="0.1",stage="dl"`:  1,
-		`le="1",stage="dl"`:    1,
-		`le="+Inf",stage="dl"`: 2,
-	}
-	for labels, want := range checks {
-		if got := lat.Buckets[labels]; got != want {
-			t.Errorf("bucket{%s} = %v, want %v (buckets: %v)", labels, got, want, lat.Buckets)
-		}
-	}
-	if got := lat.Counts[`stage="dl"`]; got != 2 {
-		t.Errorf("count = %v", got)
-	}
-	if got := lat.Sums[`stage="dl"`]; got < 2.04 || got > 2.06 {
-		t.Errorf("sum = %v", got)
+	want := `# HELP inflight in-flight ops
+# TYPE inflight gauge
+inflight 3
+# HELP lat_seconds latency
+# TYPE lat_seconds histogram
+lat_seconds_bucket{le="0.1",stage="dl"} 1
+lat_seconds_bucket{le="1",stage="dl"} 1
+lat_seconds_bucket{le="+Inf",stage="dl"} 2
+lat_seconds_sum{stage="dl"} 2.05
+lat_seconds_count{stage="dl"} 2
+# HELP req_total requests served
+# TYPE req_total counter
+req_total{code="200",path="with\"quote"} 12
+`
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
@@ -221,7 +205,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				if i%100 == 0 {
 					r.Snapshot()
 					var buf bytes.Buffer
-					r.WriteProm(&buf)
+					r.Snapshot().WriteProm(&buf)
 				}
 			}
 		}(w)

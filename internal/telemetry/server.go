@@ -43,11 +43,11 @@ func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		h.Registry().WriteProm(w)
+		h.Registry().Snapshot().WriteProm(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		h.Registry().WriteJSON(w)
+		h.Registry().Snapshot().WriteJSON(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		if opts.FleetTraceURL != "" {

@@ -157,8 +157,8 @@ func (sp *Span) End() time.Duration {
 }
 
 // SpanLine is the exported JSONL line for one span — the wire schema the
-// trace endpoints speak and the fleet stitcher re-parses. Field order is
-// the schema; attrs marshal with sorted keys, so output is byte-stable.
+// trace endpoints speak and fleet workers submit. Field order is the
+// schema; attrs marshal with sorted keys, so output is byte-stable.
 type SpanLine struct {
 	Trace   string            `json:"trace"`
 	Span    string            `json:"span"`
@@ -172,12 +172,12 @@ type SpanLine struct {
 // WriteJSONL exports every finished span, one JSON object per line:
 // traces in sorted id order, spans in completion order within each trace.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return t.WriteJSONLSince(w, nil)
+	return encodeLines(w, t.SpansSince(nil))
 }
 
 // Mark snapshots how many spans each trace currently holds. Pair with
-// WriteJSONLSince to export only the spans one bounded stretch of work
-// (a leased partition) appended to a long-lived tracer.
+// SpansSince to export only the spans one bounded stretch of work (a
+// leased partition) appended to a long-lived tracer.
 func (t *Tracer) Mark() map[string]int {
 	if t == nil {
 		return nil
@@ -193,10 +193,10 @@ func (t *Tracer) Mark() map[string]int {
 	return mark
 }
 
-// WriteJSONLSince exports every finished span appended after mark (all
-// spans when mark is nil), in WriteJSONL's order: traces sorted by id,
-// spans in completion order within each trace.
-func (t *Tracer) WriteJSONLSince(w io.Writer, mark map[string]int) error {
+// SpansSince returns every finished span appended after mark (all spans
+// when mark is nil) in WriteJSONL's order: traces sorted by id, spans in
+// completion order within each trace.
+func (t *Tracer) SpansSince(mark map[string]int) []SpanLine {
 	if t == nil {
 		return nil
 	}
@@ -212,69 +212,36 @@ func (t *Tracer) WriteJSONLSince(w io.Writer, mark map[string]int) error {
 	}
 	t.mu.Unlock()
 
-	enc := json.NewEncoder(w)
+	var lines []SpanLine
 	for i, tr := range traces {
-		skip := mark[ids[i]]
 		tr.mu.Lock()
-		var spans []spanRecord
-		if skip < len(tr.spans) {
-			spans = make([]spanRecord, len(tr.spans)-skip)
-			copy(spans, tr.spans[skip:])
-		}
-		tr.mu.Unlock()
-		for _, rec := range spans {
-			line := SpanLine{
+		for _, rec := range tr.spans[min(mark[ids[i]], len(tr.spans)):] {
+			lines = append(lines, SpanLine{
 				Trace: ids[i], Span: rec.name, Parent: rec.parent,
 				Seq: rec.seq, StartUS: rec.startUS, DurUS: rec.durUS, Attrs: rec.attrs,
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
+			})
 		}
+		tr.mu.Unlock()
 	}
-	return nil
-}
-
-// ParseTraceJSONL decodes a JSONL span export back into lines, in input
-// order. Blank lines are skipped; a malformed line fails the parse.
-func ParseTraceJSONL(r io.Reader) ([]SpanLine, error) {
-	dec := json.NewDecoder(r)
-	var lines []SpanLine
-	for {
-		var line SpanLine
-		if err := dec.Decode(&line); err != nil {
-			if err == io.EOF {
-				return lines, nil
-			}
-			return nil, err
-		}
-		lines = append(lines, line)
-	}
+	return lines
 }
 
 // WriteTraceJSONL stitches span lines gathered from many processes into
-// one canonical export: traces sorted by id, spans within a trace ordered
-// by sequence number (the per-trace order the emitting process assigned),
-// one JSON object per line — the same layout WriteJSONL produces, so a
-// stitched fleet trace is byte-comparable with a single-process one.
+// one export: traces sorted by id, each trace's spans in the order they
+// arrived, one JSON object per line. Every per-APK trace is recorded by
+// one process and arrives in completion order, so a stitched fleet trace
+// has the layout WriteJSONL gives the same traces in one process.
 func WriteTraceJSONL(w io.Writer, lines []SpanLine) error {
-	byTrace := make(map[string][]SpanLine)
-	ids := make([]string, 0)
-	for _, line := range lines {
-		if _, seen := byTrace[line.Trace]; !seen {
-			ids = append(ids, line.Trace)
-		}
-		byTrace[line.Trace] = append(byTrace[line.Trace], line)
-	}
-	sort.Strings(ids)
+	lines = append([]SpanLine(nil), lines...)
+	sort.SliceStable(lines, func(i, j int) bool { return lines[i].Trace < lines[j].Trace })
+	return encodeLines(w, lines)
+}
+
+func encodeLines(w io.Writer, lines []SpanLine) error {
 	enc := json.NewEncoder(w)
-	for _, id := range ids {
-		spans := byTrace[id]
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
-		for _, line := range spans {
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
+	for _, line := range lines {
+		if err := enc.Encode(line); err != nil {
+			return err
 		}
 	}
 	return nil

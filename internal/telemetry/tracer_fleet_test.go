@@ -7,18 +7,22 @@ import (
 	"testing"
 )
 
-// span records one trace's worth of work on a hub: two spans, the second
-// a child, with one attribute — enough to exercise every SpanLine field.
+// recordTrace records one trace's worth of work on a hub: a root span
+// with one attribute, a child that starts and ends inside a parent that
+// ends after it (so completion order differs from start order), and a
+// child of that — enough to exercise every SpanLine field.
 func recordTrace(h *Hub, id string) {
 	tr := h.Trace(id)
-	sp := tr.Start("download", "pkg", id)
-	sp.End()
+	tr.Start("download", "pkg", id).End()
+	analyze := tr.Start("analyze")
+	tr.Child("analyze", "parse").End()
+	analyze.End()
 	tr.Child("download", "verify").End()
 }
 
 // TestTracerMarkAndWriteJSONLSince covers the partition-delta export: a
-// mark taken mid-run bounds WriteJSONLSince to the spans appended after
-// it, and prefix+suffix exports concatenate to the full export per trace.
+// mark taken mid-run bounds SpansSince to the spans appended after it,
+// and a nil mark is the full export WriteJSONL writes.
 func TestTracerMarkAndWriteJSONLSince(t *testing.T) {
 	h := New(Options{Timing: SeededTiming{Seed: 7}, Tracing: true})
 	recordTrace(h, "apk:a")
@@ -26,41 +30,37 @@ func TestTracerMarkAndWriteJSONLSince(t *testing.T) {
 	recordTrace(h, "apk:a") // more spans on a marked trace
 	recordTrace(h, "apk:b") // a trace born after the mark
 
-	var since strings.Builder
-	if err := h.Tracer().WriteJSONLSince(&since, mark); err != nil {
-		t.Fatal(err)
-	}
-	lines, err := ParseTraceJSONL(strings.NewReader(since.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 4 {
-		t.Fatalf("since-export has %d spans, want 4 (2 late on apk:a + 2 on apk:b)", len(lines))
+	lines := h.Tracer().SpansSince(mark)
+	if len(lines) != 8 {
+		t.Fatalf("since-export has %d spans, want 8 (4 late on apk:a + 4 on apk:b)", len(lines))
 	}
 	for _, l := range lines {
-		if l.Trace == "apk:a" && l.Seq < 2 {
+		if l.Trace == "apk:a" && l.Seq < 4 {
 			t.Errorf("span seq %d of apk:a predates the mark", l.Seq)
 		}
 	}
 
-	// A nil mark is the full export: every span of every trace.
-	var full strings.Builder
-	if err := h.Tracer().WriteJSONL(&full); err != nil {
+	full := h.Tracer().SpansSince(nil)
+	if len(full) != 12 {
+		t.Fatalf("full export has %d spans, want 12", len(full))
+	}
+	var want, got strings.Builder
+	if err := h.Tracer().WriteJSONL(&want); err != nil {
 		t.Fatal(err)
 	}
-	fullLines, err := ParseTraceJSONL(strings.NewReader(full.String()))
-	if err != nil {
+	if err := WriteTraceJSONL(&got, full); err != nil {
 		t.Fatal(err)
 	}
-	if len(fullLines) != 6 {
-		t.Fatalf("full export has %d spans, want 6", len(fullLines))
+	if got.String() != want.String() {
+		t.Errorf("full span lines do not encode to WriteJSONL's export:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 
 // TestStitchedTraceMatchesSingleProcess is the trace half of the fleet
 // determinism contract at unit scale: the same seeded work recorded on two
 // hubs (two workers), exported as partition deltas and stitched with
-// WriteTraceJSONL, is byte-identical to one hub recording everything.
+// WriteTraceJSONL, is byte-identical to one hub recording everything —
+// including the parent span that ends after its child.
 func TestStitchedTraceMatchesSingleProcess(t *testing.T) {
 	one := New(Options{Timing: SeededTiming{Seed: 3}, Tracing: true})
 	for _, id := range []string{"apk:a", "apk:b", "apk:c", "apk:d"} {
@@ -77,18 +77,7 @@ func TestStitchedTraceMatchesSingleProcess(t *testing.T) {
 	recordTrace(wa, "apk:a")
 	recordTrace(wb, "apk:d")
 	recordTrace(wb, "apk:b")
-	var lines []SpanLine
-	for _, w := range []*Hub{wa, wb} {
-		var sb strings.Builder
-		if err := w.Tracer().WriteJSONL(&sb); err != nil {
-			t.Fatal(err)
-		}
-		part, err := ParseTraceJSONL(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, part...)
-	}
+	lines := append(wa.Tracer().SpansSince(nil), wb.Tracer().SpansSince(nil)...)
 	var got strings.Builder
 	if err := WriteTraceJSONL(&got, lines); err != nil {
 		t.Fatal(err)
