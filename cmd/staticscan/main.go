@@ -308,9 +308,11 @@ func run(out *os.File, o options) error {
 	}
 
 	// Payload damage (truncation, corruption) rides beneath the APK
-	// client's Content-Length/digest verification, which detects it and
-	// retries; interface-level errors and latency wrap the services and
-	// are retried by the pipeline.
+	// client's Content-Length/digest verification, which turns it into a
+	// retryable error; interface-level errors and latency wrap the
+	// services. The pipeline's cfg.Retry is the one retry layer for both:
+	// the clients carry no policy of their own, so -retries N allows N+1
+	// attempts per operation, not (N+1)².
 	azHC := azSrv.Client()
 	if injecting && (fcfg.TruncateRate > 0 || fcfg.CorruptRate > 0) {
 		azHC = &http.Client{Transport: faults.NewTransport(azHC.Transport, faults.Config{
@@ -318,8 +320,8 @@ func run(out *os.File, o options) error {
 			Telemetry: o.telemetry,
 		})}
 	}
-	var repo pipeline.Repository = androzoo.NewClient(azSrv.URL, azHC).WithRetry(cfg.Retry)
-	var meta pipeline.MetadataSource = playstore.NewClient(psSrv.URL, psSrv.Client()).WithRetry(cfg.Retry)
+	var repo pipeline.Repository = androzoo.NewClient(azSrv.URL, azHC)
+	var meta pipeline.MetadataSource = playstore.NewClient(psSrv.URL, psSrv.Client())
 	if injecting && (fcfg.ErrorRate > 0 || fcfg.LatencyRate > 0) {
 		svcCfg := faults.Config{
 			Seed: fcfg.Seed, ErrorRate: fcfg.ErrorRate,

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -142,5 +144,45 @@ func TestURLJSONWorkerIndependent(t *testing.T) {
 	if !bytes.Equal(docs[0], docs[1]) {
 		t.Errorf("URL JSON differs between workers=1 and workers=4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
 			docs[0], docs[1])
+	}
+}
+
+// TestRetriesAreOneLayerDeep corrupts every HTTP payload, so each APK
+// download fails its digest check on every attempt and is quarantined.
+// The pipeline is the only retry layer, so -retries 3 gives each download
+// exactly 4 attempts; a client-side policy stacked beneath it would make
+// that 4 × 4 = 16 and multiply the backoff sleeps.
+func TestRetriesAreOneLayerDeep(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+
+	const retries = 3
+	hub := telemetry.New(telemetry.Options{})
+	o := options{
+		scale: 20000, seed: 3, retries: retries, maxFailureFrac: 1,
+		faults: "seed=1,corrupt=1", telemetry: hub,
+	}
+	if err := run(devnull, o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	counter := func(name string, labels ...string) int64 {
+		return hub.Counter(name, "", labels...).Value()
+	}
+	quarantined := counter("pipeline_stage_quarantined_total", "stage", "download")
+	if quarantined == 0 {
+		t.Fatal("no download was quarantined; the faults spec no longer exercises retries")
+	}
+	if got, want := counter("retry_retries_total"), quarantined*retries; got != want {
+		t.Errorf("retry_retries_total = %d, want %d (%d quarantined downloads × %d retries)",
+			got, want, quarantined, retries)
+	}
+	// The snapshot listing is damaged once as well; it has no integrity
+	// check to fail, so it is not re-attempted.
+	if got, want := counter("faults_injected_total", "class", "corrupt"), quarantined*(retries+1)+1; got != want {
+		t.Errorf("corrupt payloads served = %d, want %d (%d downloads × %d attempts + 1 listing)",
+			got, want, quarantined, retries+1)
 	}
 }

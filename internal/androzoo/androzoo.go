@@ -134,7 +134,7 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 		// textbook transient class.
 		return nil, retry.Transient(fmt.Errorf("androzoo: %w", err))
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("androzoo: snapshot: unexpected status %s", resp.Status))
 	}
@@ -170,7 +170,7 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 	if err != nil {
 		return nil, retry.Transient(fmt.Errorf("androzoo: %s: %w", pkg, err))
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("androzoo: %s: unexpected status %s", pkg, resp.Status))
 	}
@@ -188,6 +188,16 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 		}
 	}
 	return img, nil
+}
+
+// drainClose reads what is left of a response body, up to 4 KB, before
+// closing it, so an error answer returns its keep-alive connection to the
+// transport's idle pool instead of discarding it. A larger remainder, such
+// as the rest of a rejected APK image, is not worth reading, and a failed
+// drain is not worth reporting: either costs one new connection.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096))
+	body.Close()
 }
 
 // classifyStatus marks 5xx responses transient (the server may recover)

@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +23,12 @@ import (
 )
 
 func testSetup(t *testing.T) (*Client, *corpus.Corpus) {
+	return testSetupAt(t, 2000)
+}
+
+func testSetupAt(t *testing.T, scale int) (*Client, *corpus.Corpus) {
 	t.Helper()
-	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,24 +96,56 @@ func TestDownloadUnknown(t *testing.T) {
 	}
 }
 
-func TestDownloadBrokenAPKStillServed(t *testing.T) {
-	client, c := testSetup(t)
-	var broken *corpus.Spec
-	for _, s := range c.Filtered() {
-		if s.Broken {
-			broken = s
-			break
+// TestErrorAnswerKeepsConnection downloads an unknown package, then a
+// real one: the 404's body is drained, so its keep-alive connection goes
+// back to the idle pool and the second download reuses it.
+func TestErrorAnswerKeepsConnection(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(NewServer(c).Handler())
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
 		}
 	}
-	if broken == nil {
-		t.Skip("no broken APKs at this scale")
+	srv.Start()
+	defer srv.Close()
+
+	client := NewClient(srv.URL, srv.Client())
+	if _, err := client.Download(context.Background(), "com.unknown.app"); err == nil {
+		t.Fatal("unknown package did not fail")
 	}
-	img, err := client.Download(context.Background(), broken.Package)
-	if err != nil {
+	if _, err := client.Download(context.Background(), c.Filtered()[0].Package); err != nil {
 		t.Fatalf("Download: %v", err)
 	}
-	if _, err := apk.Open(img); !errors.Is(err, apk.ErrBroken) {
-		t.Errorf("broken APK parsed: %v", err)
+	if n := conns.Load(); n != 1 {
+		t.Errorf("a 404 and a download dialed %d connections, want 1", n)
+	}
+}
+
+func TestDownloadBrokenAPKStillServed(t *testing.T) {
+	// Broken APKs are planted only beyond the dynamic top-1K prefix, so
+	// only scales of 146 and below plant any; seed 1 plants 2 here.
+	client, c := testSetupAt(t, 146)
+	n := 0
+	for _, s := range c.Filtered() {
+		if !s.Broken {
+			continue
+		}
+		n++
+		img, err := client.Download(context.Background(), s.Package)
+		if err != nil {
+			t.Fatalf("Download %s: %v", s.Package, err)
+		}
+		if _, err := apk.Open(img); !errors.Is(err, apk.ErrBroken) {
+			t.Errorf("broken APK %s parsed: %v", s.Package, err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("corpus plants no broken APK at this scale")
 	}
 }
 

@@ -2,8 +2,8 @@
 // paper scrapes (step 1 of Figure 1): install counts, category and
 // last-update time per app. It exposes an HTTP server over a generated
 // corpus and a typed client, so the pipeline performs real network fetches
-// with real not-found handling (2.45M of the 6.5M AndroZoo apps are not on
-// the Play Store).
+// with real not-found handling (4.05M of the 6.5M AndroZoo apps, 62.3%, are
+// not on the Play Store).
 package playstore
 
 import (
@@ -98,7 +98,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 // disables retrying) and returns the client. Not-found responses are
 // classified permanent — an app's absence is an answer, not a failure —
 // so they are never retried and never trip a circuit breaker into
-// mistaking 2.45M honest 404s for an outage.
+// mistaking 4.05M honest 404s for an outage.
 func (c *Client) WithRetry(p *retry.Policy) *Client {
 	c.retry = p
 	return c
@@ -123,7 +123,7 @@ func (c *Client) metadata(ctx context.Context, pkg string) (Metadata, error) {
 	if err != nil {
 		return md, retry.Transient(fmt.Errorf("playstore: %w", err))
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&md); err != nil {
@@ -139,4 +139,14 @@ func (c *Client) metadata(ctx context.Context, pkg string) (Metadata, error) {
 	default:
 		return md, retry.Permanent(fmt.Errorf("playstore: %s: unexpected status %s", pkg, resp.Status))
 	}
+}
+
+// drainClose reads what is left of a response body, up to 4 KB, before
+// closing it. The transport returns a connection to its idle pool only
+// once the body has been read to the end; closing a 404's "not found"
+// unread discards the connection, and most lookups are not-founds. A
+// failed drain costs only that connection, so its error is not reported.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096))
+	body.Close()
 }

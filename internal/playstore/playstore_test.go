@@ -3,9 +3,11 @@ package playstore
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +81,48 @@ func TestMetadataBadBase(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1", nil)
 	if _, err := client.Metadata(context.Background(), "x"); err == nil {
 		t.Error("unreachable server did not fail")
+	}
+}
+
+// TestLookupsShareOneConnection runs sequential lookups spread evenly
+// across the snapshot, where absent apps outnumber listed ones as in the
+// paper (62.3% of AndroZoo is not on the store). Every answer, 404s
+// included, is read to the end, so one keep-alive connection serves them
+// all.
+func TestLookupsShareOneConnection(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(NewServer(c).Handler())
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	client := NewClient(srv.URL, srv.Client())
+	var found, absent int
+	for i := 0; i < len(c.Apps); i += len(c.Apps) / 50 {
+		app := c.Apps[i]
+		_, err := client.Metadata(context.Background(), app.Package)
+		switch {
+		case err == nil:
+			found++
+		case errors.Is(err, ErrNotFound):
+			absent++
+		default:
+			t.Fatalf("Metadata %s: %v", app.Package, err)
+		}
+	}
+	if found == 0 || absent == 0 {
+		t.Fatalf("%d found, %d absent: the lookups must mix both", found, absent)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d sequential lookups (%d not found) dialed %d connections, want 1", found+absent, absent, n)
 	}
 }
 

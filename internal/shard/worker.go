@@ -32,9 +32,9 @@ type WorkerConfig struct {
 	Name string
 	// HTTP is the control-plane client (nil = a 60s-timeout default).
 	HTTP *http.Client
-	// Retry, when non-nil, wraps control-plane calls and — through the
-	// default service constructors — repository/store calls in retries
-	// with backoff.
+	// Retry, when non-nil, wraps control-plane calls in retries with
+	// backoff, and the partition's pipeline retries repository/store calls
+	// on the same schedule.
 	Retry *retry.Policy
 	// Telemetry, when non-nil, receives the per-shard pipeline metrics.
 	Telemetry *telemetry.Hub
@@ -386,9 +386,8 @@ func (w *Worker) defaultServices() func(RunSpec) (pipeline.Repository, pipeline.
 		if spec.RepoURL == "" || spec.StoreURL == "" {
 			return nil, nil, errors.New("spec names no repoUrl/storeUrl and the worker has no injected services")
 		}
-		repo := androzoo.NewClient(spec.RepoURL, w.hc).WithRetry(w.cfg.Retry)
-		meta := playstore.NewClient(spec.StoreURL, w.hc).WithRetry(w.cfg.Retry)
-		return repo, meta, nil
+		// No client-side retry: the pipeline is the one retry layer.
+		return androzoo.NewClient(spec.RepoURL, w.hc), playstore.NewClient(spec.StoreURL, w.hc), nil
 	}
 }
 
