@@ -12,6 +12,12 @@ import (
 // as the controlled page's Trace.js wraps the Web APIs (§3.2.2).
 func (p *Page) installBindings() {
 	g := p.VM.Global
+	// Interface prototypes, built per page so no object is shared
+	// between VMs.
+	p.elementProto = p.elementPrototype()
+	p.htmlCollectionProto = p.listPrototype("HTMLCollection")
+	p.nodeListProto = p.listPrototype("NodeList")
+	p.xhrProto = p.xhrPrototype()
 
 	console := jsvm.NewObject()
 	console.SetFunc("log", func(c jsvm.Call) (jsvm.Value, error) {
@@ -78,34 +84,15 @@ func (p *Page) installBindings() {
 	p.installProbeAPIs(g, navigator)
 
 	// XMLHttpRequest: synchronous single-shot GET, enough for beacons and
-	// measurement pings.
+	// measurement pings. The constructor only links the instance to the
+	// page's XMLHttpRequest prototype and attaches its request state.
 	g.Set("XMLHttpRequest", jsvm.ObjectValue(jsvm.NewHostFunc("XMLHttpRequest", func(c jsvm.Call) (jsvm.Value, error) {
 		xhr := c.This.Object()
 		if xhr == nil {
 			xhr = jsvm.NewObject()
 		}
-		var reqURL string
-		xhr.SetFunc("open", func(cc jsvm.Call) (jsvm.Value, error) {
-			p.recordAPI("XMLHttpRequest", "open")
-			reqURL = cc.Arg(1).StringValue()
-			return jsvm.Undefined(), nil
-		})
-		xhr.SetFunc("send", func(cc jsvm.Call) (jsvm.Value, error) {
-			p.recordAPI("XMLHttpRequest", "send")
-			body, status := p.FetchFromScript(reqURL)
-			xhr.Set("status", jsvm.Number(float64(status)))
-			xhr.Set("responseText", jsvm.String(body))
-			xhr.Set("readyState", jsvm.Number(4))
-			if cb := xhr.Get("onreadystatechange"); cb.Object() != nil && cb.Object().IsCallable() {
-				if _, err := cc.VM.CallFunction(cb, jsvm.ObjectValue(xhr)); err != nil {
-					return jsvm.Undefined(), err
-				}
-			}
-			return jsvm.Undefined(), nil
-		})
-		xhr.SetFunc("setRequestHeader", func(cc jsvm.Call) (jsvm.Value, error) {
-			return jsvm.Undefined(), nil
-		})
+		xhr.SetPrototype(p.xhrProto)
+		xhr.Host = &xhrState{}
 		return jsvm.ObjectValue(xhr), nil
 	})))
 
@@ -280,11 +267,11 @@ func (p *Page) documentObject() *jsvm.Object {
 	})
 	doc.SetFunc("getElementsByTagName", func(c jsvm.Call) (jsvm.Value, error) {
 		record("getElementsByTagName")
-		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.GetElementsByTagName(c.Arg(0).StringValue()), "HTMLCollection")), nil
+		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.GetElementsByTagName(c.Arg(0).StringValue()), p.htmlCollectionProto)), nil
 	})
 	doc.SetFunc("querySelectorAll", func(c jsvm.Call) (jsvm.Value, error) {
 		record("querySelectorAll")
-		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.QuerySelectorAll(c.Arg(0).StringValue()), "NodeList")), nil
+		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.QuerySelectorAll(c.Arg(0).StringValue()), p.nodeListProto)), nil
 	})
 	doc.SetFunc("querySelector", func(c jsvm.Call) (jsvm.Value, error) {
 		record("querySelector")
@@ -317,57 +304,60 @@ func (p *Page) documentObject() *jsvm.Object {
 	return doc
 }
 
-// wrapNodeList exposes a node list; iface names it for API recording
-// (HTMLCollection for tag queries, NodeList for selector queries).
-func (p *Page) wrapNodeList(nodes []*dom.Node, iface string) *jsvm.Object {
-	arr := jsvm.NewArray()
-	for _, n := range nodes {
-		arr.Append(jsvm.ObjectValue(p.wrapNode(n)))
+// xhrState is the request an XMLHttpRequest instance carries in Host.
+type xhrState struct{ url string }
+
+// elementPrototype builds the page's Element interface prototype: the
+// operations and attributes every node wrapper inherits, held once
+// instead of on every wrapper (WebIDL). They read their node from This;
+// any other receiver (a detached `var f = el.getAttribute; f()`) is an
+// illegal invocation. Operations record their call under the node's
+// concrete interface.
+func (p *Page) elementPrototype() *jsvm.Object {
+	el := jsvm.NewObject()
+	op := func(name string, f func(c jsvm.Call, n *dom.Node) (jsvm.Value, error)) {
+		el.SetFunc(name, func(c jsvm.Call) (jsvm.Value, error) {
+			n := hostNode(c.This)
+			if n == nil {
+				return jsvm.Undefined(), illegalInvocation()
+			}
+			p.recordAPI(interfaceFor(n), name)
+			return f(c, n)
+		})
 	}
-	arr.SetFunc("item", func(c jsvm.Call) (jsvm.Value, error) {
-		p.recordAPI(iface, "item")
-		return arr.Index(int(c.Arg(0).NumberValue())), nil
+	attr := func(name string, get func(n *dom.Node) jsvm.Value) {
+		el.SetAccessor(name, func(c jsvm.Call) (jsvm.Value, error) {
+			n := hostNode(c.This)
+			if n == nil {
+				return jsvm.Undefined(), illegalInvocation()
+			}
+			return get(n), nil
+		})
+	}
+	attr("tagName", func(n *dom.Node) jsvm.Value { return jsvm.String(strings.ToUpper(n.Tag)) })
+	attr("id", func(n *dom.Node) jsvm.Value { return jsvm.String(n.ID()) })
+	attr("textContent", func(n *dom.Node) jsvm.Value { return jsvm.String(n.Text()) })
+	attr("parentNode", func(n *dom.Node) jsvm.Value {
+		if n.Parent == nil {
+			return jsvm.Null()
+		}
+		return jsvm.ObjectValue(p.wrapNode(n.Parent))
 	})
-	return arr
-}
-
-// wrapNode exposes one DOM node to script.
-func (p *Page) wrapNode(n *dom.Node) *jsvm.Object {
-	p.mu.Lock()
-	if o, ok := p.nodeWraps[n]; ok {
-		p.mu.Unlock()
-		return o
-	}
-	o := jsvm.NewObject()
-	p.nodeWraps[n] = o
-	p.mu.Unlock()
-
-	o.Host = n
-	iface := interfaceFor(n)
-	rec := func(m string) { p.recordAPI(iface, m) }
-
-	o.Set("tagName", jsvm.String(strings.ToUpper(n.Tag)))
-	o.Set("id", jsvm.String(n.ID()))
-	o.Set("textContent", jsvm.String(n.Text()))
-	o.SetFunc("getAttribute", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("getAttribute")
-		name := c.Arg(0).StringValue()
-		if n.Attr(name) == "" {
+	op("getAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
+		v := n.Attr(c.Arg(0).StringValue())
+		if v == "" {
 			return jsvm.Null(), nil
 		}
-		return jsvm.String(n.Attr(name)), nil
+		return jsvm.String(v), nil
 	})
-	o.SetFunc("setAttribute", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("setAttribute")
+	op("setAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		n.SetAttr(c.Arg(0).StringValue(), c.Arg(1).StringValue())
 		return jsvm.Undefined(), nil
 	})
-	o.SetFunc("hasAttribute", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("hasAttribute")
+	op("hasAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		return jsvm.Bool(n.Attr(c.Arg(0).StringValue()) != ""), nil
 	})
-	o.SetFunc("getElementsByTagName", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("getElementsByTagName")
+	op("getElementsByTagName", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		tag := strings.ToLower(c.Arg(0).StringValue())
 		var out []*dom.Node
 		n.Walk(func(m *dom.Node) bool {
@@ -376,39 +366,121 @@ func (p *Page) wrapNode(n *dom.Node) *jsvm.Object {
 			}
 			return true
 		})
-		return jsvm.ObjectValue(p.wrapNodeList(out, "HTMLCollection")), nil
+		return jsvm.ObjectValue(p.wrapNodeList(out, p.htmlCollectionProto)), nil
 	})
-	o.SetFunc("appendChild", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("appendChild")
+	op("appendChild", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		if child := hostNode(c.Arg(0)); child != nil {
 			n.AppendChild(child)
 			p.syncAttrs(c.Arg(0).Object(), child)
 		}
 		return c.Arg(0), nil
 	})
-	o.SetFunc("insertBefore", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("insertBefore")
-		child := hostNode(c.Arg(0))
-		ref := hostNode(c.Arg(1))
-		if child != nil {
-			n.InsertBefore(child, ref)
+	op("insertBefore", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
+		if child := hostNode(c.Arg(0)); child != nil {
+			n.InsertBefore(child, hostNode(c.Arg(1)))
 			p.syncAttrs(c.Arg(0).Object(), child)
 		}
 		return c.Arg(0), nil
 	})
-	o.SetFunc("removeChild", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("removeChild")
+	op("removeChild", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		if child := hostNode(c.Arg(0)); child != nil && child.Parent == n {
 			child.Detach()
 		}
 		return c.Arg(0), nil
 	})
-	o.SetFunc("addEventListener", func(c jsvm.Call) (jsvm.Value, error) {
-		rec("addEventListener")
+	op("addEventListener", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		return jsvm.Undefined(), nil
 	})
-	if n.Parent != nil {
-		o.Set("parentNode", jsvm.ObjectValue(p.wrapNode(n.Parent)))
+	return el
+}
+
+// xhrPrototype builds the page's XMLHttpRequest prototype. Its
+// operations read the instance's request from This.
+func (p *Page) xhrPrototype() *jsvm.Object {
+	proto := jsvm.NewObject()
+	xop := func(name string, f func(c jsvm.Call, xhr *jsvm.Object, st *xhrState) (jsvm.Value, error)) {
+		proto.SetFunc(name, func(c jsvm.Call) (jsvm.Value, error) {
+			xhr := c.This.Object()
+			var st *xhrState
+			if xhr != nil {
+				st, _ = xhr.Host.(*xhrState)
+			}
+			if st == nil {
+				return jsvm.Undefined(), illegalInvocation()
+			}
+			return f(c, xhr, st)
+		})
+	}
+	xop("open", func(c jsvm.Call, _ *jsvm.Object, st *xhrState) (jsvm.Value, error) {
+		p.recordAPI("XMLHttpRequest", "open")
+		st.url = c.Arg(1).StringValue()
+		return jsvm.Undefined(), nil
+	})
+	xop("send", func(c jsvm.Call, xhr *jsvm.Object, st *xhrState) (jsvm.Value, error) {
+		p.recordAPI("XMLHttpRequest", "send")
+		body, status := p.FetchFromScript(st.url)
+		xhr.Set("status", jsvm.Number(float64(status)))
+		xhr.Set("responseText", jsvm.String(body))
+		xhr.Set("readyState", jsvm.Number(4))
+		if cb := xhr.Get("onreadystatechange"); cb.Object() != nil && cb.Object().IsCallable() {
+			if _, err := c.VM.CallFunction(cb, jsvm.ObjectValue(xhr)); err != nil {
+				return jsvm.Undefined(), err
+			}
+		}
+		return jsvm.Undefined(), nil
+	})
+	xop("setRequestHeader", func(jsvm.Call, *jsvm.Object, *xhrState) (jsvm.Value, error) {
+		return jsvm.Undefined(), nil
+	})
+	return proto
+}
+
+// listPrototype builds a node-list prototype whose item operation is
+// recorded under iface (HTMLCollection for tag queries, NodeList for
+// selector queries).
+func (p *Page) listPrototype(iface string) *jsvm.Object {
+	proto := jsvm.NewObject()
+	proto.SetFunc("item", func(c jsvm.Call) (jsvm.Value, error) {
+		list := c.This.Object()
+		if list == nil || list.Prototype() != proto {
+			return jsvm.Undefined(), illegalInvocation()
+		}
+		p.recordAPI(iface, "item")
+		return list.Index(int(c.Arg(0).NumberValue())), nil
+	})
+	return proto
+}
+
+// illegalInvocation is the TypeError browsers throw when an interface
+// operation runs on a receiver that is not of its interface.
+func illegalInvocation() error {
+	e := jsvm.NewObject()
+	e.Set("name", jsvm.String("TypeError"))
+	e.Set("message", jsvm.String("Illegal invocation"))
+	return &jsvm.Error{Value: jsvm.ObjectValue(e)}
+}
+
+// wrapNodeList exposes a node list inheriting from proto.
+func (p *Page) wrapNodeList(nodes []*dom.Node, proto *jsvm.Object) *jsvm.Object {
+	arr := jsvm.NewArray()
+	arr.SetPrototype(proto)
+	for _, n := range nodes {
+		arr.Append(jsvm.ObjectValue(p.wrapNode(n)))
+	}
+	return arr
+}
+
+// wrapNode exposes one DOM node to script. A node is wrapped once, so
+// identity comparisons in script behave; the wrapper holds only the node
+// (its Element members live on the page's prototype) plus whatever
+// script writes to it.
+func (p *Page) wrapNode(n *dom.Node) *jsvm.Object {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o, ok := p.nodeWraps[n]
+	if !ok {
+		o = jsvm.NewInstance(p.elementProto, n)
+		p.nodeWraps[n] = o
 	}
 	return o
 }

@@ -40,6 +40,8 @@ type Page struct {
 	// initiator labels requests triggered by currently-running script.
 	initiator string
 	nodeWraps map[*dom.Node]*jsvm.Object
+	// The page's interface prototypes (installBindings).
+	elementProto, htmlCollectionProto, nodeListProto, xhrProto *jsvm.Object
 }
 
 // APICalls returns the recorded Web-API invocations in call order.

@@ -167,22 +167,76 @@ var els = document.getElementsByTagName("img");
 els[0].getAttribute("src");`); err != nil {
 		t.Fatal(err)
 	}
-	want := map[APICall]bool{
-		{"Document", "createElement"}:        false,
-		{"Document", "querySelectorAll"}:     false,
-		{"Document", "getElementsByTagName"}: false,
-		{"Element", "getAttribute"}:          false,
+	// The page's own inline script makes the first call.
+	assertAPICalls(t, page.APICalls(), []APICall{
+		{"Document", "getElementById"},
+		{"Document", "createElement"},
+		{"Document", "querySelectorAll"},
+		{"Document", "getElementsByTagName"},
+		{"Element", "getAttribute"},
+	})
+}
+
+func assertAPICalls(t *testing.T, got, want []APICall) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("api calls = %v\nwant %v", got, want)
 	}
-	for _, c := range page.APICalls() {
-		if _, ok := want[c]; ok {
-			want[c] = true
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("api call %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	for c, seen := range want {
-		if !seen {
-			t.Errorf("API call %v not recorded", c)
-		}
+}
+
+// TestAPICallInterfaceNames pins the interface each recorded call is
+// filed under: the concrete element interface of the receiver node, the
+// list interface of the query that built a list, and XMLHttpRequest.
+func TestAPICallInterfaceNames(t *testing.T) {
+	srv := testSite(t)
+	page := load(t, srv, nil)
+	out, err := page.Execute(`
+var body = document.body;
+var s = document.getElementsByTagName("script").item(1);
+var h = document.querySelectorAll("h1").item(0);
+var d = document.createElement("div");
+body.appendChild(d);
+d.setAttribute("class", "k");
+var r = [body.hasAttribute("id"), s.getAttribute("src"), h.getAttribute("id"), d.hasAttribute("class"),
+         body.getElementsByTagName("img").length];
+body.removeChild(d);
+h.addEventListener("click", function() {});
+var x = new XMLHttpRequest();
+x.open("GET", "/ping");
+x.setRequestHeader("A", "b");
+x.send();
+r.push(x.status);
+r.join(",");`)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if out != "false,,title,true,1,200" {
+		t.Errorf("out = %q", out)
+	}
+	assertAPICalls(t, page.APICalls(), []APICall{
+		{"Document", "getElementById"},
+		{"Document", "getElementsByTagName"},
+		{"HTMLCollection", "item"},
+		{"Document", "querySelectorAll"},
+		{"NodeList", "item"},
+		{"Document", "createElement"},
+		{"HTMLBodyElement", "appendChild"},
+		{"Element", "setAttribute"},
+		{"HTMLBodyElement", "hasAttribute"},
+		{"HTMLScriptElement", "getAttribute"},
+		{"Element", "getAttribute"},
+		{"Element", "hasAttribute"},
+		{"HTMLBodyElement", "getElementsByTagName"},
+		{"HTMLBodyElement", "removeChild"},
+		{"Element", "addEventListener"},
+		{"XMLHttpRequest", "open"},
+		{"XMLHttpRequest", "send"},
+	})
 }
 
 func TestScriptInsertionTriggersFetch(t *testing.T) {

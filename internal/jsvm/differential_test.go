@@ -128,6 +128,26 @@ var differentialCorpus = []string{
 	`var o = {ab: 1}; var k = "a"; o[k + "b"]`,
 	`var a = [10, 20, 30]; var i = 1; a[i] + a[i + 1]`,
 	`var o = {}; var k = "x"; o[k] = 5; delete o[k]; typeof o[k]`,
+	// Host prototypes and accessors: HOSTOBJ and HOSTOBJ2 inherit m, k and
+	// the read-counting accessor acc from one prototype seeded by the
+	// harness. Repeated reads at one site exercise the inline cache, which
+	// must call the accessor on every hit.
+	`HOSTOBJ.k + "," + HOSTOBJ.m("x") + "," + HOSTOBJ2.m("y")`,
+	`HOSTOBJ.acc + "," + HOSTOBJ2.acc + "," + HOSTOBJ.acc`,
+	`var s = ""; for (var i = 0; i < 4; i++) { s += HOSTOBJ.acc + ";" } s`,
+	`HOSTOBJ["acc"] + HOSTOBJ["k"] + HOSTOBJ["m"]("d")`,
+	`HOSTOBJ.m === HOSTOBJ2.m`,
+	`typeof HOSTOBJ.m + typeof HOSTOBJ.acc + typeof HOSTOBJ.nope`,
+	`("acc" in HOSTOBJ) + "," + ("m" in HOSTOBJ) + "," + ("nope" in HOSTOBJ) + "," + HOSTOBJ.hasOwnProperty("m")`,
+	`var s = ""; for (var k in HOSTOBJ) { s += k + "," } s`,
+	`HOSTOBJ.own = 1; var s = ""; for (var k in HOSTOBJ) { s += k + "," } s + Object.keys(HOSTOBJ).join("+") + JSON.stringify(HOSTOBJ)`,
+	`HOSTOBJ.acc = "mine"; HOSTOBJ.k = "own"; HOSTOBJ.acc + "," + HOSTOBJ.k + "," + HOSTOBJ2.k + "," + HOSTOBJ2.acc`,
+	`HOSTOBJ.k = "own"; delete HOSTOBJ.k; HOSTOBJ.k`,
+	`function read(o) { return o.k } read(HOSTOBJ) + read(HOSTOBJ2) + read(HOSTOBJ)`,
+	`function read() { return HOSTOBJ.k } var a = read(); protoSet("k", "changed"); a + "," + read()`,
+	`function read() { return HOSTOBJ.k } var a = read(); HOSTOBJ.k = "own"; a + "," + read()`,
+	`HOSTOBJ.m.call(HOSTOBJ2, "c") + HOSTOBJ.toString()`,
+	`var f = HOSTOBJ.m; f("z")`,
 }
 
 // diffOutcome is everything observable about one engine's execution.
@@ -146,6 +166,7 @@ func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
 	vm.MaxSteps = maxSteps
 	var out diffOutcome
 	vm.Global.Set("HOSTVAL", Number(7))
+	installHostProto(vm)
 	vm.Global.SetFunc("probe", func(c Call) (Value, error) {
 		parts := make([]string, len(c.Args))
 		for i, a := range c.Args {
@@ -162,6 +183,46 @@ func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
 	}
 	out.val = v.TypeOf() + ":" + v.StringValue()
 	return out
+}
+
+// installHostProto seeds HOSTOBJ and HOSTOBJ2, two instances of one host
+// prototype carrying an operation (m), a data member (k) and an accessor
+// (acc) that counts its reads: the shape browsersim gives DOM wrappers.
+// protoSet(name, v) rewrites a prototype member, which scripts otherwise
+// cannot reach.
+func installHostProto(vm *VM) {
+	proto := NewObject()
+	proto.Set("k", String("inherited"))
+	hostOf := func(c Call) (string, error) {
+		if o := c.This.Object(); o != nil {
+			if h, ok := o.Host.(string); ok {
+				return h, nil
+			}
+		}
+		return "", throwError("Illegal invocation")
+	}
+	proto.SetFunc("m", func(c Call) (Value, error) {
+		h, err := hostOf(c)
+		if err != nil {
+			return Undefined(), err
+		}
+		return String(h + ":" + c.Arg(0).StringValue()), nil
+	})
+	reads := 0
+	proto.SetAccessor("acc", func(c Call) (Value, error) {
+		h, err := hostOf(c)
+		if err != nil {
+			return Undefined(), err
+		}
+		reads++
+		return String(fmt.Sprintf("%s#%d", h, reads)), nil
+	})
+	vm.Global.Set("HOSTOBJ", ObjectValue(NewInstance(proto, "h1")))
+	vm.Global.Set("HOSTOBJ2", ObjectValue(NewInstance(proto, "h2")))
+	vm.Global.SetFunc("protoSet", func(c Call) (Value, error) {
+		proto.Set(c.Arg(0).StringValue(), c.Arg(1))
+		return Undefined(), nil
+	})
 }
 
 // compareOutcomes asserts two engine runs are observably identical.

@@ -347,7 +347,7 @@ func (vm *VM) execStmt(st node, env *scope, this Value) (completion, Value, erro
 					items = append(items, String(strconv.Itoa(i)))
 				}
 			} else {
-				for _, k := range o.Keys() {
+				for _, k := range o.enumKeys() {
 					items = append(items, String(k))
 				}
 			}
@@ -826,11 +826,16 @@ func (vm *VM) getProp(obj Value, name string, ln int) (Value, error) {
 				return v, nil
 			}
 		}
-		if o.Has(name) {
-			return o.Get(name), nil
+		if v, ok := o.props[name]; ok {
+			return vm.propValue(v, obj)
 		}
 		if o.IsArray() && name == "length" {
 			return Number(float64(len(o.elems))), nil
+		}
+		// An own miss continues on the prototype chain, which ends in the
+		// Object.prototype members below.
+		if v, ok := o.prototype.findProp(name); ok {
+			return vm.propValue(v, obj)
 		}
 		if fn, ok := objectMethod(o, name); ok {
 			return fn, nil
@@ -858,6 +863,15 @@ func (vm *VM) getProp(obj Value, name string, ln int) (Value, error) {
 	default:
 		return Undefined(), nil
 	}
+}
+
+// propValue resolves a property slot read through recv: data is returned
+// as is, and a host accessor is called with recv as This.
+func (vm *VM) propValue(v, recv Value) (Value, error) {
+	if v.kind != kindAccessor {
+		return v, nil
+	}
+	return v.o.host(Call{VM: vm, This: recv})
 }
 
 func binaryOp(op string, l, r Value) (Value, error) {
@@ -919,11 +933,14 @@ func binaryOp(op string, l, r Value) (Value, error) {
 		return Number(float64(uint32(toInt32(l.NumberValue())) >> (uint32(toInt32(r.NumberValue())) & 31))), nil
 	case "in":
 		if o := r.Object(); o != nil {
-			return Bool(o.Has(l.StringValue())), nil
+			_, ok := o.findProp(l.StringValue())
+			return Bool(ok), nil
 		}
 		return Bool(false), nil
 	case "instanceof":
-		return Bool(false), nil // prototypes are not modelled
+		// Constructors carry no prototype property linking them to the
+		// instances they build, so nothing is an instance of anything.
+		return Bool(false), nil
 	default:
 		return Undefined(), throwError("unknown operator %q", op)
 	}

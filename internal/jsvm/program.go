@@ -71,15 +71,27 @@ func Compile(src string) (*Program, error) {
 // VMs executing the same injected scripts (the measurement page's payloads
 // are byte-identical across all visits) all hit the same entry.
 type Cache struct {
-	mu     sync.RWMutex
-	m      map[string]*Program
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	mu sync.RWMutex
+	m  map[string]*Program
+	// pending holds the compiles in flight: a concurrent first sight of
+	// the same source waits for the one compile instead of starting its
+	// own, so each distinct source compiles exactly once.
+	pending map[string]*pendingCompile
+	hits    atomic.Uint64
+	misses  atomic.Uint64
 	// hitC/missC mirror the counters into a telemetry registry; nil (the
-	// default) is a no-op. The split is deterministic even under compile
-	// races: the race loser counts a hit, so misses always equals the
-	// number of distinct sources.
+	// default) is a no-op. The split is deterministic under concurrency:
+	// a lookup that waits on a pending compile counts a hit, so misses
+	// always equals the number of distinct sources.
 	hitC, missC *telemetry.Counter
+}
+
+// pendingCompile is one compile in flight; done closes once p and err are
+// set.
+type pendingCompile struct {
+	done chan struct{}
+	p    *Program
+	err  error
 }
 
 // Instrument mirrors the cache's hit/miss traffic into telemetry counters.
@@ -91,7 +103,9 @@ func (c *Cache) Instrument(hits, misses *telemetry.Counter) {
 }
 
 // NewCache returns an empty program cache.
-func NewCache() *Cache { return &Cache{m: make(map[string]*Program)} }
+func NewCache() *Cache {
+	return &Cache{m: make(map[string]*Program), pending: make(map[string]*pendingCompile)}
+}
 
 // cacheKeyVersion prefixes cache keys with the bytecode format
 // generation. Bumping it on instruction-set changes guarantees entries
@@ -100,7 +114,8 @@ func NewCache() *Cache { return &Cache{m: make(map[string]*Program)} }
 const cacheKeyVersion = "jsvm-bc1\x00"
 
 // Compile returns the cached Program for src, parsing and storing it on
-// first sight. Parse failures are returned but never cached.
+// first sight. Concurrent first sights share one compile. Parse failures
+// are returned (to every waiter) but never cached.
 func (c *Cache) Compile(src string) (*Program, error) {
 	key := cacheKeyVersion + src
 	c.mu.RLock()
@@ -112,21 +127,38 @@ func (c *Cache) Compile(src string) (*Program, error) {
 		hitC.Inc()
 		return p, nil
 	}
-	compiled, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.m[key]; ok { // lost a race: keep the first entry
+	if p, ok := c.m[key]; ok { // stored since the read above
+		c.mu.Unlock()
 		c.hits.Add(1)
-		c.hitC.Inc()
+		hitC.Inc()
 		return p, nil
 	}
-	c.misses.Add(1)
-	c.missC.Inc()
-	c.m[key] = compiled
-	return compiled, nil
+	if pc, ok := c.pending[key]; ok {
+		c.mu.Unlock()
+		<-pc.done
+		if pc.err != nil {
+			return nil, pc.err
+		}
+		c.hits.Add(1)
+		hitC.Inc()
+		return pc.p, nil
+	}
+	pc := &pendingCompile{done: make(chan struct{})}
+	c.pending[key] = pc
+	c.mu.Unlock()
+
+	pc.p, pc.err = Compile(src)
+	c.mu.Lock()
+	delete(c.pending, key)
+	if pc.err == nil {
+		c.m[key] = pc.p
+		c.misses.Add(1)
+		c.missC.Inc()
+	}
+	c.mu.Unlock()
+	close(pc.done)
+	return pc.p, pc.err
 }
 
 // Len reports the number of cached programs.
@@ -148,7 +180,7 @@ var defaultCache = NewCache()
 // CompileCached compiles src through the process-wide program cache. The
 // browser simulation routes page scripts and injected scripts through this,
 // so a crawl parses each distinct script exactly once no matter how many
-// visits execute it.
+// visits, on however many workers, execute it.
 func CompileCached(src string) (*Program, error) {
 	return defaultCache.Compile(src)
 }

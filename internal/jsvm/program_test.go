@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestCompileAndRunProgram(t *testing.T) {
@@ -110,6 +112,73 @@ func TestCacheDoesNotCacheParseErrors(t *testing.T) {
 	c := NewCache()
 	if _, err := c.Compile(`function (`); err == nil {
 		t.Fatal("bad source compiled")
+	}
+	if c.Len() != 0 {
+		t.Errorf("parse failure was cached (Len = %d)", c.Len())
+	}
+}
+
+// TestCacheCompilesEachSourceOnce releases concurrent first sights of one
+// source at once: they must share a single compile, so the compile
+// counter (and the miss count) read 1 however the goroutines interleave.
+// The source is long enough that its compile overlaps the other
+// goroutines' lookups.
+func TestCacheCompilesEachSourceOnce(t *testing.T) {
+	hub := telemetry.New(telemetry.Options{})
+	Instrument(hub)
+	compiles := hub.Counter("jsvm_bytecode_compile_total", "programs lowered to bytecode")
+	c := NewCache()
+	const n = 32
+	src := strings.Repeat("var once = [1, 2, 3].join(\",\") + 4 * 5; ", 500)
+	progs := make([]*Program, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			progs[i], errs[i] = c.Compile(src)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil || progs[i] != progs[0] {
+			t.Fatalf("goroutine %d: program %p err %v, want %p", i, progs[i], errs[i], progs[0])
+		}
+	}
+	if got := compiles.Value(); got != 1 {
+		t.Errorf("compiles = %d, want 1", got)
+	}
+	if hits, misses := c.Stats(); hits != n-1 || misses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want %d / 1", hits, misses, n-1)
+	}
+}
+
+// TestCacheParseErrorReachesEveryWaiter pins that a failing compile is
+// reported to every concurrent caller and stays uncached.
+func TestCacheParseErrorReachesEveryWaiter(t *testing.T) {
+	c := NewCache()
+	const n = 8
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = c.Compile(`function (`)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("goroutine %d: bad source compiled", i)
+		}
 	}
 	if c.Len() != 0 {
 		t.Errorf("parse failure was cached (Len = %d)", c.Len())

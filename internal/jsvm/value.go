@@ -5,10 +5,14 @@
 // behind the browser simulation's <script> execution and the WebView
 // runtime's evaluateJavascript.
 //
-// The interpreter is a tree walker over a hand-written parser. Host
-// integrations (document, window, console, JS bridges) are provided as
-// host objects with Go-function properties; see NewObject, HostFunc and
-// VM.Global.
+// A hand-written parser feeds a bytecode compiler and stack VM (the
+// production engine) and a tree walker (the reference engine the
+// differential tests compare it against). Host integrations (document,
+// window, console, JS bridges) are provided as host objects with
+// Go-function properties; see NewObject, HostFunc and VM.Global.
+// Embedders that expose many objects of one interface put the shared
+// operations and host accessors on a prototype object once
+// (SetPrototype, SetAccessor, NewInstance).
 package jsvm
 
 import (
@@ -37,6 +41,11 @@ const (
 // map"). It never escapes the VM: every slot read goes through a lookup
 // that skips unset slots.
 const kindUnset Kind = -1
+
+// kindAccessor marks a property holding a host getter (in o) instead of
+// data. It never escapes the VM either: every script-visible property
+// read resolves it through VM.propValue, and Get reads it as undefined.
+const kindAccessor Kind = -2
 
 // Value is a JavaScript value. The zero Value is undefined.
 type Value struct {
@@ -216,13 +225,19 @@ func (c *Call) Arg(i int) Value {
 type HostFunc func(Call) (Value, error)
 
 // Object is a JavaScript object: a property map, optionally array
-// elements, optionally callable (script function or host function), and
-// an opaque Host slot host integrations use to attach Go state (e.g. a
-// *dom.Node).
+// elements, optionally callable (script function or host function), an
+// optional prototype link, and an opaque Host slot host integrations use
+// to attach Go state (e.g. a *dom.Node).
 type Object struct {
 	props map[string]Value
 	elems []Value // non-nil marks an array
 	array bool
+
+	// prototype is where a property read, `in` and for-in continue after
+	// the own properties (nil ends the chain). Only embedders set it
+	// (SetPrototype): scripts cannot reach a prototype, and every script
+	// write lands on the written object itself.
+	prototype *Object
 
 	// Callable state: fn (AST script function), proto (bytecode script
 	// function) or host.
@@ -234,9 +249,10 @@ type Object struct {
 	call  bool // true when callable
 	name  string
 
-	// version counts property-map writes (Set/Delete). Inline caches in the
-	// bytecode VM validate against it; wrap-around is harmless (a stale hit
-	// needs 2^32 writes between two reads of the same site).
+	// version counts property-map writes (Set/Delete) and prototype
+	// relinks. Inline caches in the bytecode VM validate against it;
+	// wrap-around is harmless (a stale hit needs 2^32 writes between two
+	// reads of the same site).
 	version uint32
 
 	// Host is arbitrary Go state attached by embedders.
@@ -251,9 +267,18 @@ func NewArray(elems ...Value) *Object {
 	return &Object{props: map[string]Value{}, elems: append([]Value{}, elems...), array: true}
 }
 
-// NewHostFunc wraps a Go function as a callable object.
+// NewHostFunc wraps a Go function as a callable object. Its property map
+// is allocated by the first Set, which most host functions never see.
 func NewHostFunc(name string, f HostFunc) *Object {
-	return &Object{props: map[string]Value{}, host: f, call: true, name: name}
+	return &Object{host: f, call: true, name: name}
+}
+
+// NewInstance returns an empty object inheriting from proto with host
+// state attached: the shape of a host-interface wrapper, whose
+// operations and attributes live on proto. It allocates no property map
+// until a script writes to it.
+func NewInstance(proto *Object, host any) *Object {
+	return &Object{prototype: proto, Host: host}
 }
 
 // IsArray reports whether the object is an array.
@@ -271,21 +296,60 @@ func (o *Object) Elems() []Value { return o.elems }
 // Append adds elements to an array object.
 func (o *Object) Append(vals ...Value) { o.elems = append(o.elems, vals...) }
 
-// Get reads a property (own properties only; prototypes are not modelled).
+// Get reads an own data property. Inherited members and accessors read
+// as undefined here; script property reads resolve both.
 func (o *Object) Get(name string) Value {
 	if o.array && name == "length" {
 		return Number(float64(len(o.elems)))
 	}
-	if v, ok := o.props[name]; ok {
+	if v, ok := o.props[name]; ok && v.kind != kindAccessor {
 		return v
 	}
 	return Undefined()
 }
 
-// Has reports whether the property exists.
+// Has reports whether o has an own property name (hasOwnProperty).
 func (o *Object) Has(name string) bool {
 	_, ok := o.props[name]
 	return ok
+}
+
+// findProp finds name on o's own properties or its prototype chain (the
+// `in` operator's test). The slot may hold an accessor; VM.propValue
+// resolves it.
+func (o *Object) findProp(name string) (Value, bool) {
+	for ; o != nil; o = o.prototype {
+		if v, ok := o.props[name]; ok {
+			return v, true
+		}
+	}
+	return Undefined(), false
+}
+
+// SetPrototype links o to proto: property reads, `in` and for-in that
+// miss o's own properties continue on proto's chain. Writes and deletes
+// always act on o itself, so a script's own property shadows an
+// inherited one. A link that would close a cycle panics.
+func (o *Object) SetPrototype(proto *Object) {
+	for p := proto; p != nil; p = p.prototype {
+		if p == o {
+			panic("jsvm: cyclic prototype chain")
+		}
+	}
+	o.prototype = proto
+	o.version++
+}
+
+// Prototype returns o's prototype link (nil when it has none).
+func (o *Object) Prototype() *Object { return o.prototype }
+
+// SetAccessor defines a host accessor property: reading name on o, or on
+// any object inheriting from o, calls get with the reading object as
+// This (a WebIDL attribute on an interface prototype). There is no
+// setter: a script write of name creates an own data property on the
+// written object.
+func (o *Object) SetAccessor(name string, get HostFunc) {
+	o.Set(name, Value{kind: kindAccessor, o: NewHostFunc(name, get)})
 }
 
 // Set writes a property.
@@ -310,11 +374,32 @@ func (o *Object) SetFunc(name string, f HostFunc) {
 	o.Set(name, ObjectValue(NewHostFunc(name, f)))
 }
 
-// Keys returns the property names, sorted (for deterministic for-in).
+// Keys returns the own property names, sorted (Object.keys and
+// JSON.stringify order).
 func (o *Object) Keys() []string {
 	out := make([]string, 0, len(o.props))
 	for k := range o.props {
 		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// enumKeys returns the own and inherited property names, sorted and
+// deduplicated (for-in order).
+func (o *Object) enumKeys() []string {
+	if o.prototype == nil {
+		return o.Keys()
+	}
+	seen := map[string]bool{}
+	var out []string
+	for p := o; p != nil; p = p.prototype {
+		for k := range p.props {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
+		}
 	}
 	sort.Strings(out)
 	return out

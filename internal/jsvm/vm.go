@@ -40,12 +40,16 @@ const (
 // icEntry is one monomorphic inline-cache slot, private to a (VM,
 // program) pair so programs stay immutable and shareable.
 type icEntry struct {
-	state uint8 // 0 empty, 1 global box, 2 global-object value, 3 property
+	state uint8 // 0 empty, 1 global box, 2 global-object value, 3 own property, 4 inherited property
 	gen   uint32
 	ver   uint32
+	hver  uint32 // holder version (state 4)
 	obj   *Object
 	box   *Value
-	val   Value
+	// holder is the prototype the inherited property was found on (state
+	// 4); val may then be an accessor, called on every hit.
+	holder *Object
+	val    Value
 }
 
 // frame is one bytecode activation.
@@ -496,7 +500,7 @@ func (vm *VM) runFrame(fr *frame, pc, end int32) (uint8, Value, error) {
 						items.elems = append(items.elems, String(strconv.Itoa(i)))
 					}
 				} else {
-					for _, k := range o.Keys() {
+					for _, k := range o.enumKeys() {
 						items.elems = append(items.elems, String(k))
 					}
 				}
@@ -744,21 +748,29 @@ func (vm *VM) typeofLookup(fr *frame, in instr) Value {
 }
 
 // getMemberIC reads a static property with a monomorphic inline cache
-// for plain own properties of non-array objects. Fresh-closure members
-// (array/object methods) are never cached, so their per-access identity
-// matches the tree walker.
+// for properties of non-array objects found on the object itself or on
+// its immediate prototype (the shape of a host-interface wrapper). The
+// object's version covers own writes and relinks; the holder's version
+// covers the prototype's. Fresh-closure members (array/object methods)
+// are never cached, so their per-access identity matches the tree walker.
 func (vm *VM) getMemberIC(fr *frame, obj Value, in instr, ln int32) (Value, error) {
 	name := fr.proto.names[in.a]
 	if o := obj.Object(); o != nil && !o.array && in.b >= 0 && fr.ics != nil {
 		e := &fr.ics[in.b]
-		if e.state == 3 && e.obj == o && e.ver == o.version {
+		if e.obj == o && e.ver == o.version && (e.state == 3 || e.state == 4 && e.hver == e.holder.version) {
 			vm.icHits++
-			return e.val, nil
+			return vm.propValue(e.val, obj)
 		}
 		vm.icMisses++
 		if v, ok := o.props[name]; ok {
 			*e = icEntry{state: 3, obj: o, ver: o.version, val: v}
-			return v, nil
+			return vm.propValue(v, obj)
+		}
+		if p := o.prototype; p != nil {
+			if v, ok := p.props[name]; ok {
+				*e = icEntry{state: 4, obj: o, ver: o.version, holder: p, hver: p.version, val: v}
+				return vm.propValue(v, obj)
+			}
 		}
 	}
 	return vm.getProp(obj, name, int(ln))
