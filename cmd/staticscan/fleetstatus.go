@@ -38,7 +38,7 @@ func runFleetStatus(out io.Writer, arg string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet-status: %s answered %d (is the coordinator running with federation enabled?)", url, resp.StatusCode)
+		return fmt.Errorf("fleet-status: %s answered %d (is it a staticscan coordinator?)", url, resp.StatusCode)
 	}
 	var doc fleet.StatusDoc
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {

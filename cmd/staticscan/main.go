@@ -15,8 +15,10 @@
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-telemetry-addr ADDR] [-metrics-out FILE] [-trace-out FILE]
 //	           [-telemetry-wallclock]
-//	           [-fleet-federation] [-fleet-status URL]
-//	           [-fleet-metrics-out FILE] [-fleet-trace-out FILE]
+//	staticscan -coordinator ADDR -shards N [-shard-spawn N] [-shard-ttl D]
+//	           [-journal-dir DIR] [-dl-latency D]
+//	staticscan -worker -join URL
+//	staticscan -fleet-status URL
 //
 // Scale divides the paper's 6.5M-app population; scale 1 reproduces
 // full-paper counts (slow and memory-hungry), the default 200 finishes in
@@ -62,13 +64,14 @@
 // default so same-seed runs emit byte-identical telemetry; pass
 // -telemetry-wallclock for real latencies.
 //
-// Fleet observability (shard modes, on by default via -fleet-federation):
-// the coordinator federates every worker's metrics registry and per-APK
-// trace spans behind /fleet/metrics, /fleet/metrics.json, /fleet/status
-// and /fleet/trace; `staticscan -fleet-status URL` renders the live status
-// from another terminal. -fleet-metrics-out and -fleet-trace-out write the
-// federated exposition and the stitched fleet trace when the sharded scan
-// ends.
+// Fleet observability (shard modes): the coordinator federates every
+// worker's metrics registry and per-APK trace spans behind /fleet/metrics,
+// /fleet/metrics.json, /fleet/status and /fleet/trace; `staticscan
+// -fleet-status URL` renders the live status from another terminal. A
+// coordinator's -metrics-out writes the federated rollup and its
+// -trace-out the stitched fleet trace, byte-identical to a sequential
+// run's; its own lease families stay on the live /metrics and its control
+// spans on /fleet/trace?view=control.
 package main
 
 import (
@@ -120,13 +123,7 @@ func main() {
 	shardTTL := flag.Duration("shard-ttl", 0, "work-lease TTL (0 = coordinator default)")
 	dlLatency := flag.Duration("dl-latency", 0, "modeled per-APK repository transfer time in shard modes")
 	journalDir := flag.String("journal-dir", "", "per-partition journal directory in shard modes")
-	shardBench := flag.String("shard-bench", "", "benchmark APKs/s at these shard counts, e.g. \"1,4,8\"")
-	benchOut := flag.String("bench-out", "", "benchmark JSON output path (default BENCH_shard.json)")
-	federation := flag.Bool("fleet-federation", true, "enable the fleet observability plane (/fleet/*) in shard modes")
 	fleetStatus := flag.String("fleet-status", "", "render a running coordinator's /fleet/status and exit (coordinator URL)")
-	fleetMetricsOut := flag.String("fleet-metrics-out", "", "write the federated /fleet/metrics exposition to this file when the sharded scan ends (\"-\" for stdout)")
-	fleetTraceOut := flag.String("fleet-trace-out", "", "write the stitched fleet-wide per-APK trace JSONL to this file when the sharded scan ends (\"-\" for stdout)")
-	fleetBenchOut := flag.String("fleet-bench-out", "", "federation-overhead benchmark JSON path in -shard-bench mode (default BENCH_fleet.json)")
 	var prof profiling.Flags
 	prof.Register(nil)
 	var telem telemetry.Flags
@@ -168,9 +165,6 @@ func main() {
 		coordinator: *coordinator, shards: *shards, spawn: *shardSpawn,
 		worker: *workerMode, join: *join,
 		ttl: *shardTTL, dlLatency: *dlLatency, journalDir: *journalDir,
-		bench: *shardBench, benchOut: *benchOut,
-		federation: *federation, fleetMetricsOut: *fleetMetricsOut,
-		fleetTraceOut: *fleetTraceOut, fleetBenchOut: *fleetBenchOut,
 	}
 	var err error
 	switch {
@@ -178,10 +172,8 @@ func main() {
 		err = runFleetStatus(os.Stdout, *fleetStatus)
 	case sopts.worker:
 		err = runWorker(opts, sopts)
-	case sopts.bench != "":
-		err = runShardBench(opts, sopts)
 	case sopts.coordinator != "":
-		err = runCoordinator(os.Stdout, opts, sopts)
+		err = runCoordinator(os.Stdout, opts, sopts, &telem)
 	default:
 		err = run(os.Stdout, opts)
 	}

@@ -3,25 +3,23 @@
 //	staticscan -coordinator ADDR -shards N   partition the snapshot, lease
 //	                                         work to joining workers, merge
 //	staticscan -worker -join URL             scan leased partitions
-//	staticscan -shard-bench 1,4,8            APKs/s per shard count →
-//	                                         BENCH_shard.json
 //
 // The coordinator serves the corpus (streamed, bounded memory) as AndroZoo
 // + Play Store endpoints over hardened listeners, so workers are plain
 // separate OS processes that reach everything over HTTP. -shard-spawn N
 // starts N of them itself from the same binary (-1 = one per shard);
 // with -shard-spawn 0 the coordinator waits for externally started
-// workers to -join.
+// workers to -join. A run whose spawned workers have all exited before the
+// merge fails with the first worker's error instead of waiting on leases
+// nobody will take.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"time"
 
 	"repro/internal/androzoo"
@@ -33,7 +31,7 @@ import (
 	"repro/internal/retry"
 	"repro/internal/serving"
 	"repro/internal/shard"
-	"repro/internal/telemetry/fleet"
+	"repro/internal/telemetry"
 	"repro/internal/urlextract"
 	"repro/internal/webviewlint"
 )
@@ -48,13 +46,6 @@ type shardOptions struct {
 	ttl         time.Duration // -shard-ttl lease TTL
 	dlLatency   time.Duration // -dl-latency modeled APK transfer time
 	journalDir  string        // -journal-dir per-partition journals
-	bench       string        // -shard-bench comma list of shard counts
-	benchOut    string        // -bench-out JSON path
-
-	federation      bool   // -fleet-federation observability plane
-	fleetMetricsOut string // -fleet-metrics-out federated exposition path
-	fleetTraceOut   string // -fleet-trace-out stitched fleet trace path
-	fleetBenchOut   string // -fleet-bench-out federation overhead JSON path
 }
 
 // workerName builds a unique lease identity for this process.
@@ -80,8 +71,7 @@ func runWorker(o options, so shardOptions) error {
 		Name:        workerName(),
 		Retry:       pol,
 		Telemetry:   o.telemetry,
-		// Federated runs scrape this worker live; the spec gates whether the
-		// endpoint actually starts.
+		// The coordinator scrapes this worker live for /fleet/status.
 		MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -141,18 +131,18 @@ func (p *corpusPlane) Close() {
 }
 
 // buildSpec assembles the RunSpec the coordinator hands to workers.
-func buildSpec(o options, so shardOptions, plane *corpusPlane, shards, pipelineWorkers int) (shard.RunSpec, error) {
+func buildSpec(o options, so shardOptions, plane *corpusPlane) (shard.RunSpec, error) {
 	key, err := referenceConfigKey(o)
 	if err != nil {
 		return shard.RunSpec{}, err
 	}
 	return shard.RunSpec{
-		Shards:          shards,
+		Shards:          so.shards,
 		RepoURL:         "http://" + plane.az.Addr,
 		StoreURL:        "http://" + plane.ps.Addr,
 		MinDownloads:    corpus.MinDownloads,
 		UpdatedAfter:    corpus.UpdateCutoff,
-		Workers:         pipelineWorkers,
+		Workers:         o.workers,
 		Lint:            o.lint,
 		LintRules:       o.lintRules,
 		URLs:            o.urls,
@@ -163,8 +153,6 @@ func buildSpec(o options, so shardOptions, plane *corpusPlane, shards, pipelineW
 		LeaseTTL:        so.ttl,
 		ConfigKey:       key,
 		Seed:            o.seed,
-		Federation:      so.federation,
-		Trace:           so.federation,
 		Wallclock:       o.wallclock,
 		CorpusEntries:   plane.snap.Total(),
 	}, nil
@@ -176,7 +164,8 @@ const workerEnvGuard = "STATICSCAN_WORKER_PROCESS"
 
 // spawnWorkers starts n worker processes of this same binary against the
 // coordinator URL. Their stderr is inherited; a worker that exits nonzero
-// is reported but not fatal — the lease TTL re-issues its partitions.
+// is reported but not fatal while a peer lives — the lease TTL re-issues
+// its partitions.
 func spawnWorkers(n int, joinURL string, o options) ([]*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -198,92 +187,25 @@ func spawnWorkers(n int, joinURL string, o options) ([]*exec.Cmd, error) {
 	return cmds, nil
 }
 
-// shardedScan runs one full coordinator-side scan: lease out shards
-// partitions of the served corpus, optionally spawn worker processes, wait
-// for the merge. Returns the merged result, the wall time from worker
-// start to merged report, and the coordinator (whose fleet federator
-// outlives the listener, for post-run exports).
-func shardedScan(o options, so shardOptions, plane *corpusPlane, shards, spawn, pipelineWorkers int) (*pipeline.Result, time.Duration, *shard.Coordinator, error) {
-	spec, err := buildSpec(o, so, plane, shards, pipelineWorkers)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{Spec: spec, Telemetry: o.telemetry})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	addr := so.coordinator
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ep, err := serving.Listen(addr, coord.Handler())
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer ep.Close()
-	joinURL := "http://" + ep.Addr
-	fmt.Fprintf(os.Stderr, "coordinator on %s: %d shards over %d repository entries\n",
-		joinURL, shards, plane.snap.Total())
-
-	start := time.Now()
-	var cmds []*exec.Cmd
-	if spawn != 0 {
-		n := spawn
-		if n < 0 {
-			n = shards
+// superviseWorkers reaps the spawned worker processes in the background,
+// logging each that exits nonzero. The returned context ends once every
+// one of them has exited, with the first failure as its cause.
+func superviseWorkers(cmds []*exec.Cmd) context.Context {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	go func() {
+		var first error
+		for _, cmd := range cmds {
+			if err := cmd.Wait(); err != nil {
+				err = fmt.Errorf("worker %d: %w", cmd.Process.Pid, err)
+				fmt.Fprintln(os.Stderr, err)
+				if first == nil {
+					first = err
+				}
+			}
 		}
-		if cmds, err = spawnWorkers(n, joinURL, o); err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	res, err := coord.Wait(context.Background())
-	wall := time.Since(start)
-	for _, cmd := range cmds {
-		if werr := cmd.Wait(); werr != nil {
-			fmt.Fprintf(os.Stderr, "worker %d: %v\n", cmd.Process.Pid, werr)
-		}
-	}
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "merged %d shards in %v (merge itself %v)\n", shards, wall, coord.MergeLatency())
-	return res, wall, coord, nil
-}
-
-// writeFleetOutputs writes the post-run federated exports a sharded scan
-// was asked for.
-func writeFleetOutputs(coord *shard.Coordinator, so shardOptions) error {
-	fed := coord.Fleet()
-	if fed == nil {
-		return nil
-	}
-	if so.fleetMetricsOut != "" {
-		if err := writeFile(so.fleetMetricsOut, fed.WriteFleetProm); err != nil {
-			return fmt.Errorf("fleet-metrics-out: %w", err)
-		}
-	}
-	if so.fleetTraceOut != "" {
-		if err := writeFile(so.fleetTraceOut, fed.WriteTraceJSONL); err != nil {
-			return fmt.Errorf("fleet-trace-out: %w", err)
-		}
-	}
-	return nil
-}
-
-// writeFile writes via write to path, or to stdout when path is "-".
-func writeFile(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		cancel(first)
+	}()
+	return ctx
 }
 
 // staticResult wraps a merged pipeline result into the report-ready shape
@@ -298,9 +220,12 @@ func staticResult(res *pipeline.Result) *core.StaticResult {
 	}
 }
 
-// runCoordinator is the -coordinator entry point: one sharded scan, then
-// the standard report.
-func runCoordinator(out *os.File, o options, so shardOptions) error {
+// runCoordinator is the -coordinator entry point: lease so.shards
+// partitions of the served corpus to spawned or joining workers, wait for
+// the merge, then print the standard report. The fleet's federated rollup
+// and stitched trace become the run's -metrics-out and -trace-out, so both
+// carry the sequential run's bytes.
+func runCoordinator(out *os.File, o options, so shardOptions, telem *telemetry.Flags) error {
 	if so.shards < 1 {
 		return fmt.Errorf("-coordinator needs -shards >= 1")
 	}
@@ -314,279 +239,52 @@ func runCoordinator(out *os.File, o options, so shardOptions) error {
 		return err
 	}
 	defer plane.Close()
-	res, wall, coord, err := shardedScan(o, so, plane, so.shards, so.spawn, o.workers)
+	spec, err := buildSpec(o, so, plane)
 	if err != nil {
 		return err
 	}
-	apks := res.Funnel.Filtered
-	fmt.Fprintf(os.Stderr, "throughput: %d APKs in %v = %.1f APKs/s\n",
-		apks, wall, float64(apks)/wall.Seconds())
-	if err := writeFleetOutputs(coord, so); err != nil {
+	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{Spec: spec, Telemetry: o.telemetry})
+	if err != nil {
 		return err
 	}
+	telem.Report(coord.Fleet().Rollup, coord.Fleet().WriteTraceJSONL)
+	ep, err := serving.Listen(so.coordinator, coord.Handler())
+	if err != nil {
+		return err
+	}
+	defer ep.Close()
+	joinURL := "http://" + ep.Addr
+	fmt.Fprintf(os.Stderr, "coordinator on %s: %d shards over %d repository entries\n",
+		joinURL, so.shards, plane.snap.Total())
+
+	// The wait ends at the merge or, with spawned workers, once every one
+	// of them has exited and nobody is left to take the leases. With
+	// external workers only (-shard-spawn 0) it waits for the merge.
+	start := time.Now()
+	exited := context.Background()
+	if n := so.spawn; n != 0 {
+		if n < 0 {
+			n = so.shards
+		}
+		cmds, err := spawnWorkers(n, joinURL, o)
+		if err != nil {
+			return err
+		}
+		exited = superviseWorkers(cmds)
+		// Workers exit once they see the run done; reap them before the
+		// listener closes under their final snapshot flush.
+		defer func() { <-exited.Done() }()
+	}
+	res, err := coord.Wait(exited)
+	if err != nil {
+		return fmt.Errorf("every spawned worker exited before the merge: %w", err)
+	}
+	wall := time.Since(start)
+	fmt.Fprintf(os.Stderr, "merged %d shards in %v (merge itself %v)\n", so.shards, wall, coord.MergeLatency())
+	fmt.Fprintf(os.Stderr, "throughput: %d APKs in %v = %.1f APKs/s\n",
+		res.Funnel.Filtered, wall, float64(res.Funnel.Filtered)/wall.Seconds())
 	printStaticReport(out, o, staticResult(res))
 	return nil
-}
-
-// --- benchmark -----------------------------------------------------------
-
-// benchEntry is one shard count's measurement in BENCH_shard.json.
-type benchEntry struct {
-	Shards     int     `json:"shards"`
-	Workers    int     `json:"workers"` // worker processes
-	WallMs     float64 `json:"wallMs"`
-	APKs       int     `json:"apks"`
-	APKsPerSec float64 `json:"apksPerSec"`
-	Speedup    float64 `json:"speedup"` // vs the 1-shard entry
-}
-
-// benchDoc is the BENCH_shard.json document.
-type benchDoc struct {
-	Scale                   int          `json:"scale"`
-	Seed                    int64        `json:"seed"`
-	SnapshotEntries         int          `json:"snapshotEntries"`
-	DownloadLatencyMs       float64      `json:"downloadLatencyMs"`
-	PipelineWorkersPerShard int          `json:"pipelineWorkersPerShard"`
-	Entries                 []benchEntry `json:"entries"`
-	// MergeIdentical reports whether the highest-shard-count merged report
-	// rendered byte-identically to a sequential single-process run.
-	MergeIdentical bool `json:"mergeIdentical"`
-}
-
-// fleetBenchEntry is one shard count's federation A/B measurement: the
-// same configuration run with the fleet observability plane off (the
-// baseline, identical to the pre-federation plane) and on.
-type fleetBenchEntry struct {
-	Shards       int     `json:"shards"`
-	Workers      int     `json:"workers"`
-	BaseWallMs   float64 `json:"baseWallMs"`
-	FedWallMs    float64 `json:"fedWallMs"`
-	OverheadFrac float64 `json:"overheadFrac"` // fedWall/baseWall - 1
-	APKs         int     `json:"apks"`
-	// StageLatency summarises the federated rollup's per-stage latency
-	// histograms at the operator percentiles (seed-derived durations unless
-	// -telemetry-wallclock).
-	StageLatency map[string]fleet.Quantiles `json:"stageLatency,omitempty"`
-}
-
-// fleetBenchDoc is the BENCH_fleet.json document: what federation costs.
-type fleetBenchDoc struct {
-	Scale             int               `json:"scale"`
-	Seed              int64             `json:"seed"`
-	SnapshotEntries   int               `json:"snapshotEntries"`
-	DownloadLatencyMs float64           `json:"downloadLatencyMs"`
-	Entries           []fleetBenchEntry `json:"entries"`
-	// MaxOverheadFrac is the worst federation overhead across entries —
-	// the number the ≤3% budget is checked against.
-	MaxOverheadFrac float64 `json:"maxOverheadFrac"`
-	// MergeIdentical reports whether the federated runs' merged reports
-	// also rendered byte-identically to the sequential reference.
-	MergeIdentical bool `json:"mergeIdentical"`
-}
-
-// runShardBench measures APKs/s at each shard count in so.bench and writes
-// BENCH_shard.json. Every configuration spawns one worker process per
-// shard with a single-worker pipeline, so added shards buy overlapped
-// download latency (and extra cores when the host has them), exactly like
-// the production plane against the network-bound AndroZoo.
-func runShardBench(o options, so shardOptions) error {
-	var counts []int
-	for _, f := range strings.Split(so.bench, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(f, "%d", &n); err != nil || n < 1 {
-			return fmt.Errorf("bad -shard-bench entry %q", f)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return fmt.Errorf("-shard-bench needs at least one shard count")
-	}
-	if so.dlLatency == 0 {
-		// The real AndroZoo is network-bound; an in-process fixture is not.
-		// Model the transfer so the benchmark measures the plane's ability
-		// to overlap downloads, not a latency-free fantasy. 50ms is
-		// conservative against real AndroZoo APK fetch times.
-		so.dlLatency = 50 * time.Millisecond
-	}
-
-	plane, err := startCorpusPlane(o)
-	if err != nil {
-		return err
-	}
-	defer plane.Close()
-
-	// Sequential single-process reference for the merge-identity assert.
-	seqRes, err := sequentialReference(o, plane)
-	if err != nil {
-		return err
-	}
-	seqTables := renderReport(o, seqRes)
-
-	doc := benchDoc{
-		Scale:                   o.scale,
-		Seed:                    o.seed,
-		SnapshotEntries:         plane.snap.Total(),
-		DownloadLatencyMs:       float64(so.dlLatency) / float64(time.Millisecond),
-		PipelineWorkersPerShard: 1,
-	}
-	fleetDoc := fleetBenchDoc{
-		Scale:             o.scale,
-		Seed:              o.seed,
-		SnapshotEntries:   plane.snap.Total(),
-		DownloadLatencyMs: float64(so.dlLatency) / float64(time.Millisecond),
-		MergeIdentical:    true,
-	}
-
-	// benchRun executes one cold configuration (fresh cache + journals).
-	benchRun := func(n int, federation bool) (*pipeline.Result, time.Duration, *shard.Coordinator, error) {
-		scratch, err := os.MkdirTemp("", "shardbench")
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		defer os.RemoveAll(scratch)
-		bo := so
-		bo.coordinator = ""
-		bo.federation = federation
-		bo.journalDir = scratch + "/journal"
-		if err := os.MkdirAll(bo.journalDir, 0o755); err != nil {
-			return nil, 0, nil, err
-		}
-		bopts := o
-		bopts.cachedir = scratch + "/cache"
-		return shardedScan(bopts, bo, plane, n, n, 1)
-	}
-
-	var lastMerged *pipeline.Result
-	for _, n := range counts {
-		// The baseline leg runs with federation off — the pre-federation
-		// plane — so BENCH_shard.json stays comparable across versions and
-		// the A/B isolates what the observability plane costs.
-		res, wall, _, err := benchRun(n, false)
-		if err != nil {
-			return err
-		}
-		apks := res.Funnel.Filtered
-		entry := benchEntry{
-			Shards:     n,
-			Workers:    n,
-			WallMs:     float64(wall) / float64(time.Millisecond),
-			APKs:       apks,
-			APKsPerSec: float64(apks) / wall.Seconds(),
-		}
-		if len(doc.Entries) == 0 {
-			entry.Speedup = 1
-		} else if doc.Entries[0].Shards == 1 {
-			entry.Speedup = entry.APKsPerSec / doc.Entries[0].APKsPerSec
-		}
-		doc.Entries = append(doc.Entries, entry)
-		fmt.Fprintf(os.Stderr, "bench: %d shards → %.1f APKs/s (%.2fx)\n",
-			n, entry.APKsPerSec, entry.Speedup)
-		lastMerged = res
-
-		if so.federation {
-			fres, fwall, coord, err := benchRun(n, true)
-			if err != nil {
-				return err
-			}
-			fe := fleetBenchEntry{
-				Shards:       n,
-				Workers:      n,
-				BaseWallMs:   entry.WallMs,
-				FedWallMs:    float64(fwall) / float64(time.Millisecond),
-				OverheadFrac: fwall.Seconds()/wall.Seconds() - 1,
-				APKs:         fres.Funnel.Filtered,
-				StageLatency: coord.Fleet().StageQuantiles(),
-			}
-			fleetDoc.Entries = append(fleetDoc.Entries, fe)
-			if fe.OverheadFrac > fleetDoc.MaxOverheadFrac {
-				fleetDoc.MaxOverheadFrac = fe.OverheadFrac
-			}
-			fleetDoc.MergeIdentical = fleetDoc.MergeIdentical &&
-				fres.Funnel == seqRes.Funnel && renderReport(o, fres) == seqTables
-			fmt.Fprintf(os.Stderr, "bench: %d shards federated → %.1f APKs/s (overhead %+.1f%%)\n",
-				n, float64(fe.APKs)/fwall.Seconds(), 100*fe.OverheadFrac)
-			if q, ok := fe.StageLatency["analyze"]; ok {
-				fmt.Fprintf(os.Stderr, "bench: analyze latency p50 %.3fs p95 %.3fs p99 %.3fs\n",
-					q.P50, q.P95, q.P99)
-			}
-		}
-	}
-	doc.MergeIdentical = lastMerged != nil &&
-		lastMerged.Funnel == seqRes.Funnel &&
-		renderReport(o, lastMerged) == seqTables
-	if !doc.MergeIdentical {
-		fmt.Fprintln(os.Stderr, "WARNING: merged report diverged from the sequential run")
-	}
-
-	path := so.benchOut
-	if path == "" {
-		path = "BENCH_shard.json"
-	}
-	if err := writeBenchJSON(path, doc); err != nil {
-		return err
-	}
-	if so.federation {
-		fpath := so.fleetBenchOut
-		if fpath == "" {
-			fpath = "BENCH_fleet.json"
-		}
-		if err := writeBenchJSON(fpath, fleetDoc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeBenchJSON writes one benchmark document, indented.
-func writeBenchJSON(path string, doc any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// sequentialReference runs the plain single-process pipeline over the same
-// served corpus. Modeled download latency is deliberately left out —
-// latency shifts wall time, never results — so this is purely the identity
-// reference, not the timing baseline (the 1-shard bench entry is that).
-func sequentialReference(o options, plane *corpusPlane) (*pipeline.Result, error) {
-	cfg := pipeline.Config{
-		MinDownloads: corpus.MinDownloads,
-		UpdatedAfter: corpus.UpdateCutoff,
-	}
-	if o.lint || o.lintRules != nil {
-		lint, err := webviewlint.New(webviewlint.Config{Rules: o.lintRules})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Lint = lint
-	}
-	if o.urls {
-		cfg.URLs = urlextract.New(urlextract.Config{})
-	}
-	repo := androzoo.NewClient("http://"+plane.az.Addr, nil)
-	meta := playstore.NewClient("http://"+plane.ps.Addr, nil)
-	return pipeline.New(repo, meta, cfg).Run(context.Background())
-}
-
-// renderReport renders the full static report to a string — the
-// byte-identity surface for the merge assert.
-func renderReport(o options, res *pipeline.Result) string {
-	var sb strings.Builder
-	printStaticReport(&sb, o, staticResult(res))
-	return sb.String()
 }
 
 // printStaticReport renders the standard static-study tables for a

@@ -49,8 +49,8 @@ type Coordinator struct {
 	metrics *coordMetrics
 	hub     *telemetry.Hub
 
-	// fed federates worker snapshots and traces (nil unless the spec
-	// enables Federation); traceID is the run's fleet trace id.
+	// fed federates worker snapshots and traces; traceID is the run's
+	// fleet trace id.
 	fed     *fleet.Federator
 	traceID string
 
@@ -72,40 +72,34 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
-	c := &Coordinator{
+	traceID := fleet.TraceID(cfg.Spec.Seed)
+	return &Coordinator{
 		spec:     cfg.Spec,
 		now:      now,
 		metrics:  newCoordMetrics(cfg.Telemetry),
 		hub:      cfg.Telemetry,
+		fed:      fleet.New(fleet.Config{Hub: cfg.Telemetry, Now: now, TraceID: traceID}),
+		traceID:  traceID,
 		leases:   make(map[int]*lease),
 		complete: make(map[int]*pipeline.Result),
 		done:     make(chan struct{}),
-	}
-	if cfg.Spec.Federation {
-		c.traceID = fleet.TraceID(cfg.Spec.Seed)
-		c.fed = fleet.New(fleet.Config{Hub: cfg.Telemetry, Now: now, TraceID: c.traceID})
-	}
-	return c, nil
+	}, nil
 }
 
-// Fleet returns the run's metrics/trace federator, nil when the spec does
-// not enable Federation.
+// Fleet returns the run's metrics/trace federator.
 func (c *Coordinator) Fleet() *fleet.Federator { return c.fed }
-
-// FleetTraceID returns the run's fleet trace id ("" without Federation).
-func (c *Coordinator) FleetTraceID() string { return c.traceID }
 
 // Handler returns the control-plane API:
 //
 //	GET  /v1/spec     the RunSpec
 //	POST /v1/lease    {"worker":W} → a partition grant, wait, or done
 //	POST /v1/renew    {"worker":W,"partition":P} → extend the lease
-//	POST /v1/result   {"worker":W,"partition":P,"configKey":K,"result":R}
-//	GET  /v1/status   progress counters
+//	POST /v1/result   {"worker":W,"partition":P,"configKey":K,"result":R,
+//	                   "metrics":S,"spans":[...]}
+//	POST /v1/snapshot {"worker":W,"metrics":S} final registry flush
 //
-// With Federation enabled the fleet observability surface rides along:
+// and the fleet observability surface:
 //
-//	POST /v1/snapshot       {"worker":W,"metrics":S} final registry flush
 //	GET  /fleet/metrics     federated Prometheus text (shard-labeled series
 //	                        plus shard="fleet" rollups; ?view=rollup for the
 //	                        deterministic rollup alone)
@@ -122,14 +116,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/result", c.handleResult)
-	mux.HandleFunc("GET /v1/status", c.handleStatus)
-	if c.fed != nil {
-		mux.HandleFunc("POST /v1/snapshot", c.handleSnapshot)
-		mux.HandleFunc("GET /fleet/metrics", c.handleFleetMetrics)
-		mux.HandleFunc("GET /fleet/metrics.json", c.handleFleetMetricsJSON)
-		mux.HandleFunc("GET /fleet/status", c.handleFleetStatus)
-		mux.HandleFunc("GET /fleet/trace", c.handleFleetTrace)
-	}
+	mux.HandleFunc("POST /v1/snapshot", c.handleSnapshot)
+	mux.HandleFunc("GET /fleet/metrics", c.handleFleetMetrics)
+	mux.HandleFunc("GET /fleet/metrics.json", c.handleFleetMetricsJSON)
+	mux.HandleFunc("GET /fleet/status", c.handleFleetStatus)
+	mux.HandleFunc("GET /fleet/trace", c.handleFleetTrace)
 	return mux
 }
 
@@ -159,10 +150,9 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 // pending partition is leased to a live worker — retry shortly), or Done
 // (all partitions complete — the worker can exit).
 //
-// With Federation enabled a grant also carries the propagated trace
-// context: the seed-derived fleet trace id the worker records its run
-// span under, and the name of the coordinator's per-partition span to
-// parent it under.
+// A grant also carries the propagated trace context: the seed-derived
+// fleet trace id the worker records its run span under, and the name of
+// the coordinator's per-partition span to parent it under.
 type LeaseGrant struct {
 	Partition int           `json:"partition"`
 	Tag       string        `json:"tag,omitempty"`
@@ -176,7 +166,7 @@ type LeaseGrant struct {
 type leaseRequest struct {
 	Worker string `json:"worker"`
 	// MetricsURL announces the worker's live /metrics.json endpoint for
-	// coordinator pulls (Federation only; "" = not scrapeable).
+	// coordinator pulls ("" = not scrapeable).
 	MetricsURL string `json:"metricsUrl,omitempty"`
 }
 
@@ -189,9 +179,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if c.fed != nil {
-		c.fed.RegisterWorker(req.Worker, req.MetricsURL)
-	}
+	c.fed.RegisterWorker(req.Worker, req.MetricsURL)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweep()
@@ -209,26 +197,24 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		now := c.now()
 		tag := PartitionTag(p, c.spec.Shards)
-		l := &lease{worker: req.Worker, expires: now.Add(c.spec.TTL()), granted: now}
-		if c.fed != nil {
-			l.span = c.hub.Trace(c.traceID).Start(partitionSpan(tag), "worker", req.Worker)
+		c.leases[p] = &lease{
+			worker:  req.Worker,
+			expires: now.Add(c.spec.TTL()),
+			granted: now,
+			span:    c.hub.Trace(c.traceID).Start(partitionSpan(tag), "worker", req.Worker),
 		}
-		c.leases[p] = l
 		if c.firstGrant.IsZero() {
 			c.firstGrant = now
 		}
 		c.metrics.grants.Inc()
 		c.metrics.inflight.Add(1)
-		grant := LeaseGrant{
+		writeJSON(w, http.StatusOK, LeaseGrant{
 			Partition: p,
 			Tag:       tag,
 			TTL:       c.spec.TTL(),
-		}
-		if c.fed != nil {
-			grant.TraceID = c.traceID
-			grant.Parent = partitionSpan(tag)
-		}
-		writeJSON(w, http.StatusOK, grant)
+			TraceID:   c.traceID,
+			Parent:    partitionSpan(tag),
+		})
 		return
 	}
 	// Nothing free, nothing done-for-good: the worker should poll again.
@@ -260,9 +246,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	l.expires = c.now().Add(c.spec.TTL())
 	l.renewed = c.now()
 	c.metrics.renewals.Inc()
-	if c.fed != nil {
-		c.fed.Heartbeat(req.Worker)
-	}
+	c.fed.Heartbeat(req.Worker)
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
@@ -271,9 +255,9 @@ type resultRequest struct {
 	Partition int              `json:"partition"`
 	ConfigKey string           `json:"configKey"`
 	Result    *pipeline.Result `json:"result"`
-	// Metrics / Spans are the partition's federated telemetry (Federation
-	// only): the registry snapshot delta this partition's run added to the
-	// worker's hub, and the spans it recorded. Metrics stays raw until
+	// Metrics / Spans are the partition's federated telemetry: the
+	// registry snapshot delta this partition's run added to the worker's
+	// hub, and the spans it recorded. Metrics stays raw until
 	// telemetry.DecodeSnapshot validates it, so a bad delta is refused
 	// without refusing the report. Both are ingested if and only if the
 	// result is accepted, so the fleet rollup inherits the merge's
@@ -319,14 +303,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.metrics.accepted.Inc()
 	l.span.SetAttr("outcome", "accepted")
 	l.span.End()
-	if c.fed != nil {
-		c.fed.Heartbeat(req.Worker)
-		wall := c.now().Sub(l.granted)
-		if err := c.fed.AcceptResult(req.Partition, req.Worker, req.Metrics, req.Spans, wall); err != nil {
-			// The report is good even when the telemetry payload is not;
-			// log-by-metric and move on rather than failing the partition.
-			c.metrics.snapshotRejects.Inc()
-		}
+	c.fed.Heartbeat(req.Worker)
+	if err := c.fed.AcceptResult(req.Partition, req.Worker, req.Metrics, req.Spans, c.now().Sub(l.granted)); err != nil {
+		// The report is good even when the telemetry payload is not;
+		// log-by-metric and move on rather than failing the partition.
+		c.metrics.snapshotRejects.Inc()
 	}
 
 	if len(c.complete) == c.spec.Shards {
@@ -341,27 +322,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		close(c.done)
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// Status is the coordinator's progress snapshot.
-type Status struct {
-	Shards    int  `json:"shards"`
-	Completed int  `json:"completed"`
-	Inflight  int  `json:"inflight"`
-	Done      bool `json:"done"`
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	c.sweep()
-	st := Status{
-		Shards:    c.spec.Shards,
-		Completed: len(c.complete),
-		Inflight:  len(c.leases),
-		Done:      len(c.complete) == c.spec.Shards,
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
 }
 
 // snapshotRequest is a worker's out-of-band registry flush — pushed on
@@ -534,12 +494,18 @@ func (c *Coordinator) statusDoc() *fleet.StatusDoc {
 }
 
 // Wait blocks until every partition is complete and returns the merged
-// report, or the context error.
+// report, or the context's cause once it ends. A merge that is complete
+// when the context ends still wins: workers see Done only after the
+// merge, so their exit must not turn a finished run into a failure.
 func (c *Coordinator) Wait(ctx context.Context) (*pipeline.Result, error) {
 	select {
 	case <-c.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		select {
+		case <-c.done:
+		default:
+			return nil, context.Cause(ctx)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

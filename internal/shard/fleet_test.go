@@ -20,19 +20,17 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
-	"repro/internal/retry"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
-// fleetSpec is the federated scan configuration shared by the fleet tests.
+// fleetSpec is the scan configuration shared by the fleet tests.
 func fleetSpec(shards int, seed int64) shard.RunSpec {
 	return shard.RunSpec{
 		Shards:       shards,
@@ -42,44 +40,18 @@ func fleetSpec(shards int, seed int64) shard.RunSpec {
 		URLs:         true,
 		LeaseTTL:     time.Minute,
 		Seed:         seed,
-		Federation:   true,
-		Trace:        true,
 	}
 }
 
-// fleetRun drives a full federated scan in process: coordinator on a real
-// listener, nWorkers workers each building its own telemetry hub from the
-// spec (exactly like separate worker OS processes would). Returns the
-// coordinator for reading the federated views.
+// fleetRun drives a full scan in process: coordinator on a real listener,
+// nWorkers in-process workers. Returns the coordinator for reading the
+// federated views, and the merged result.
 func fleetRun(t *testing.T, c *corpus.Corpus, shards, nWorkers int, seed int64) (*shard.Coordinator, *pipeline.Result) {
 	t.Helper()
-	repo := newTestRepo(c)
 	coord, srv := startCoordinator(t, shard.CoordinatorConfig{Spec: fleetSpec(shards, seed)})
-
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, nWorkers)
-	for i := 0; i < nWorkers; i++ {
-		w, err := shard.NewWorker(shard.WorkerConfig{
-			Coordinator: srv.URL,
-			Name:        fmt.Sprintf("worker-%d", i),
-			Poll:        10 * time.Millisecond,
-			Services:    inProcessServices(repo, &testMeta{c: c}),
-			// A retry policy like the CLI's, so the federated exposition
-			// carries the mirrored retry families (all zero on a clean run).
-			Retry: &retry.Policy{MaxAttempts: 2, Metrics: &retry.Metrics{}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = w.Run(ctx)
-		}(i)
-	}
-	wg.Wait()
+	errs := runWorkers(ctx, t, srv.URL, nWorkers, newTestRepo(c), &testMeta{c: c})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
@@ -369,7 +341,7 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 func TestFleetRefusesBadSnapshotKeepsReport(t *testing.T) {
 	hub := telemetry.New(telemetry.Options{})
 	coord, srv := startCoordinator(t, shard.CoordinatorConfig{
-		Spec:      shard.RunSpec{Shards: 3, LeaseTTL: time.Minute, Federation: true},
+		Spec:      shard.RunSpec{Shards: 3, LeaseTTL: time.Minute},
 		Telemetry: hub,
 	})
 	deltas := []string{

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
 	"repro/internal/report"
-	"repro/internal/shard"
 	"repro/internal/urlextract"
 	"repro/internal/webviewlint"
 )
@@ -57,56 +54,6 @@ func sequentialRun(t *testing.T, c *corpus.Corpus) *pipeline.Result {
 	return res
 }
 
-// shardedRun drives the full plane in process: a coordinator on a real
-// HTTP listener and nWorkers workers scanning shards partitions of the
-// same corpus. Returns the merged result.
-func shardedRun(t *testing.T, c *corpus.Corpus, shards, nWorkers int) *pipeline.Result {
-	t.Helper()
-	repo := newTestRepo(c)
-	coord, srv := startCoordinator(t, shard.CoordinatorConfig{
-		Spec: shard.RunSpec{
-			Shards:       shards,
-			MinDownloads: corpus.MinDownloads,
-			UpdatedAfter: corpus.UpdateCutoff,
-			Lint:         true,
-			URLs:         true,
-			LeaseTTL:     time.Minute,
-		},
-	})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, nWorkers)
-	for i := 0; i < nWorkers; i++ {
-		w, err := shard.NewWorker(shard.WorkerConfig{
-			Coordinator: srv.URL,
-			Name:        fmt.Sprintf("worker-%d", i),
-			Poll:        10 * time.Millisecond,
-			Services:    inProcessServices(repo, &testMeta{c: c}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = w.Run(ctx)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	merged, err := coord.Wait(ctx)
-	if err != nil {
-		t.Fatalf("coordinator wait: %v", err)
-	}
-	return merged
-}
-
 // TestShardedRunMatchesSequential is the tentpole invariant: the merged
 // report from 1 and from 4 worker shards is identical to the sequential
 // single-process report — funnel counts, every per-app row, and all
@@ -122,7 +69,7 @@ func TestShardedRunMatchesSequential(t *testing.T) {
 		{4, 4},
 	} {
 		t.Run(fmt.Sprintf("%dshards_%dworkers", tc.shards, tc.workers), func(t *testing.T) {
-			merged := shardedRun(t, c, tc.shards, tc.workers)
+			_, merged := fleetRun(t, c, tc.shards, tc.workers, 3)
 			if merged.Funnel != seq.Funnel {
 				t.Fatalf("funnel diverged:\n  sharded    %+v\n  sequential %+v", merged.Funnel, seq.Funnel)
 			}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
 	"repro/internal/playstore"
+	"repro/internal/retry"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -141,6 +142,37 @@ func inProcessServices(repo pipeline.Repository, meta pipeline.MetadataSource) f
 	return func(shard.RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
 		return repo, meta, nil
 	}
+}
+
+// runWorkers runs n in-process workers against the coordinator at url
+// until the run is done or ctx ends, and returns each worker's error.
+// Each worker builds its own telemetry hub from the spec, exactly like a
+// separate worker OS process would.
+func runWorkers(ctx context.Context, t *testing.T, url string, n int, repo pipeline.Repository, meta pipeline.MetadataSource) []error {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range n {
+		w, err := shard.NewWorker(shard.WorkerConfig{
+			Coordinator: url,
+			Name:        fmt.Sprintf("worker-%d", i),
+			Poll:        10 * time.Millisecond,
+			Services:    inProcessServices(repo, meta),
+			// A retry policy like the CLI's, so the federated exposition
+			// carries the mirrored retry families (all zero on a clean run).
+			Retry: &retry.Policy{MaxAttempts: 2, Metrics: &retry.Metrics{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Run(ctx)
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // --- partition function -------------------------------------------------
@@ -330,6 +362,15 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	if merged.Funnel.Snapshot != 2 {
 		t.Fatalf("merged snapshot = %d, want 2", merged.Funnel.Snapshot)
 	}
+	// A finished merge wins over a context that has ended too, as when
+	// every worker exits right after seeing done.
+	ended, end := context.WithCancel(context.Background())
+	end()
+	for range 20 {
+		if _, err := coord.Wait(ended); err != nil {
+			t.Fatalf("finished merge lost to an ended context: %v", err)
+		}
+	}
 
 	// Telemetry saw the lifecycle: grants, a renewal, expiries, rejects,
 	// accepted and refused results.
@@ -350,6 +391,72 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		if !bytes.Contains(prom.Bytes(), []byte(want)) {
 			t.Fatalf("telemetry missing %q in:\n%s", want, prom.String())
 		}
+	}
+}
+
+// barrierRepo holds every download until each of shards partitions has
+// one in flight: no partition can finish before all of them have started.
+type barrierRepo struct {
+	*testRepo
+	shards int
+
+	mu       sync.Mutex
+	inFlight map[int]bool
+	open     chan struct{}
+}
+
+func (r *barrierRepo) Download(ctx context.Context, pkg string) ([]byte, error) {
+	r.mu.Lock()
+	if p := shard.PartitionOf(pkg, r.shards); !r.inFlight[p] {
+		r.inFlight[p] = true
+		if len(r.inFlight) == r.shards {
+			close(r.open)
+		}
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.open:
+		return r.testRepo.Download(ctx, pkg)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestLeasesRunConcurrently pins that the plane scans leased partitions in
+// parallel: with four partitions and four workers, every partition's first
+// download blocks until all four have a download in flight, which only
+// concurrently held leases can reach. A plane that serialised leases
+// fails on the deadline instead of hanging.
+func TestLeasesRunConcurrently(t *testing.T) {
+	c := testCorpus(t)
+	const shards = 4
+	repo := &barrierRepo{
+		testRepo: newTestRepo(c), shards: shards,
+		inFlight: make(map[int]bool), open: make(chan struct{}),
+	}
+	coord, srv := startCoordinator(t, shard.CoordinatorConfig{Spec: shard.RunSpec{
+		Shards:       shards,
+		MinDownloads: corpus.MinDownloads,
+		UpdatedAfter: corpus.UpdateCutoff,
+		LeaseTTL:     time.Minute,
+	}})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	errs := runWorkers(ctx, t, srv.URL, shards, repo, &testMeta{c: c})
+	select {
+	case <-repo.open:
+	default:
+		repo.mu.Lock()
+		defer repo.mu.Unlock()
+		t.Fatalf("only %d of %d partitions ever had a download in flight at once", len(repo.inFlight), shards)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if _, err := coord.Wait(ctx); err != nil {
+		t.Fatalf("coordinator wait: %v", err)
 	}
 }
 

@@ -95,8 +95,7 @@ type RunSpec struct {
 
 	// DownloadLatency models the repository's per-APK transfer time (the
 	// real AndroZoo is network-bound, the in-process simulator is not).
-	// Applied identically to every shard, and to the 1-shard baseline, so
-	// benchmark speedups measure the plane, not a handicapped control.
+	// Applied identically to every shard.
 	DownloadLatency time.Duration `json:"downloadLatency,omitempty"`
 
 	// LeaseTTL bounds how long a silent worker holds a partition before
@@ -114,17 +113,6 @@ type RunSpec struct {
 	// telemetry timings and the fleet trace id — so all workers observe
 	// with the same clock discipline whatever process they run in.
 	Seed int64 `json:"seed,omitempty"`
-
-	// Federation enables the fleet observability plane: workers build a
-	// per-process telemetry hub, push per-partition registry deltas and
-	// trace spans with each /v1/result, announce a /metrics URL for live
-	// scrapes, and flush a final snapshot on shutdown; the coordinator
-	// merges everything behind the /fleet/* endpoints.
-	Federation bool `json:"federation,omitempty"`
-
-	// Trace enables span tracing in worker hubs (per-APK traces, stitched
-	// fleet-wide by the coordinator). Only meaningful with Federation.
-	Trace bool `json:"trace,omitempty"`
 
 	// Wallclock makes worker hubs record real durations instead of the
 	// seed-derived deterministic timings — the live-operations trade-off,

@@ -36,7 +36,9 @@ type WorkerConfig struct {
 	// backoff, and the partition's pipeline retries repository/store calls
 	// on the same schedule.
 	Retry *retry.Policy
-	// Telemetry, when non-nil, receives the per-shard pipeline metrics.
+	// Telemetry, when non-nil, is the worker's hub: it receives the
+	// per-shard pipeline metrics and spans the worker federates. Nil
+	// builds one from the spec (seed-derived timing, tracing on).
 	Telemetry *telemetry.Hub
 	// Poll is the wait between lease polls when every partition is leased
 	// out (0 = 100ms).
@@ -49,11 +51,11 @@ type WorkerConfig struct {
 	// result cache (0 = 4096). The blob tier under spec.CacheDir is
 	// unbounded either way.
 	CacheEntries int
-	// MetricsAddr, when non-empty and the spec enables Federation, is the
-	// listen address for this worker's debug endpoint (e.g.
-	// "127.0.0.1:0"); its /metrics.json URL is announced to the
-	// coordinator for live scrapes. The endpoint's /trace answers 404
-	// pointing at the coordinator's stitched /fleet/trace.
+	// MetricsAddr, when non-empty, is the listen address for this
+	// worker's debug endpoint (e.g. "127.0.0.1:0"); its /metrics.json URL
+	// is announced to the coordinator for live scrapes. The endpoint's
+	// /trace answers 404 pointing at the coordinator's stitched
+	// /fleet/trace.
 	MetricsAddr string
 }
 
@@ -66,10 +68,10 @@ type Worker struct {
 	hc   *http.Client
 	base string
 
-	// hub is the worker's telemetry hub under Federation: WorkerConfig's
-	// when provided, otherwise built from the spec (seed-derived timing,
-	// tracing per spec.Trace) so every worker process observes with the
-	// same clock discipline. metricsURL is the announced live endpoint.
+	// hub is the worker's telemetry hub: WorkerConfig's when provided,
+	// otherwise built from the spec (seed-derived timing, tracing on) so
+	// every worker process observes with the same clock discipline.
+	// metricsURL is the announced live endpoint.
 	hub        *telemetry.Hub
 	metricsURL string
 
@@ -116,34 +118,32 @@ func (w *Worker) Run(ctx context.Context) error {
 	if _, err := w.call(ctx, "GET", "/v1/spec", nil, &spec); err != nil {
 		return fmt.Errorf("shard: fetch spec: %w", err)
 	}
-	if spec.Federation {
-		w.hub = w.cfg.Telemetry
-		if w.hub == nil {
-			var timing telemetry.Timing = telemetry.SeededTiming{Seed: spec.Seed}
-			if spec.Wallclock {
-				timing = telemetry.RealTiming{}
-			}
-			w.hub = telemetry.New(telemetry.Options{Timing: timing, Tracing: spec.Trace})
+	w.hub = w.cfg.Telemetry
+	if w.hub == nil {
+		var timing telemetry.Timing = telemetry.SeededTiming{Seed: spec.Seed}
+		if spec.Wallclock {
+			timing = telemetry.RealTiming{}
 		}
-		if w.cfg.MetricsAddr != "" {
-			srv, err := telemetry.ServeOpts(w.cfg.MetricsAddr, w.hub,
-				telemetry.HandlerOptions{FleetTraceURL: w.base + "/fleet/trace"})
-			if err != nil {
-				return fmt.Errorf("shard: worker metrics endpoint: %w", err)
-			}
-			defer srv.Close()
-			w.metricsURL = "http://" + srv.Addr + "/metrics.json"
-		}
-		// Graceful-shutdown flush: however Run exits — done, cancelled,
-		// failed — push the final registry snapshot so workers that exit
-		// between leases still report. A fresh short-lived context keeps
-		// the flush alive through the cancellation that ended the run.
-		defer func() {
-			flushCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			w.flushSnapshot(flushCtx)
-		}()
+		w.hub = telemetry.New(telemetry.Options{Timing: timing, Tracing: true})
 	}
+	if w.cfg.MetricsAddr != "" {
+		srv, err := telemetry.ServeOpts(w.cfg.MetricsAddr, w.hub,
+			telemetry.HandlerOptions{FleetTraceURL: w.base + "/fleet/trace"})
+		if err != nil {
+			return fmt.Errorf("shard: worker metrics endpoint: %w", err)
+		}
+		defer srv.Close()
+		w.metricsURL = "http://" + srv.Addr + "/metrics.json"
+	}
+	// Graceful-shutdown flush: however Run exits — done, cancelled,
+	// failed — push the final registry snapshot so workers that exit
+	// between leases still report. A fresh short-lived context keeps
+	// the flush alive through the cancellation that ended the run.
+	defer func() {
+		flushCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		w.flushSnapshot(flushCtx)
+	}()
 	poll := w.cfg.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -196,26 +196,16 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		latency: spec.DownloadLatency,
 	}
 
-	// Under Federation the partition runs against the worker hub and its
-	// contribution is captured as a registry snapshot delta + trace spans,
-	// measured from marks taken here. The pipeline gets its own retry policy
-	// (same schedule, fresh metrics) so the federated retry counters carry
-	// only the deterministic per-package traffic, never this worker's
+	// The partition runs against the worker hub and its contribution is
+	// captured as a registry snapshot delta + trace spans, measured from
+	// marks taken here. The pipeline gets its own retry policy (same
+	// schedule, fresh metrics) so the federated retry counters carry only
+	// the deterministic per-package traffic, never this worker's
 	// scheduling-dependent lease and renew calls.
-	hub := w.cfg.Telemetry
-	retryPolicy := w.cfg.Retry
-	var before *telemetry.Snapshot
-	var traceMark map[string]int
-	var runSpan *telemetry.Span
-	if spec.Federation {
-		hub = w.hub
-		retryPolicy = pipelinePolicy(w.cfg.Retry)
-		before = hub.Registry().Snapshot()
-		traceMark = hub.Tracer().Mark()
-		if grant.TraceID != "" {
-			runSpan = hub.Trace(grant.TraceID).Child(grant.Parent, "run:"+grant.Tag, "worker", w.cfg.Name)
-		}
-	}
+	hub := w.hub
+	before := hub.Registry().Snapshot()
+	traceMark := hub.Tracer().Mark()
+	runSpan := hub.Trace(grant.TraceID).Child(grant.Parent, "run:"+grant.Tag, "worker", w.cfg.Name)
 
 	cfg := pipeline.Config{
 		MinDownloads: spec.MinDownloads,
@@ -224,7 +214,7 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		// zero filter scans the paper's selection, not the whole snapshot)
 		Workers:        spec.Workers,
 		MaxFailureFrac: spec.MaxFailureFrac,
-		Retry:          retryPolicy,
+		Retry:          pipelinePolicy(w.cfg.Retry),
 		Telemetry:      hub,
 		Partition:      grant.Tag,
 	}
@@ -317,17 +307,17 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 	runSpan.SetAttr("outcome", "ok")
 	runSpan.End()
 
+	delta, err := json.Marshal(hub.Registry().Snapshot().Sub(before))
+	if err != nil {
+		return fmt.Errorf("shard: partition %d snapshot: %w", grant.Partition, err)
+	}
 	req := resultRequest{
 		Worker:    w.cfg.Name,
 		Partition: grant.Partition,
 		ConfigKey: pipe.ConfigKey(),
 		Result:    res,
-	}
-	if spec.Federation {
-		if req.Metrics, err = json.Marshal(hub.Registry().Snapshot().Sub(before)); err != nil {
-			return fmt.Errorf("shard: partition %d snapshot: %w", grant.Partition, err)
-		}
-		req.Spans = hub.Tracer().SpansSince(traceMark)
+		Metrics:   delta,
+		Spans:     hub.Tracer().SpansSince(traceMark),
 	}
 
 	code, err := w.call(ctx, "POST", "/v1/result", req, &struct{}{})
@@ -346,9 +336,6 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 // coordinator — the graceful-shutdown path of the federation plane. Best
 // effort: a dead coordinator just means the snapshot is lost with it.
 func (w *Worker) flushSnapshot(ctx context.Context) {
-	if w.hub == nil {
-		return
-	}
 	metrics, err := json.Marshal(w.hub.Registry().Snapshot())
 	if err != nil {
 		return
@@ -451,13 +438,6 @@ type partitionRepository struct {
 	part    int
 	shards  int
 	latency time.Duration
-}
-
-// WithDownloadLatency wraps repo so every Download sleeps d first — the
-// modeled AndroZoo transfer time. Used by the unsharded benchmark baseline
-// so 1-shard and N-shard runs face the same repository.
-func WithDownloadLatency(repo pipeline.Repository, d time.Duration) pipeline.Repository {
-	return &partitionRepository{inner: repo, part: 0, shards: 1, latency: d}
 }
 
 func (r *partitionRepository) List(ctx context.Context) ([]string, error) {

@@ -34,6 +34,10 @@ type Flags struct {
 
 	hub    *Hub
 	server *Server
+	// metrics and trace are what Finish writes -metrics-out and -trace-out
+	// from: the hub's registry and tracer unless Report replaced them.
+	metrics func() *Snapshot
+	trace   func(io.Writer) error
 }
 
 // Register installs the telemetry flags on fs (the default set when nil).
@@ -85,6 +89,15 @@ func (f *Flags) Start() error {
 	return nil
 }
 
+// Report makes metrics and trace the sources Finish writes -metrics-out
+// and -trace-out from, in place of the hub's own registry and tracer. A
+// shard coordinator reports its fleet's rollup and stitched trace this
+// way, so each file carries the same bytes at every topology; the hub
+// keeps serving the process's own data live.
+func (f *Flags) Report(metrics func() *Snapshot, trace func(io.Writer) error) {
+	f.metrics, f.trace = metrics, trace
+}
+
 // Finish writes -metrics-out and -trace-out and stops the debug server.
 // Safe to call unconditionally (defer it right after Register/parse).
 func (f *Flags) Finish() error {
@@ -92,13 +105,17 @@ func (f *Flags) Finish() error {
 	if f.hub == nil {
 		return nil
 	}
+	metrics, trace := f.hub.Registry().Snapshot, f.hub.Tracer().WriteJSONL
+	if f.metrics != nil {
+		metrics, trace = f.metrics, f.trace
+	}
 	if f.MetricsOut != "" {
-		if err := writeTo(f.MetricsOut, f.hub.Registry().Snapshot().WriteJSON); err != nil {
+		if err := writeTo(f.MetricsOut, metrics().WriteJSON); err != nil {
 			return fmt.Errorf("telemetry: metrics-out: %w", err)
 		}
 	}
 	if f.TraceOut != "" {
-		if err := writeTo(f.TraceOut, f.hub.Tracer().WriteJSONL); err != nil {
+		if err := writeTo(f.TraceOut, trace); err != nil {
 			return fmt.Errorf("telemetry: trace-out: %w", err)
 		}
 	}

@@ -23,9 +23,9 @@ func TestTraceIDSeedDerived(t *testing.T) {
 	}
 }
 
-// TestQuantilesFromHistogram covers the quantile helper shared by
-// /fleet/status and -shard-bench: known observations into the stage
-// latency histogram yield ordered, plausible percentiles.
+// TestQuantilesFromHistogram covers the quantile helper behind
+// /fleet/status: known observations into the stage latency histogram
+// yield ordered, plausible percentiles.
 func TestQuantilesFromHistogram(t *testing.T) {
 	r := telemetry.NewRegistry()
 	h := r.Histogram("pipeline_stage_latency_seconds", "stage latency",

@@ -124,6 +124,38 @@ func TestFlagsLifecycle(t *testing.T) {
 	}
 }
 
+// TestFlagsReportReplacesOutputs pins Report: Finish writes -metrics-out
+// and -trace-out from the reported sources, not from the hub, while the
+// hub keeps its own data.
+func TestFlagsReportReplacesOutputs(t *testing.T) {
+	dir := t.TempDir()
+	f := Flags{MetricsOut: filepath.Join(dir, "m.json"), TraceOut: filepath.Join(dir, "t.jsonl")}
+	h := f.Hub(1)
+	h.Counter("own_total", "the hub's own family").Inc()
+	h.Trace("own").Start("s").End()
+
+	reported := New(Options{Tracing: true})
+	f.Report(reported.Registry().Snapshot, reported.Tracer().WriteJSONL)
+	// Recorded after Report: Finish must read the sources when it writes.
+	reported.Counter("reported_total", "the reported family").Inc()
+	reported.Trace("reported").Start("r").End()
+	if err := f.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []struct{ path, want, own string }{
+		{f.MetricsOut, "reported_total", "own_total"},
+		{f.TraceOut, `"trace":"reported"`, `"trace":"own"`},
+	} {
+		got, err := os.ReadFile(out.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(got), out.want) || strings.Contains(string(got), out.own) {
+			t.Errorf("%s should carry only the reported data (%s):\n%s", filepath.Base(out.path), out.want, got)
+		}
+	}
+}
+
 func TestFlagsDisabled(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
