@@ -334,7 +334,7 @@ func BenchmarkAnalyzeOneAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		an, err := pipeline.AnalyzeImage(nil, img)
+		an, err := pipeline.AnalyzeAndExtract(nil, nil, nil, img)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func BenchmarkAnalyzeAndLintOne(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		an, err := pipeline.AnalyzeAndLint(nil, lint, img)
+		an, err := pipeline.AnalyzeAndExtract(nil, lint, nil, img)
 		if err != nil {
 			b.Fatal(err)
 		}

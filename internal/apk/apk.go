@@ -164,31 +164,6 @@ func Open(data []byte) (*APK, error) {
 	return a, nil
 }
 
-// DigestOf computes the digest of a packed APK image without fully parsing
-// the payloads; it is what repository servers index by.
-func DigestOf(data []byte) (string, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBroken, err)
-	}
-	for _, f := range zr.File {
-		if f.Name != DigestEntry {
-			continue
-		}
-		rc, err := f.Open()
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrBroken, err)
-		}
-		defer rc.Close()
-		b, err := io.ReadAll(rc)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrBroken, err)
-		}
-		return string(b), nil
-	}
-	return "", fmt.Errorf("%w: missing %s", ErrBroken, DigestEntry)
-}
-
 // ComputeDigest hashes the archive's manifest and dex payloads directly,
 // yielding the same digest Pack records in META-INF/DIGEST — but derived
 // from the actual content rather than trusted from the archive. It is the

@@ -71,13 +71,16 @@ func TestPackDeterministic(t *testing.T) {
 	}
 }
 
-func TestDigestOfMatchesOpen(t *testing.T) {
+// TestComputeDigestMatchesOpen checks that the cache-key digest equals the
+// digest Open verifies, and that it comes from the payload: rewriting
+// META-INF/DIGEST leaves it unchanged while Open rejects the archive.
+func TestComputeDigestMatchesOpen(t *testing.T) {
 	m, dex := sampleInputs(t)
 	data, err := Pack(m, dex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := DigestOf(data)
+	d, err := ComputeDigest(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +88,20 @@ func TestDigestOfMatchesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != a.Digest {
-		t.Errorf("DigestOf = %s, Open digest = %s", d1, a.Digest)
+	if d != a.Digest {
+		t.Errorf("ComputeDigest = %s, Open digest = %s", d, a.Digest)
+	}
+
+	tampered := rewriteEntry(t, data, DigestEntry, []byte("deadbeef"))
+	td, err := ComputeDigest(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if td != d {
+		t.Errorf("ComputeDigest after rewriting %s = %s, want the payload digest %s", DigestEntry, td, d)
+	}
+	if _, err := Open(tampered); !errors.Is(err, ErrBroken) {
+		t.Errorf("Open after rewriting %s: err = %v, want ErrBroken", DigestEntry, err)
 	}
 }
 

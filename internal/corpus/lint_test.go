@@ -83,9 +83,9 @@ func lintApp(t *testing.T, idx *sdkindex.Index, lint *webviewlint.Analyzer, s *c
 	if err != nil {
 		t.Fatalf("BuildAPK(%s): %v", s.Package, err)
 	}
-	an, err := pipeline.AnalyzeAndLint(idx, lint, img)
+	an, err := pipeline.AnalyzeAndExtract(idx, lint, nil, img)
 	if err != nil {
-		t.Fatalf("AnalyzeAndLint(%s): %v", s.Package, err)
+		t.Fatalf("AnalyzeAndExtract(%s): %v", s.Package, err)
 	}
 	return an.Lint
 }

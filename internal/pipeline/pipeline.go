@@ -6,12 +6,14 @@
 // Custom Tabs usage, exclude deep-link-hosted first-party content, and
 // label the calling packages with the SDK index.
 //
-// The pipeline streams: metadata fetch, APK download and CPU-bound
-// analysis run as overlapping bounded-channel stages, so peak memory is
-// bounded by Config.Workers in-flight APK images rather than the corpus
-// size, and the slowest stage — not the sum of stages — sets the wall
-// time. Results are still aggregated deterministically (sorted by package)
-// regardless of completion order.
+// The pipeline streams: a pool of metadata workers filters the snapshot
+// and hands each selected package to a pool of Config.Workers per-APK
+// workers, each of which carries its package from download through
+// analysis, lint and URL extraction to the cache write. Metadata fetches
+// overlap with downloads and analysis, and peak memory is bounded by
+// Config.Workers in-flight APKs rather than the corpus size. Results are
+// still aggregated deterministically (sorted by package) regardless of
+// completion order.
 //
 // An optional content-addressed result cache (internal/resultcache), keyed
 // by the APK payload digest plus the SDK-index fingerprint, lets a warm
@@ -74,8 +76,9 @@ type Config struct {
 	// MinDownloads and UpdatedAfter are the selection filter (§3.1.1).
 	MinDownloads int64
 	UpdatedAfter time.Time
-	// Workers bounds per-stage concurrency and the number of APK images
-	// held in memory at once; 0 means GOMAXPROCS.
+	// Workers sizes the metadata pool and the per-APK pool. The per-APK
+	// pool size also bounds the APK images, and the parsed sources, held in
+	// memory at once; 0 means GOMAXPROCS.
 	Workers int
 	// Index labels calling packages; nil uses the default catalog.
 	Index *sdkindex.Index
@@ -83,17 +86,16 @@ type Config struct {
 	// content digest; a warm run over unchanged APKs skips analysis.
 	Cache *resultcache.Cache[Analysis]
 	// Lint, when non-nil, runs the WebView misconfiguration linter as an
-	// extra streaming stage after analysis. Its rule-config fingerprint is
-	// mixed into cache keys, so changing the lint configuration invalidates
-	// cached results while leaving pure-analysis caches of lint-off runs
-	// untouched.
+	// extra stage after analysis. Its rule-config fingerprint is mixed into
+	// cache keys, so changing the lint configuration invalidates cached
+	// results while leaving pure-analysis caches of lint-off runs untouched.
 	Lint *webviewlint.Analyzer
 	// URLs, when non-nil, runs the interprocedural URL-extraction engine as
-	// a further streaming stage over the retained call graph, recording the
-	// endpoints each app's reachable code can construct. Its engine
-	// fingerprint is mixed into cache keys, so a warm run over unchanged
-	// APKs serves endpoints without re-extracting and an engine change
-	// invalidates exactly the URL-bearing entries.
+	// a further stage over the retained call graph, recording the endpoints
+	// each app's reachable code can construct. Its engine fingerprint is
+	// mixed into cache keys, so a warm run over unchanged APKs serves
+	// endpoints without re-extracting and an engine change invalidates
+	// exactly the URL-bearing entries.
 	URLs *urlextract.Extractor
 	// Retry, when non-nil, wraps the snapshot listing, metadata fetches
 	// and APK downloads in retries with backoff; retryable failures are
@@ -284,7 +286,8 @@ type Result struct {
 	Stats       Stats // run instrumentation (stage timings, cache traffic)
 }
 
-// Run executes the full pipeline as overlapping streaming stages.
+// Run executes the full pipeline: a feeder and a metadata pool select
+// packages, and a per-APK pool takes each one from download to result.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	t0 := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
@@ -370,30 +373,9 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 
 	streamStart := time.Now()
 
-	// sem bounds the number of APK images alive at once: a download worker
-	// acquires a token before fetching and the consuming stage releases it
-	// when the image is dropped. Whatever the corpus size, at most Workers
-	// images are in flight.
-	sem := make(chan struct{}, workers)
-
 	type selected struct {
 		pkg string // snapshot package name, used for download
 		md  playstore.Metadata
-	}
-	type task struct {
-		md  playstore.Metadata
-		img []byte
-		key string // content-address cache key ("" when caching is off)
-	}
-	// postTask carries a finished analysis plus the retained parsed sources
-	// and call graph into the post-analysis stages (lint, URL extraction).
-	// The APK image itself is already dropped: parsed units are a small
-	// fraction of its size.
-	type postTask struct {
-		md     playstore.Metadata
-		an     *Analysis
-		parsed *parsedAPK
-		key    string
 	}
 	// The snapshot is fed in chunks: per-package channel operations dominate
 	// the metadata stage once the backend is fast (warm cache, local mirror),
@@ -401,23 +383,15 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	const feedChunk = 64
 	pkgCh := make(chan []string)
 	selCh := make(chan selected, workers)
-	anCh := make(chan task)
-	lintCh := make(chan postTask, workers)
-	urlCh := make(chan postTask, workers)
-	linting := p.cfg.Lint != nil
-	extracting := p.cfg.URLs != nil
-	keepParsed := linting || extracting
 
-	// finish completes one package in whatever stage turned out to be last:
-	// persist to the cache, checkpoint the journal, append the app result.
-	finish := func(md playstore.Metadata, an *Analysis, key string) {
-		an.normalize()
-		if p.cfg.Cache != nil {
-			p.cfg.Cache.Put(key, *an)
-		}
-		record(md.Package, an)
+	// add counts one completed package into the result.
+	add := func(md playstore.Metadata, an *Analysis) {
 		mu.Lock()
-		apps = append(apps, appResult(md, an))
+		if an.Broken {
+			broken++
+		} else {
+			apps = append(apps, appResult(md, an))
+		}
 		mu.Unlock()
 	}
 
@@ -496,35 +470,30 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		}()
 	}
 
-	// Stage 3: APK download + content-addressed cache lookup. Hits are
-	// finished right here — the image is dropped and the analysis stage
-	// never sees them.
-	var dlWG sync.WaitGroup
+	// Stages 3-8, one worker per package: journal lookup, download, cache
+	// lookup and, on a miss, analysis, lint and URL extraction, then the
+	// cache write and journal checkpoint. The pool size is the memory
+	// bound: at most Workers APK images, and at most Workers packages'
+	// parsed sources, are alive at once, whatever the corpus size.
+	var apkWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		dlWG.Add(1)
+		apkWG.Add(1)
 		go func() {
-			defer dlWG.Done()
+			defer apkWG.Done()
 			for sel := range selCh {
+				// A cancelled run takes no further packages.
+				if runCtx.Err() != nil {
+					return
+				}
 				// A journaled package already completed in an earlier
 				// (interrupted) run: replay its analysis without spending a
-				// download or an analysis slot on it.
+				// download or an analysis on it.
 				if p.cfg.Journal != nil {
 					if an, ok := p.cfg.Journal.Lookup(sel.pkg); ok {
 						m.journalSkips.Inc()
-						mu.Lock()
-						if an.Broken {
-							broken++
-						} else {
-							apps = append(apps, appResult(sel.md, &an))
-						}
-						mu.Unlock()
+						add(sel.md, &an)
 						continue
 					}
-				}
-				select {
-				case sem <- struct{}{}:
-				case <-runCtx.Done():
-					return
 				}
 				tr := m.trace(sel.pkg)
 				sp := tr.Start("download")
@@ -536,7 +505,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				if err != nil {
 					sp.SetAttr("outcome", "quarantined")
 					sp.End()
-					<-sem
 					if runCtx.Err() != nil {
 						return
 					}
@@ -556,179 +524,46 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						m.cacheHits.Inc()
 						m.addInFlight(-int64(len(img)))
 						tr.Start("cache", "result", "hit").End()
-						mu.Lock()
-						if an.Broken {
-							broken++
-						} else {
-							apps = append(apps, appResult(sel.md, &an))
-						}
-						mu.Unlock()
+						add(sel.md, &an)
 						record(sel.pkg, &an)
-						<-sem
 						continue
 					}
 					m.cacheMisses.Inc()
 					tr.Start("cache", "result", "miss").End()
 				}
-				select {
-				case anCh <- task{md: sel.md, img: img, key: key}:
-					m.dlOut.Inc()
-				case <-runCtx.Done():
-					m.addInFlight(-int64(len(img)))
-					<-sem
-					return
-				}
-			}
-		}()
-	}
-
-	// Stage 4-6: decompile, parse, call-graph traversal, SDK attribution.
-	// With linting on, non-broken analyses are forwarded to the lint stage
-	// together with their parsed sources; broken ones finish (and cache)
-	// here, since there is nothing to lint.
-	var anWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		anWG.Add(1)
-		go func() {
-			defer anWG.Done()
-			for t := range anCh {
-				m.anIn.Inc()
-				tr := m.trace(t.md.Package)
-				sp := tr.Start("analyze")
-				tm := m.hub.Timer(t.md.Package, "analyze")
-				an, parsed, err := analyzeImage(p.cfg.Index, t.img, keepParsed, tr)
-				tm.ObserveInto(m.anLat)
-				n := int64(len(t.img))
-				t.img = nil
-				m.addInFlight(-n)
-				<-sem
+				m.dlOut.Inc()
+				an, err := analyzeAPK(m, sel.md.Package, p.cfg.Index, p.cfg.Lint, p.cfg.URLs, img)
 				if err != nil {
-					sp.SetAttr("outcome", "quarantined")
-					sp.End()
 					if runCtx.Err() != nil {
 						return
 					}
-					quarantine("analyze", t.md.Package, err)
+					quarantine("analyze", sel.md.Package, err)
 					continue
 				}
-				if an.Broken {
-					sp.SetAttr("outcome", "broken")
+				if p.cfg.Cache != nil {
+					p.cfg.Cache.Put(key, *an)
 				}
-				sp.End()
-				if keepParsed && !an.Broken {
-					m.anOut.Inc()
-					next := urlCh
-					if linting {
-						next = lintCh
-					}
-					select {
-					case next <- postTask{md: t.md, an: an, parsed: parsed, key: t.key}:
-					case <-runCtx.Done():
-						return
-					}
-					continue
-				}
-				if an.Broken {
-					if p.cfg.Cache != nil {
-						p.cfg.Cache.Put(t.key, *an)
-					}
-					record(t.md.Package, an)
-					mu.Lock()
-					broken++
-					mu.Unlock()
-					continue
-				}
-				finish(t.md, an, t.key)
-				m.anOut.Inc()
+				record(sel.md.Package, an)
+				add(sel.md, an)
 			}
 		}()
 	}
 
-	// Stage 7: WebView misconfiguration linting over the retained parsed
-	// sources and call graph. When this is the final stage the completed
-	// analysis (now including lint findings) is cached here, so a warm run
-	// serves findings without re-linting — until the rule-config fingerprint
-	// changes the key; otherwise the task flows on to URL extraction.
-	var lintWG sync.WaitGroup
-	if linting {
-		for w := 0; w < workers; w++ {
-			lintWG.Add(1)
-			go func() {
-				defer lintWG.Done()
-				for t := range lintCh {
-					m.lintIn.Inc()
-					sp := m.trace(t.md.Package).Start("lint")
-					tm := m.hub.Timer(t.md.Package, "lint")
-					findings := p.cfg.Lint.Analyze(webviewlint.App{
-						Units: t.parsed.units,
-						Graph: t.parsed.graph,
-						Index: p.cfg.Index,
-					})
-					tm.ObserveInto(m.lintLat)
-					sp.SetAttr("findings", strconv.Itoa(len(findings)))
-					sp.End()
-					t.an.Lint = findings
-					m.lintOut.Inc()
-					m.lintFindings.Add(int64(len(findings)))
-					if extracting {
-						select {
-						case urlCh <- t:
-						case <-runCtx.Done():
-							return
-						}
-						continue
-					}
-					finish(t.md, t.an, t.key)
-				}
-			}()
-		}
-	}
-
-	// Stage 8: interprocedural URL extraction over the retained call graph,
-	// with the same deep-link exclusion set the usage traversal applied. The
-	// final analysis (endpoints included) is cached and journaled here.
-	var urlWG sync.WaitGroup
-	if extracting {
-		for w := 0; w < workers; w++ {
-			urlWG.Add(1)
-			go func() {
-				defer urlWG.Done()
-				for t := range urlCh {
-					m.urlsIn.Inc()
-					sp := m.trace(t.md.Package).Start("urls")
-					tm := m.hub.Timer(t.md.Package, "urls")
-					eps := p.cfg.URLs.Extract(t.parsed.graph, t.parsed.excl, p.cfg.Index)
-					tm.ObserveInto(m.urlsLat)
-					sp.SetAttr("endpoints", strconv.Itoa(len(eps)))
-					sp.End()
-					t.an.Endpoints = eps
-					m.urlsOut.Inc()
-					m.urlEndpoints.Add(int64(len(eps)))
-					finish(t.md, t.an, t.key)
-				}
-			}()
-		}
-	}
-
-	// Drain the stages in order. Each close releases the next pool's range
-	// loop; the waits overlap with downstream stages still working.
+	// Drain the pools in order: closing selCh once the metadata pool has
+	// exited ends the per-APK workers' range loops, and every per-APK stage
+	// drains with that pool.
 	metaWG.Wait()
 	res.Stats.Metadata.Wall = time.Since(streamStart)
 	close(selCh)
-	dlWG.Wait()
-	res.Stats.Download.Wall = time.Since(streamStart)
-	close(anCh)
-	anWG.Wait()
-	res.Stats.Analyze.Wall = time.Since(streamStart)
-	close(lintCh)
-	lintWG.Wait()
-	if linting {
-		res.Stats.Lint.Wall = time.Since(streamStart)
+	apkWG.Wait()
+	drained := time.Since(streamStart)
+	res.Stats.Download.Wall = drained
+	res.Stats.Analyze.Wall = drained
+	if p.cfg.Lint != nil {
+		res.Stats.Lint.Wall = drained
 	}
-	close(urlCh)
-	urlWG.Wait()
-	if extracting {
-		res.Stats.URLs.Wall = time.Since(streamStart)
+	if p.cfg.URLs != nil {
+		res.Stats.URLs.Wall = drained
 	}
 	res.Stats.Total = time.Since(t0)
 	m.fill(&res.Stats)
@@ -780,12 +615,6 @@ func (p *Pipeline) configKey() string {
 // accepting its results into a merged report.
 func (p *Pipeline) ConfigKey() string { return p.configKey() }
 
-// journalKey binds the journal to both the analysis configuration and, for
-// sharded runs, the shard partition spec. The partition is deliberately
-// absent from contentKey: the cache stays content-addressed and shared
-// across shards (and across different shard counts), while the journal —
-// which records which packages of *this* partition are complete — refuses
-// to resume under a foreign partition.
 // listPolicy is the retry policy for the snapshot listing: the same
 // schedule, classifier and breaker as the per-package policy, but without
 // the metrics sink. The listing runs once per pipeline run, so counting
@@ -809,6 +638,12 @@ func (p *Pipeline) listPolicy() *retry.Policy {
 	}
 }
 
+// journalKey binds the journal to both the analysis configuration and, for
+// sharded runs, the shard partition spec. The partition is deliberately
+// absent from contentKey: the cache stays content-addressed and shared
+// across shards (and across different shard counts), while the journal —
+// which records which packages of *this* partition are complete — refuses
+// to resume under a foreign partition.
 func (p *Pipeline) journalKey() string {
 	key := p.configKey()
 	if p.cfg.Partition != "" {
@@ -845,61 +680,82 @@ var scratchPool = sync.Pool{New: func() any {
 	return &scratch{excl: make(map[string]bool, 4)}
 }}
 
-// parsedAPK is the per-APK intermediate the post-analysis stages consume:
+// parsedAPK is the per-APK intermediate lint and URL extraction consume:
 // the parsed decompiled sources, the bytecode call graph and the deep-link
-// exclusion set. All are produced by the analyze stage anyway; retaining
-// them (only when a later stage exists) avoids a second decompile-and-parse
-// pass. Handed from the analyze worker through at most one worker per
-// stage, so the graph's non-concurrency-safe memoisation is fine.
+// exclusion set. All are produced by the analysis anyway; retaining them
+// (only when a later stage exists) avoids a second decompile-and-parse
+// pass. It never leaves the goroutine analysing its APK, so the graph's
+// non-concurrency-safe memoisation is fine.
 type parsedAPK struct {
 	units []*javaparser.CompilationUnit
 	graph *callgraph.Graph
 	excl  map[string]bool // deep-link classes excluded from attribution
 }
 
-// AnalyzeImage performs the per-APK static analysis — decompile, parse,
-// call-graph traversal, SDK attribution — against the given index (nil
-// uses the default catalog). A structurally broken APK yields
+// AnalyzeAndExtract performs the per-APK static analysis — decompile,
+// parse, call-graph traversal, SDK attribution — against the given index
+// (nil uses the default catalog), then the lint stage and the
+// URL-extraction stage, each skipped when its engine is nil, exactly as a
+// pipeline worker does for one image. A structurally broken APK yields
 // Analysis{Broken: true}, not an error.
-func AnalyzeImage(idx *sdkindex.Index, img []byte) (*Analysis, error) {
-	if idx == nil {
-		idx = sdkindex.Default()
-	}
-	an, _, err := analyzeImage(idx, img, false, nil)
-	return an, err
-}
-
-// AnalyzeAndLint performs the per-APK static analysis and runs the lint
-// engine over the retained parsed sources, exactly as the pipeline's
-// analyze + lint stages do for one image.
-func AnalyzeAndLint(idx *sdkindex.Index, lint *webviewlint.Analyzer, img []byte) (*Analysis, error) {
-	if idx == nil {
-		idx = sdkindex.Default()
-	}
-	an, parsed, err := analyzeImage(idx, img, true, nil)
-	if err != nil || an.Broken {
-		return an, err
-	}
-	an.Lint = lint.Analyze(webviewlint.App{Units: parsed.units, Graph: parsed.graph, Index: idx})
-	an.normalize()
-	return an, nil
-}
-
-// AnalyzeAndExtract performs the per-APK static analysis, optionally the
-// lint stage (nil skips it), and the URL-extraction stage, exactly as the
-// pipeline's streaming stages do for one image.
 func AnalyzeAndExtract(idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urlextract.Extractor, img []byte) (*Analysis, error) {
 	if idx == nil {
 		idx = sdkindex.Default()
 	}
-	an, parsed, err := analyzeImage(idx, img, true, nil)
-	if err != nil || an.Broken {
-		return an, err
+	return analyzeAPK(new(runMetrics), "", idx, lint, ex, img)
+}
+
+// analyzeAPK runs one downloaded image through the per-APK stages in
+// order: the analysis proper, then lint and URL extraction when their
+// engines are non-nil. Each stage counts its items in m and records its
+// latency and span under pkg; a zero runMetrics records nothing. The
+// image's in-flight bytes are released once it is parsed: the later stages
+// read only the retained sources and call graph.
+func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urlextract.Extractor, img []byte) (*Analysis, error) {
+	m.anIn.Inc()
+	tr := m.trace(pkg)
+	sp := tr.Start("analyze")
+	tm := m.hub.Timer(pkg, "analyze")
+	an, parsed, err := analyzeImage(idx, img, lint != nil || ex != nil, tr)
+	tm.ObserveInto(m.anLat)
+	m.addInFlight(-int64(len(img)))
+	if err != nil {
+		sp.SetAttr("outcome", "quarantined")
+		sp.End()
+		return nil, err
 	}
+	if an.Broken {
+		sp.SetAttr("outcome", "broken")
+		sp.End()
+		return an, nil
+	}
+	sp.End()
+	m.anOut.Inc()
+
 	if lint != nil {
+		m.lintIn.Inc()
+		sp = tr.Start("lint")
+		tm = m.hub.Timer(pkg, "lint")
 		an.Lint = lint.Analyze(webviewlint.App{Units: parsed.units, Graph: parsed.graph, Index: idx})
+		tm.ObserveInto(m.lintLat)
+		sp.SetAttr("findings", strconv.Itoa(len(an.Lint)))
+		sp.End()
+		m.lintOut.Inc()
+		m.lintFindings.Add(int64(len(an.Lint)))
 	}
-	an.Endpoints = ex.Extract(parsed.graph, parsed.excl, idx)
+	// URL extraction runs over the retained call graph with the same
+	// deep-link exclusion set the usage traversal applied.
+	if ex != nil {
+		m.urlsIn.Inc()
+		sp = tr.Start("urls")
+		tm = m.hub.Timer(pkg, "urls")
+		an.Endpoints = ex.Extract(parsed.graph, parsed.excl, idx)
+		tm.ObserveInto(m.urlsLat)
+		sp.SetAttr("endpoints", strconv.Itoa(len(an.Endpoints)))
+		sp.End()
+		m.urlsOut.Inc()
+		m.urlEndpoints.Add(int64(len(an.Endpoints)))
+	}
 	an.normalize()
 	return an, nil
 }
@@ -977,7 +833,6 @@ func analyzeImage(idx *sdkindex.Index, img []byte, keepParsed bool, tr *telemetr
 		an.Subclasses = append([]string(nil), subclasses...)
 	}
 	attributeSDKs(idx, an, usage)
-	an.normalize()
 	return an, parsed, nil
 }
 

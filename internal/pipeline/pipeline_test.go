@@ -4,13 +4,18 @@ import (
 	"context"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/android"
 	"repro/internal/androzoo"
 	"repro/internal/corpus"
 	"repro/internal/playstore"
+	"repro/internal/resultcache"
 	"repro/internal/sdkindex"
+	"repro/internal/urlextract"
+	"repro/internal/webviewlint"
 )
 
 // runScale runs the full pipeline over a generated corpus served via real
@@ -232,5 +237,74 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := p.Run(ctx); err == nil {
 		t.Error("cancelled run succeeded")
+	}
+}
+
+// blockingStore is a BlobStore whose writes wait until release is closed,
+// counting the writes pending meanwhile.
+type blockingStore struct {
+	*resultcache.MemStore
+	pending atomic.Int64
+	release chan struct{}
+}
+
+func (s *blockingStore) Store(key string, blob []byte) error {
+	s.pending.Add(1)
+	<-s.release
+	return s.MemStore.Store(key, blob)
+}
+
+// TestAPKsInFlightBoundedByWorkers holds every cache write, so no package
+// can finish, and checks that at most Workers packages were downloaded:
+// one worker carries each package from download to cache write, and
+// nothing queues the parsed sources of further packages between stages.
+func TestAPKsInFlightBoundedByWorkers(t *testing.T) {
+	const workers = 2
+	c := failureCorpus(t)
+	lint, err := webviewlint.New(webviewlint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &blockingStore{MemStore: resultcache.NewMemStore(), release: make(chan struct{})}
+	repo := &flakyRepo{c: c}
+	p := New(repo, &memMeta{c: c}, Config{
+		MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
+		Workers: workers, Lint: lint, URLs: urlextract.New(urlextract.Config{}),
+		Cache: resultcache.NewPersistent[Analysis](0, store, nil),
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Run(context.Background())
+		done <- err
+	}()
+	var once sync.Once
+	release := func() { once.Do(func() { close(store.release) }) }
+	defer release()
+
+	// Wait for a pending write and a download count that has stopped
+	// changing.
+	deadline := time.Now().Add(30 * time.Second)
+	n, since := repo.calls.Load(), time.Now()
+	for store.pending.Load() == 0 || time.Since(since) < 200*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatalf("downloads never settled: %d downloaded, %d writes pending", n, store.pending.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+		if cur := repo.calls.Load(); cur != n {
+			n, since = cur, time.Now()
+		}
+	}
+	if n > workers {
+		t.Errorf("%d packages downloaded while every cache write was held, want at most Workers = %d", n, workers)
+	}
+
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not finish after the cache writes were released")
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// StageStats describes one streaming stage of a run.
+// StageStats describes one stage of a run.
 type StageStats struct {
-	// Wall is the time from pipeline start until the stage drained — with
-	// overlapping stages the differences between stages, not the sum,
-	// describe the run.
+	// Wall is the time from pipeline start until the stage drained. The
+	// per-APK stages (download, analyze, lint, URLs) run in one worker pool
+	// and share its drain time; the difference from the metadata stage's,
+	// not the sum, describes the run.
 	Wall time.Duration
 	// In counts items entering the stage, Out items it passed downstream
 	// (or, for Analyze, completed successfully).
@@ -37,14 +38,15 @@ type Stats struct {
 	// the number of cache misses analysed; Out excludes broken APKs.
 	Analyze StageStats
 	// Lint covers the WebView misconfiguration stage over the retained
-	// parsed sources (all zero when linting is off or every app hit the
-	// cache).
+	// parsed sources (all zero when linting is off; In and Out are zero
+	// when every app hit the cache).
 	Lint StageStats
 	// LintFindings counts the findings produced by the lint stage this run
 	// (cache hits excluded: their findings were produced by an earlier run).
 	LintFindings int
 	// URLs covers the URL-extraction stage over the retained call graph
-	// (all zero when the stage is off or every app hit the cache).
+	// (all zero when the stage is off; In and Out are zero when every app
+	// hit the cache).
 	URLs StageStats
 	// URLEndpoints counts the endpoints extracted by the URL stage this run
 	// (cache hits excluded, as with LintFindings).
@@ -67,9 +69,10 @@ type Stats struct {
 	JournalSkips  int
 	JournalErrors int
 
-	// PeakInFlightBytes is the high-water mark of APK image bytes held by
-	// the download and analyze stages simultaneously — bounded by the
-	// Workers largest images, not the corpus size.
+	// PeakInFlightBytes is the high-water mark of APK image bytes held at
+	// once, each image counted from its download until it is parsed or
+	// served from the cache — bounded by the Workers largest images, not
+	// the corpus size.
 	PeakInFlightBytes int64
 }
 

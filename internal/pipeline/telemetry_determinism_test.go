@@ -15,22 +15,22 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
+	"repro/internal/urlextract"
+	"repro/internal/webviewlint"
 )
 
 // telemetryRun executes one pipeline run over the chaos corpus with a
 // fresh hub and returns the canonical metrics JSON and trace JSONL it
-// emitted. With faulted, the backends inject 10% transient errors
-// (absorbed by retries; no breaker — breaker transitions are
+// emitted. cfg supplies the worker count and stages; the selection filter
+// and hub are set here. With faulted, the backends inject 10% transient
+// errors (absorbed by retries; no breaker — breaker transitions are
 // scheduling-dependent and excluded from determinism guarantees).
-func telemetryRun(t *testing.T, c *corpus.Corpus, workers int, faulted bool) (hub *telemetry.Hub, metrics, trace string) {
+func telemetryRun(t *testing.T, c *corpus.Corpus, cfg pipeline.Config, faulted bool) (hub *telemetry.Hub, metrics, trace string) {
 	t.Helper()
 	hub = telemetry.New(telemetry.Options{Timing: telemetry.SeededTiming{Seed: 11}, Tracing: true})
 	var repo pipeline.Repository = newChaosRepo(c)
 	var meta pipeline.MetadataSource = &chaosMeta{c: c}
-	cfg := pipeline.Config{
-		MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
-		Workers: workers, Telemetry: hub,
-	}
+	cfg.MinDownloads, cfg.UpdatedAfter, cfg.Telemetry = corpus.MinDownloads, corpus.UpdateCutoff, hub
 	if faulted {
 		fcfg := faults.Config{Seed: 7, ErrorRate: 0.1, Telemetry: hub}
 		repo = faults.NewRepository(repo, fcfg)
@@ -39,7 +39,7 @@ func telemetryRun(t *testing.T, c *corpus.Corpus, workers int, faulted bool) (hu
 	}
 	p := pipeline.New(repo, meta, cfg)
 	if _, err := p.Run(context.Background()); err != nil {
-		t.Fatalf("run (workers=%d faulted=%v): %v", workers, faulted, err)
+		t.Fatalf("run (workers=%d faulted=%v): %v", cfg.Workers, faulted, err)
 	}
 	var mb, tb bytes.Buffer
 	if err := hub.Registry().Snapshot().WriteJSON(&mb); err != nil {
@@ -52,21 +52,38 @@ func telemetryRun(t *testing.T, c *corpus.Corpus, workers int, faulted bool) (hu
 }
 
 // TestTelemetrySnapshotScheduleIndependent runs the same corpus
-// sequentially and with 4 workers: the metrics snapshot and the trace
-// must be byte-identical — worker count and goroutine interleaving leave
-// no residue in the telemetry.
+// sequentially and with 4 workers, with the analysis alone and with the
+// lint and URL stages on: the metrics snapshot and the trace must be
+// byte-identical — worker count and goroutine interleaving leave no
+// residue in the telemetry.
 func TestTelemetrySnapshotScheduleIndependent(t *testing.T) {
 	c := chaosCorpus(t)
-	_, seqMetrics, seqTrace := telemetryRun(t, c, 1, false)
-	_, parMetrics, parTrace := telemetryRun(t, c, 4, false)
-	if seqMetrics != parMetrics {
-		t.Errorf("metrics diverge between workers=1 and workers=4:\n--- seq ---\n%s\n--- par ---\n%s", seqMetrics, parMetrics)
+	lint, err := webviewlint.New(webviewlint.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seqTrace != parTrace {
-		t.Errorf("traces diverge between workers=1 and workers=4")
-	}
-	if seqMetrics == "" || seqTrace == "" {
-		t.Fatal("telemetry outputs empty — instrumentation did not fire")
+	for _, tc := range []struct {
+		name string
+		cfg  pipeline.Config
+	}{
+		{"analysis", pipeline.Config{}},
+		{"lint+urls", pipeline.Config{Lint: lint, URLs: urlextract.New(urlextract.Config{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, par := tc.cfg, tc.cfg
+			seq.Workers, par.Workers = 1, 4
+			_, seqMetrics, seqTrace := telemetryRun(t, c, seq, false)
+			_, parMetrics, parTrace := telemetryRun(t, c, par, false)
+			if seqMetrics != parMetrics {
+				t.Errorf("metrics diverge between workers=1 and workers=4:\n--- seq ---\n%s\n--- par ---\n%s", seqMetrics, parMetrics)
+			}
+			if seqTrace != parTrace {
+				t.Errorf("traces diverge between workers=1 and workers=4")
+			}
+			if seqMetrics == "" || seqTrace == "" {
+				t.Fatal("telemetry outputs empty — instrumentation did not fire")
+			}
+		})
 	}
 }
 
@@ -77,8 +94,8 @@ func TestTelemetrySnapshotScheduleIndependent(t *testing.T) {
 // their seeds.
 func TestTelemetryFaultedRunDeterministic(t *testing.T) {
 	c := chaosCorpus(t)
-	hub, m1, t1 := telemetryRun(t, c, 4, true)
-	_, m2, t2 := telemetryRun(t, c, 4, true)
+	hub, m1, t1 := telemetryRun(t, c, pipeline.Config{Workers: 4}, true)
+	_, m2, t2 := telemetryRun(t, c, pipeline.Config{Workers: 4}, true)
 	if m1 != m2 {
 		t.Errorf("faulted metrics diverge across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", m1, m2)
 	}

@@ -349,7 +349,6 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	c.fed.Scrape(r.Context())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if r.URL.Query().Get("view") == "rollup" {
 		c.fed.WriteRollupProm(w)
@@ -359,7 +358,6 @@ func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request)
 }
 
 func (c *Coordinator) handleFleetMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	c.fed.Scrape(r.Context())
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	c.fed.WriteFleetJSON(w)
 }

@@ -334,6 +334,45 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 	}
 }
 
+// TestFleetStatusIsTheOnlyScrapingView registers a worker's live
+// endpoint through a lease and counts the requests it receives: the
+// /fleet/metrics views render accepted partition deltas only and must not
+// scrape it, while /fleet/status, which shows per-worker views, does.
+func TestFleetStatusIsTheOnlyScrapingView(t *testing.T) {
+	var scrapes atomic.Int64
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		scrapes.Add(1)
+		telemetry.New(telemetry.Options{}).Registry().Snapshot().WriteJSON(w)
+	}))
+	defer live.Close()
+	_, srv := startCoordinator(t, shard.CoordinatorConfig{
+		Spec: shard.RunSpec{Shards: 2, LeaseTTL: time.Minute},
+	})
+	decodeGrant(t, postJSON(t, srv.URL+"/v1/lease",
+		map[string]string{"worker": "w1", "metricsUrl": live.URL + "/metrics.json"}))
+
+	get := func(path string) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+	get("/fleet/metrics")
+	get("/fleet/metrics.json")
+	if n := scrapes.Load(); n != 0 {
+		t.Fatalf("the metrics views scraped the worker %d times, want 0", n)
+	}
+	get("/fleet/status")
+	if n := scrapes.Load(); n != 1 {
+		t.Fatalf("/fleet/status scraped the worker %d times, want 1", n)
+	}
+}
+
 // TestFleetRefusesBadSnapshotKeepsReport pins the decoder boundary on
 // POST /v1/result and /v1/snapshot: a delta that fails to decode, or
 // that conflicts with an accepted one, is refused and counted as

@@ -68,7 +68,7 @@ type Config struct {
 	Now func() time.Time
 	// Client performs live /metrics.json scrapes (nil = 5s-timeout default).
 	Client *http.Client
-	// ScrapeGap is the minimum interval between scrape sweeps; /fleet/*
+	// ScrapeGap is the minimum interval between scrape sweeps; status
 	// requests arriving faster than this reuse the previous scrape
 	// (0 = 2s). Scrapes happen on demand — the federator runs no
 	// background timers.
@@ -219,9 +219,9 @@ func (f *Federator) FinalFlush(worker string, metrics []byte) error {
 }
 
 // Scrape pulls /metrics.json from every registered worker, rate-limited by
-// ScrapeGap. It is called on demand when a /fleet/* view is requested;
-// failures are recorded per worker and surfaced in the status document
-// rather than failing the request.
+// ScrapeGap. It is called on demand when /fleet/status is requested, the
+// one view that reads scraped data; failures are recorded per worker and
+// surfaced in the status document rather than failing the request.
 func (f *Federator) Scrape(ctx context.Context) {
 	f.mu.Lock()
 	if f.scraped && f.now().Sub(f.lastScrape) < f.cfg.ScrapeGap {

@@ -1,6 +1,6 @@
 // Package webviewlint is a configurable, interprocedural static-analysis
-// engine for WebView security misconfigurations, run by the pipeline as its
-// own streaming stage over each APK's decompiled-and-parsed sources
+// engine for WebView security misconfigurations, run by the pipeline as a
+// stage after each APK's analysis over its decompiled-and-parsed sources
 // (javaparser.CompilationUnit) and call graph (callgraph.Graph).
 //
 // The paper's static pipeline (§3.1) records which WebView APIs apps call;
