@@ -1,34 +1,21 @@
 package browsersim
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/jsvm"
-)
-
-// execBoth runs script on a fresh bindings page under each jsvm engine
-// and returns the completion values, which must agree.
-func execBoth(t *testing.T, script string) string {
+// execPage runs script on a fresh bindings page and returns its completion
+// value. TestDifferentialPageBindings (internal/jsvm) runs the scripts of
+// this file on the reference tree walker too and asserts it agrees.
+func execPage(t *testing.T, script string) string {
 	t.Helper()
-	srv := bindingsSite(t)
-	var outs [2]string
-	for i, eng := range []jsvm.Engine{jsvm.EngineAST, jsvm.EngineBytecode} {
-		page := loadB(t, srv, nil)
-		page.VM.Engine = eng
-		out, err := page.Execute(script)
-		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
-		}
-		outs[i] = out
+	out, err := loadB(t, bindingsSite(t), nil).Execute(script)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if outs[0] != outs[1] {
-		t.Fatalf("engines disagree: ast=%q bytecode=%q", outs[0], outs[1])
-	}
-	return outs[1]
+	return out
 }
 
 func TestParentNodeIsLive(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var d = document.createElement("div");
 var before = d.parentNode;
 document.body.appendChild(d);
@@ -43,7 +30,7 @@ a.removeChild(b);
 }
 
 func TestIDIsLive(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var a = document.getElementById("a");
 a.setAttribute("id", "renamed");
 a.id + "|" + (document.getElementById("renamed") === a);`)
@@ -53,7 +40,7 @@ a.id + "|" + (document.getElementById("renamed") === a);`)
 }
 
 func TestTextContentIsLive(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var a = document.getElementById("a");
 var before = a.textContent;
 a.removeChild(document.getElementById("b"));
@@ -66,7 +53,7 @@ before + "|" + a.textContent + "|" + document.getElementById("a").tagName;`)
 // TestOperationsLiveOnPrototypes pins one function object per operation
 // per page, as browsers keep one per interface.
 func TestOperationsLiveOnPrototypes(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var a = document.getElementById("a");
 var d = document.createElement("div");
 var all = document.getElementsByTagName("*");
@@ -89,7 +76,7 @@ func TestDetachedOperationIsIllegalInvocation(t *testing.T) {
 		`var f = document.getElementsByTagName("*").item; f(0);`,
 		`var f = new XMLHttpRequest().open; f("GET", "/beacon");`,
 	} {
-		out := execBoth(t, `var r = "no throw"; try { `+call+` } catch (e) { r = e.name + ": " + e.message } r`)
+		out := execPage(t, `var r = "no throw"; try { `+call+` } catch (e) { r = e.name + ": " + e.message } r`)
 		if out != "TypeError: Illegal invocation" {
 			t.Errorf("%s => %q", call, out)
 		}
@@ -101,7 +88,7 @@ func TestDetachedOperationIsIllegalInvocation(t *testing.T) {
 // hasOwnProperty, Object.keys and JSON.stringify see only what script
 // wrote, as in browsers.
 func TestWrapperEnumeration(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var a = document.getElementById("a");
 var ks = [];
 for (var k in a) { ks.push(k); }
@@ -117,7 +104,7 @@ ks.join(",") + "|" + ("tagName" in a) + "|" + a.hasOwnProperty("tagName") + "|" 
 // TestScriptWritesStayOnWrapper pins that an own property shadows the
 // inherited member and that no write reaches the shared prototype.
 func TestScriptWritesStayOnWrapper(t *testing.T) {
-	out := execBoth(t, `
+	out := execPage(t, `
 var a = document.getElementById("a");
 var d = document.createElement("div");
 a.tagName = "MINE";

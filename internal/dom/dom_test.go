@@ -199,3 +199,40 @@ func TestVoidElements(t *testing.T) {
 		t.Errorf("br count = %d", n)
 	}
 }
+
+// TestRawTextNonASCII pins raw-text bodies whose lower-cased form changes
+// byte length (invalid UTF-8 grows, 'İ' grows): the close tag is found on
+// the source bytes, so nothing panics and no part of it leaks into text.
+func TestRawTextNonASCII(t *testing.T) {
+	for _, c := range []struct{ src, tag, raw, text string }{
+		{"<script>\xe2\xe2\xe2\xe2\xe2</script>", "script", "\xe2\xe2\xe2\xe2\xe2", "\xe2\xe2\xe2\xe2\xe2"},
+		{"<script>\xe2</script><p>x</p>", "script", "\xe2", "\xe2x"},
+		{"<style>İİ</STYLE><p>x</p>", "style", "İİ", "İİx"},
+	} {
+		d := Parse(c.src)
+		els := d.GetElementsByTagName(c.tag)
+		if len(els) != 1 || els[0].Text() != c.raw {
+			t.Errorf("Parse(%q): %d <%s> elements, want one holding %q", c.src, len(els), c.tag, c.raw)
+		}
+		if got := d.Root.Text(); got != c.text {
+			t.Errorf("Parse(%q): document text %q, want %q", c.src, got, c.text)
+		}
+	}
+}
+
+// FuzzParse asserts Parse never panics and builds at most one node per
+// source byte plus the document root. testdata/fuzz/FuzzParse holds the
+// inputs TestRawTextNonASCII pins.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{page, "<div", "<!-- x", "</p>", "<a href='x>y'>", "<script>never closed"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d := Parse(src)
+		nodes := 0
+		d.Root.Walk(func(*Node) bool { nodes++; return true })
+		if nodes > len(src)+1 {
+			t.Errorf("%d nodes from %d bytes", nodes, len(src))
+		}
+	})
+}

@@ -174,19 +174,39 @@ func (p *htmlParser) findTagEnd() int {
 	return len(p.src) - 1
 }
 
-// rawUntil consumes raw text up to (not including) the case-insensitive
-// marker, leaving the parser positioned at the marker's close tag.
+// rawUntil consumes raw text up to (not including) the lower-case ASCII
+// marker, matched case-insensitively on the source bytes, leaving the
+// parser positioned at the marker's close tag.
 func (p *htmlParser) rawUntil(marker string) string {
-	lower := strings.ToLower(p.src[p.pos:])
-	idx := strings.Index(lower, strings.ToLower(marker))
-	if idx < 0 {
-		out := p.src[p.pos:]
-		p.pos = len(p.src)
-		return out
+	start := p.pos
+	for i := start; i+len(marker) <= len(p.src); i++ {
+		if hasPrefixFoldASCII(p.src[i:], marker) {
+			p.pos = i
+			return p.src[start:i]
+		}
 	}
-	out := p.src[p.pos : p.pos+idx]
-	p.pos += idx
-	return out
+	p.pos = len(p.src)
+	return p.src[start:]
+}
+
+// hasPrefixFoldASCII reports whether s starts with the lower-case ASCII
+// prefix, ignoring the case of ASCII letters in s. Unlike matching in a
+// strings.ToLower copy, it never shifts an offset: ToLower changes the
+// byte length of invalid UTF-8 and of letters such as 'İ'.
+func hasPrefixFoldASCII(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func parseTagBody(raw string) (string, map[string]string) {

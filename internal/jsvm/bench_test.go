@@ -60,8 +60,8 @@ func BenchmarkJSVMCachedParse(b *testing.B) {
 	}
 }
 
-// BenchmarkJSVMExecuteHot measures repeated execution inside one VM —
-// where the scope and argument pooling shows up.
+// BenchmarkJSVMExecuteHot measures repeated execution inside one VM, the
+// steady state of a crawl worker's VM.
 func BenchmarkJSVMExecuteHot(b *testing.B) {
 	prog, err := Compile(`
 		function work(n) {
@@ -84,33 +84,46 @@ func BenchmarkJSVMExecuteHot(b *testing.B) {
 	}
 }
 
-// BenchmarkJSVMBytecodeExecute is BenchmarkJSVMExecuteHot pinned to the
-// bytecode engine, with an AST-engine pair for same-binary comparison.
+// BenchmarkJSVMBytecodeExecute is BenchmarkJSVMExecuteHot with a
+// tree-walker pair (parsed once, like the compiled program) for
+// same-binary comparison.
 func BenchmarkJSVMBytecodeExecute(b *testing.B) {
-	prog, err := Compile(`
+	const src = `
 		function work(n) {
 			var t = 0;
 			for (var i = 0; i < n; i++) { t += i }
 			return t
 		}
 		work(50)
-	`)
+	`
+	prog, err := Compile(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineBytecode, EngineAST} {
-		b.Run(eng.String(), func(b *testing.B) {
-			vm := New()
-			vm.Engine = eng
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := vm.RunProgram(prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	body, err := parseProgram(src)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("bytecode", func(b *testing.B) {
+		vm := New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := vm.RunProgram(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ast", func(b *testing.B) {
+		w := newWalker(New())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.exec(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkJSVMCompile measures the full compile pipeline (parse +
@@ -143,7 +156,6 @@ func TestICHitRate(t *testing.T) {
 		t.Fatal("program did not lower to bytecode")
 	}
 	vm := New()
-	vm.Engine = EngineBytecode
 	for i := 0; i < 5; i++ {
 		if _, err := vm.RunProgram(prog); err != nil {
 			t.Fatal(err)

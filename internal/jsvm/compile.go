@@ -201,7 +201,7 @@ type compileError struct{ err error }
 
 // compileProgram lowers a parsed program to bytecode. Errors indicate an
 // AST shape the compiler does not handle.
-func compileProgram(p *Program) (mp *funcProto, err error) {
+func compileProgram(prog []node) (mp *funcProto, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ce, ok := r.(compileError)
@@ -211,26 +211,25 @@ func compileProgram(p *Program) (mp *funcProto, err error) {
 			mp, err = nil, ce.err
 		}
 	}()
-	var body []node
-	for i := range p.decls {
-		body = append(body, p.decls[i])
-	}
-	body = append(body, p.stmts...)
-
 	f := newCFunc(nil, "(program)")
 	f.global = true
-	f.captured = capturedNames(body)
-	// Hoisted top-level function declarations, then statements in source
-	// order, mirroring RunProgram's tree-walking order. Each top-level
-	// statement updates the last-value register (non-expression statements
-	// reset it to undefined, as the walker's completion values do).
-	for i := range p.decls {
-		fd := &p.decls[i]
-		idx := f.compileFuncLit(fd.fn)
-		f.emit(opClosure, idx, 0, fd.line(), 1)
-		f.emit(opDeclGlobal, f.nameOf(fd.fn.name), 0, fd.line(), -1)
+	f.captured = capturedNames(prog)
+	// Hoisted top-level function declarations, then the other statements
+	// in source order, mirroring the reference walker's order. Each
+	// top-level statement updates the last-value register (non-expression
+	// statements reset it to undefined, as the walker's completion values
+	// do).
+	for _, st := range prog {
+		if fd, ok := st.(funcDecl); ok {
+			idx := f.compileFuncLit(fd.fn)
+			f.emit(opClosure, idx, 0, fd.line(), 1)
+			f.emit(opDeclGlobal, f.nameOf(fd.fn.name), 0, fd.line(), -1)
+		}
 	}
-	for _, st := range p.stmts {
+	for _, st := range prog {
+		if _, ok := st.(funcDecl); ok {
+			continue
+		}
 		if es, ok := st.(exprStmt); ok {
 			f.expr(es.expr)
 			f.emit(opStoreLast, 0, 0, es.line(), -1)

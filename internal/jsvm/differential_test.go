@@ -158,11 +158,24 @@ type diffOutcome struct {
 	log    []string
 }
 
-// runEngineDiff executes src on a fresh VM pinned to one engine,
-// capturing the result, error and host-call log.
-func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
+// engine runs a script on a VM: the production bytecode VM (VM.Run) or
+// the reference tree walker (walker_test.go).
+type engine struct {
+	name string
+	run  func(vm *VM, src string) (Value, error)
+}
+
+func (e engine) String() string { return e.name }
+
+var (
+	engineBytecode = engine{"bytecode", (*VM).Run}
+	engineAST      = engine{"ast", func(vm *VM, src string) (Value, error) { return newWalker(vm).run(src) }}
+)
+
+// runEngineDiff executes src on a fresh VM with one engine, capturing the
+// result, error and host-call log.
+func runEngineDiff(src string, eng engine, maxSteps int) diffOutcome {
 	vm := New()
-	vm.Engine = eng
 	vm.MaxSteps = maxSteps
 	var out diffOutcome
 	vm.Global.Set("HOSTVAL", Number(7))
@@ -175,7 +188,7 @@ func runEngineDiff(src string, eng Engine, maxSteps int) diffOutcome {
 		out.log = append(out.log, strings.Join(parts, "|"))
 		return Undefined(), nil
 	})
-	v, err := vm.Run(src)
+	v, err := eng.run(vm, src)
 	if err != nil {
 		out.errStr = err.Error()
 		out.budget = errors.Is(err, ErrStepBudget)
@@ -252,8 +265,8 @@ func compareOutcomes(t *testing.T, src string, ast, bc diffOutcome) {
 
 func TestDifferentialCorpus(t *testing.T) {
 	for _, src := range differentialCorpus {
-		ast := runEngineDiff(src, EngineAST, 0)
-		bc := runEngineDiff(src, EngineBytecode, 0)
+		ast := runEngineDiff(src, engineAST, 0)
+		bc := runEngineDiff(src, engineBytecode, 0)
 		compareOutcomes(t, src, ast, bc)
 	}
 }
@@ -285,8 +298,8 @@ func TestDifferentialStepBudget(t *testing.T) {
 	}
 	for _, src := range cases {
 		for _, budget := range []int{500, 50_000} {
-			ast := runEngineDiff(src, EngineAST, budget)
-			bc := runEngineDiff(src, EngineBytecode, budget)
+			ast := runEngineDiff(src, engineAST, budget)
+			bc := runEngineDiff(src, engineBytecode, budget)
 			if !ast.budget {
 				t.Errorf("%q (budget %d): ast engine did not hit the step budget: %q", src, budget, ast.errStr)
 			}
@@ -302,7 +315,7 @@ func TestDifferentialStepBudget(t *testing.T) {
 // AST budget also finish under the bytecode budget.
 func TestDifferentialBudgetSurvivors(t *testing.T) {
 	src := `var t = 0; for (var i = 0; i < 100; i++) { t += i } t`
-	for _, eng := range []Engine{EngineAST, EngineBytecode} {
+	for _, eng := range []engine{engineAST, engineBytecode} {
 		out := runEngineDiff(src, eng, 50_000)
 		if out.errStr != "" {
 			t.Errorf("engine %v: %q", eng, out.errStr)
@@ -408,8 +421,8 @@ func TestDifferentialGenerated(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		g := &diffGen{state: seed * 0x9e3779b97f4a7c15}
 		src := g.program()
-		ast := runEngineDiff(src, EngineAST, 200_000)
-		bc := runEngineDiff(src, EngineBytecode, 200_000)
+		ast := runEngineDiff(src, engineAST, 200_000)
+		bc := runEngineDiff(src, engineBytecode, 200_000)
 		compareOutcomes(t, fmt.Sprintf("seed %d: %s", seed, src), ast, bc)
 	}
 }
@@ -424,8 +437,8 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		g := &diffGen{state: seed*0x9e3779b97f4a7c15 + 1}
 		src := g.program()
-		ast := runEngineDiff(src, EngineAST, 200_000)
-		bc := runEngineDiff(src, EngineBytecode, 200_000)
+		ast := runEngineDiff(src, engineAST, 200_000)
+		bc := runEngineDiff(src, engineBytecode, 200_000)
 		compareOutcomes(t, src, ast, bc)
 	})
 }

@@ -15,31 +15,8 @@ import (
 // (app, site) visit.
 type Program struct {
 	src string
-	// stmts are the non-declaration statements in source order; decls are
-	// the hoisted top-level function declarations. Splitting at compile
-	// time removes the two hoisting passes Run used to make per execution.
-	stmts []node
-	decls []funcDecl
 	// main is the bytecode form (compile.go).
 	main *funcProto
-}
-
-// Engine selects how RunProgram executes a compiled program. The zero
-// value is the production bytecode VM; the tree walker is the reference
-// implementation the differential tests and fuzzer compare it against.
-type Engine int
-
-// Engines.
-const (
-	EngineBytecode Engine = iota // compile.go stack VM
-	EngineAST                    // tree-walking interpreter
-)
-
-func (e Engine) String() string {
-	if e == EngineAST {
-		return "ast"
-	}
-	return "bytecode"
 }
 
 // Src returns the source the program was compiled from.
@@ -52,14 +29,7 @@ func Compile(src string) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{src: src}
-	for _, st := range body {
-		if fd, ok := st.(funcDecl); ok {
-			p.decls = append(p.decls, fd)
-		} else {
-			p.stmts = append(p.stmts, st)
-		}
-	}
-	if p.main, err = compileProgram(p); err != nil {
+	if p.main, err = compileProgram(body); err != nil {
 		return nil, err
 	}
 	compileCounter.Load().Inc()

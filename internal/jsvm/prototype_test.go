@@ -19,14 +19,14 @@ func TestHostPrototypeSemantics(t *testing.T) {
 		{`function read() { return HOSTOBJ.k } var a = read(); protoSet("k", "changed"); a + "," + read()`, "string:inherited,changed"},
 		{`function read() { return HOSTOBJ.k } var a = read(); HOSTOBJ.k = "own"; a + "," + read()`, "string:inherited,own"},
 	}
-	for _, eng := range []Engine{EngineAST, EngineBytecode} {
+	for _, eng := range []engine{engineAST, engineBytecode} {
 		for _, c := range cases {
 			if out := runEngineDiff(c.src, eng, 0); out.errStr != "" || out.val != c.want {
 				t.Errorf("%v: %s = %q (err %q), want %q", eng, c.src, out.val, out.errStr, c.want)
 			}
 		}
 	}
-	if out := runEngineDiff(`var f = HOSTOBJ.m; f("z")`, EngineBytecode, 0); !strings.Contains(out.errStr, "Illegal invocation") {
+	if out := runEngineDiff(`var f = HOSTOBJ.m; f("z")`, engineBytecode, 0); !strings.Contains(out.errStr, "Illegal invocation") {
 		t.Errorf("detached call: err = %q", out.errStr)
 	}
 }

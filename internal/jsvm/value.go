@@ -5,11 +5,12 @@
 // behind the browser simulation's <script> execution and the WebView
 // runtime's evaluateJavascript.
 //
-// A hand-written parser feeds a bytecode compiler and stack VM (the
-// production engine) and a tree walker (the reference engine the
-// differential tests compare it against). Host integrations (document,
-// window, console, JS bridges) are provided as host objects with
-// Go-function properties; see NewObject, HostFunc and VM.Global.
+// A hand-written parser feeds a bytecode compiler and stack VM, the one
+// engine scripts run on. The package's tests keep a tree walker over the
+// same AST as the reference the differential tests and fuzzer compare the
+// VM against. Host integrations (document, window, console, JS bridges)
+// are provided as host objects with Go-function properties; see
+// NewObject, HostFunc and VM.Global.
 // Embedders that expose many objects of one interface put the shared
 // operations and host accessors on a prototype object once
 // (SetPrototype, SetAccessor, NewInstance).
@@ -239,10 +240,8 @@ type Object struct {
 	// write lands on the written object itself.
 	prototype *Object
 
-	// Callable state: fn (AST script function), proto (bytecode script
-	// function) or host.
-	fn    *funcLit
-	env   *scope
+	// Callable state: proto and cells (a script function compiled to
+	// bytecode) or host.
 	proto *funcProto
 	cells []*cell // captured bindings of a bytecode closure
 	host  HostFunc

@@ -10,9 +10,9 @@ import (
 // compile.go. One frame per call lives on a shared value stack: parameter
 // and local slots at the base, operands above. Closures capture heap
 // cells; every other binding is a slot. The step budget is charged per
-// instruction with a conversion factor keeping budgets calibrated for the
-// tree walker valid (bytecode executes roughly as many instructions as
-// the walker evaluates nodes, bounded by bcStepFactor).
+// instruction with a conversion factor, so budgets stay in the unit of the
+// reference tree walker the tests keep (bytecode executes roughly as many
+// instructions as the walker evaluates nodes, bounded by bcStepFactor).
 
 // bcStepFactor converts an AST-node step budget to a bytecode
 // instruction budget: effective limit = MaxSteps * bcStepFactor.
@@ -63,23 +63,8 @@ type frame struct {
 	ics     []icEntry
 }
 
-// runBytecode executes a program's compiled main function.
-func (vm *VM) runBytecode(p *Program) (Value, error) {
-	vm.steps = 0
-	vm.lastVal = Undefined()
-	st, v, err := vm.execProto(p.main, nil, Undefined(), vm.sp, 0)
-	vm.flushICTelemetry()
-	if err != nil {
-		return Undefined(), err
-	}
-	if st == stReturn {
-		return v, nil
-	}
-	return vm.lastVal, nil
-}
-
 // callClosure invokes a bytecode closure with args originating outside
-// the VM stack (Go callers, host builtins, the tree walker).
+// the VM stack (Go callers, host builtins).
 func (vm *VM) callClosure(o *Object, this Value, args []Value) (Value, error) {
 	argStart := vm.sp
 	vm.ensureStack(argStart + len(args))
@@ -255,7 +240,7 @@ func (vm *VM) runFrame(fr *frame, pc, end int32) (uint8, Value, error) {
 			c.set = true
 		case opDeclGlobal:
 			vm.sp--
-			vm.global.declare(proto.names[in.a], vm.stack[vm.sp])
+			vm.declareGlobal(proto.names[in.a], vm.stack[vm.sp])
 		case opResetSlots:
 			for i := in.a; i < in.b; i++ {
 				vm.stack[base+i] = unsetValue
@@ -591,9 +576,8 @@ func (vm *VM) runFrame(fr *frame, pc, end int32) (uint8, Value, error) {
 }
 
 // dispatchCall invokes the callable at the top of the stack layout
-// [recv, fn, args...] from either engine: host functions get a fresh
-// argument slice (they may retain it), bytecode closures run in place on
-// the stack, and tree-walker closures route through invoke.
+// [recv, fn, args...]: host functions get a fresh argument slice (they
+// may retain it), and bytecode closures run in place on the stack.
 func (vm *VM) dispatchCall(fnV, recv Value, argStart, nargs, ln int) (Value, error) {
 	o := fnV.Object()
 	if o == nil || !o.call {
@@ -604,18 +588,15 @@ func (vm *VM) dispatchCall(fnV, recv Value, argStart, nargs, ln int) (Value, err
 		copy(args, vm.stack[argStart:argStart+nargs])
 		return o.host(Call{VM: vm, This: recv, Args: args})
 	}
-	if o.proto != nil {
-		np := o.proto.nparams
-		if nargs < np {
-			vm.ensureStack(argStart + np)
-			for i := nargs; i < np; i++ {
-				vm.stack[argStart+i] = Undefined()
-			}
-			vm.sp = argStart + np
+	np := o.proto.nparams
+	if nargs < np {
+		vm.ensureStack(argStart + np)
+		for i := nargs; i < np; i++ {
+			vm.stack[argStart+i] = Undefined()
 		}
-		return vm.callProtoAt(o, recv, argStart, nargs)
+		vm.sp = argStart + np
 	}
-	return vm.invoke(fnV, recv, vm.stack[argStart:argStart+nargs], ln)
+	return vm.callProtoAt(o, recv, argStart, nargs)
 }
 
 // getLookup resolves a named read through its candidate chain; the
@@ -654,7 +635,7 @@ func (vm *VM) getLookup(fr *frame, in instr, ln int32) (Value, error) {
 					}
 				}
 				vm.icMisses++
-				if box, ok := vm.global.vars[name]; ok {
+				if box, ok := vm.globals[name]; ok {
 					*e = icEntry{state: 1, gen: vm.globalGen, box: box}
 					return *box, nil
 				}
@@ -665,7 +646,7 @@ func (vm *VM) getLookup(fr *frame, in instr, ln int32) (Value, error) {
 				}
 				return Undefined(), throwError("%s is not defined", name)
 			}
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				return *box, nil
 			}
 			if vm.Global.Has(name) {
@@ -703,7 +684,7 @@ func (vm *VM) setLookup(fr *frame, in instr, v Value) {
 			}
 		case refGlobal:
 			name := fr.proto.names[r.idx]
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				*box = v
 				return
 			}
@@ -735,7 +716,7 @@ func (vm *VM) typeofLookup(fr *frame, in instr) Value {
 			}
 		case refGlobal:
 			name := fr.proto.names[r.idx]
-			if box, ok := vm.global.vars[name]; ok {
+			if box, ok := vm.globals[name]; ok {
 				return String(box.TypeOf())
 			}
 			if vm.Global.Has(name) {

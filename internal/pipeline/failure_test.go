@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/playstore"
+	"repro/internal/resultcache"
 )
 
 // flakyRepo wraps in-memory corpus data with injectable failures.
@@ -18,8 +20,10 @@ type flakyRepo struct {
 	c *corpus.Corpus
 	// failEveryNth makes every n-th download fail (0 = never).
 	failEveryNth int64
-	calls        atomic.Int64
-	listErr      error
+	// failPkg's download always fails.
+	failPkg string
+	calls   atomic.Int64
+	listErr error
 }
 
 func (r *flakyRepo) List(ctx context.Context) ([]string, error) {
@@ -37,6 +41,9 @@ func (r *flakyRepo) Download(ctx context.Context, pkg string) ([]byte, error) {
 	n := r.calls.Add(1)
 	if r.failEveryNth > 0 && n%r.failEveryNth == 0 {
 		return nil, fmt.Errorf("flaky: transient download failure for %s", pkg)
+	}
+	if pkg == r.failPkg {
+		return nil, fmt.Errorf("flaky: %s is gone", pkg)
 	}
 	spec := r.c.AppByPackage(pkg)
 	if spec == nil {
@@ -165,5 +172,63 @@ func TestPipelineDeterministicUnderConcurrency(t *testing.T) {
 			len(x.WebViewSDKs) != len(y.WebViewSDKs) || len(x.Methods) != len(y.Methods) {
 			t.Fatalf("app %d differs between worker counts:\n1: %+v\n8: %+v", i, x, y)
 		}
+	}
+}
+
+// TestDownloadInCountsQuarantinedDownloads pins the download stage's
+// counters when a download is quarantined: every package that reaches the
+// stage counts in In, and leaves as Out (a cache miss on to analysis), a
+// cache hit or a quarantine; every package the metadata stage passes on
+// either reaches the download stage or is replayed from the journal. A cold
+// run, a journal resume and a warm-cache run each quarantine the same
+// package.
+func TestDownloadInCountsQuarantinedDownloads(t *testing.T) {
+	c := failureCorpus(t)
+	var victim string
+	for _, s := range c.Apps {
+		if s.OnPlayStore && s.Downloads >= corpus.MinDownloads && s.LastUpdated.After(corpus.UpdateCutoff) {
+			victim = s.Package
+			break
+		}
+	}
+	cache := resultcache.New[Analysis](0)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	run := func(name string, cache *resultcache.Cache[Analysis], journal bool) Stats {
+		t.Helper()
+		cfg := Config{MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
+			Workers: 3, MaxFailureFrac: 0.5, Cache: cache}
+		if journal {
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			cfg.Journal = j
+		}
+		res, err := New(&flakyRepo{c: c, failPkg: victim}, &memMeta{c: c}, cfg).Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Quarantined) != 1 || res.Quarantined[0].Package != victim || res.Quarantined[0].Stage != "download" {
+			t.Fatalf("%s: quarantined %+v, want %s at download", name, res.Quarantined, victim)
+		}
+		st := res.Stats
+		dl := st.Download
+		if dl.In != dl.Out+st.CacheHits+dl.Quarantined {
+			t.Errorf("%s: download in=%d, want out %d + cache hits %d + quarantined %d",
+				name, dl.In, dl.Out, st.CacheHits, dl.Quarantined)
+		}
+		if st.Metadata.Out != dl.In+st.JournalSkips {
+			t.Errorf("%s: metadata out=%d, want download in %d + journal skips %d",
+				name, st.Metadata.Out, dl.In, st.JournalSkips)
+		}
+		return st
+	}
+	cold := run("cold", cache, true)
+	resumed := run("resumed", nil, true)
+	warm := run("warm", cache, false)
+	if cold.Download.Out == 0 || resumed.JournalSkips == 0 || warm.CacheHits == 0 {
+		t.Errorf("a run missed its path: cold out=%d, resumed journal skips=%d, warm cache hits=%d",
+			cold.Download.Out, resumed.JournalSkips, warm.CacheHits)
 	}
 }

@@ -132,12 +132,10 @@ type Config struct {
 
 // Pipeline wires the stages together.
 type Pipeline struct {
-	repo    Repository
-	meta    MetadataSource
-	cfg     Config
-	indexFP string // cache-key component: invalidates on catalog change
-	lintFP  string // cache-key component: invalidates on lint-config change
-	urlFP   string // cache-key component: invalidates on extractor change
+	repo Repository
+	meta MetadataSource
+	cfg  Config
+	key  string // configKey(cfg), fixed for the pipeline's lifetime
 }
 
 // New constructs a pipeline over the given services.
@@ -148,14 +146,7 @@ func New(repo Repository, meta MetadataSource, cfg Config) *Pipeline {
 	if cfg.Index == nil {
 		cfg.Index = sdkindex.Default()
 	}
-	p := &Pipeline{repo: repo, meta: meta, cfg: cfg, indexFP: cfg.Index.Fingerprint()}
-	if cfg.Lint != nil {
-		p.lintFP = cfg.Lint.Fingerprint()
-	}
-	if cfg.URLs != nil {
-		p.urlFP = cfg.URLs.Fingerprint()
-	}
-	return p
+	return &Pipeline{repo: repo, meta: meta, cfg: cfg, key: configKey(cfg)}
 }
 
 // SDKHit is one SDK observed driving a surface in one app.
@@ -309,7 +300,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 
 	res := &Result{}
 	listStart := time.Now()
-	pkgs, err := retry.Do(runCtx, p.listPolicy(), func(ctx context.Context) ([]string, error) {
+	// The listing retries on the per-package schedule, classifier and
+	// breaker but counts into no metrics sink: it runs once per pipeline
+	// run, so counting its attempt would make per-run metric deltas depend
+	// on how a corpus is partitioned across runs; the mirrored retry
+	// families (and Stats.Retries) carry per-package traffic only.
+	pkgs, err := retry.Do(runCtx, p.cfg.Retry.WithMetrics(nil), func(ctx context.Context) ([]string, error) {
 		return p.repo.List(ctx)
 	})
 	if err != nil {
@@ -495,6 +491,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						continue
 					}
 				}
+				m.dlIn.Inc()
 				tr := m.trace(sel.pkg)
 				sp := tr.Start("download")
 				tm := m.hub.Timer(sel.pkg, "download")
@@ -513,7 +510,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				}
 				sp.SetAttr("bytes", strconv.Itoa(len(img)))
 				sp.End()
-				m.dlIn.Inc()
 				m.apkBytes.Observe(float64(len(img)))
 				m.addInFlight(int64(len(img)))
 
@@ -595,17 +591,25 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// configKey fingerprints the analysis configuration (SDK index and,
-// when linting, the rule set) — the part of the cache key that does not
-// depend on APK content. The journal binds to it so resumed entries are
-// only replayed under the configuration that produced them.
-func (p *Pipeline) configKey() string {
-	key := p.indexFP
-	if p.lintFP != "" {
-		key += "@lint:" + p.lintFP
+// analysisVersion is the generation of the per-APK analysis code no other
+// fingerprint covers: the decompiler, javaparser, callgraph and
+// attributeSDKs. Bump it on any change to what they produce, so cached
+// analyses and journals from an older binary are not served;
+// TestAnalysisVersionPinsOutput fails on a change without a bump.
+const analysisVersion = 1
+
+// configKey fingerprints the analysis code and configuration (the
+// analysis version, the SDK index and, when enabled, the lint rule set and
+// URL extractor) — the part of the cache key that does not depend on APK
+// content. The journal binds to it so resumed entries are only replayed
+// under the configuration that produced them.
+func configKey(cfg Config) string {
+	key := cfg.Index.Fingerprint() + "@analysis:" + strconv.Itoa(analysisVersion)
+	if cfg.Lint != nil {
+		key += "@lint:" + cfg.Lint.Fingerprint()
 	}
-	if p.urlFP != "" {
-		key += "@urls:" + p.urlFP
+	if cfg.URLs != nil {
+		key += "@urls:" + cfg.URLs.Fingerprint()
 	}
 	return key
 }
@@ -613,30 +617,7 @@ func (p *Pipeline) configKey() string {
 // ConfigKey exposes the analysis-configuration fingerprint, so the shard
 // coordinator can assert every worker runs the same configuration before
 // accepting its results into a merged report.
-func (p *Pipeline) ConfigKey() string { return p.configKey() }
-
-// listPolicy is the retry policy for the snapshot listing: the same
-// schedule, classifier and breaker as the per-package policy, but without
-// the metrics sink. The listing runs once per pipeline run, so counting
-// its attempt would make per-run metric deltas depend on how a corpus is
-// partitioned across runs; the mirrored retry families (and Stats.Retries)
-// carry per-package traffic only.
-func (p *Pipeline) listPolicy() *retry.Policy {
-	r := p.cfg.Retry
-	if r == nil {
-		return nil
-	}
-	return &retry.Policy{
-		MaxAttempts: r.MaxAttempts,
-		BaseDelay:   r.BaseDelay,
-		MaxDelay:    r.MaxDelay,
-		Multiplier:  r.Multiplier,
-		Seed:        r.Seed,
-		Sleep:       r.Sleep,
-		Classify:    r.Classify,
-		Breaker:     r.Breaker,
-	}
-}
+func (p *Pipeline) ConfigKey() string { return p.key }
 
 // journalKey binds the journal to both the analysis configuration and, for
 // sharded runs, the shard partition spec. The partition is deliberately
@@ -645,7 +626,7 @@ func (p *Pipeline) listPolicy() *retry.Policy {
 // which records which packages of *this* partition are complete — refuses
 // to resume under a foreign partition.
 func (p *Pipeline) journalKey() string {
-	key := p.configKey()
+	key := p.key
 	if p.cfg.Partition != "" {
 		key += "@shard:" + p.cfg.Partition
 	}
@@ -654,8 +635,9 @@ func (p *Pipeline) journalKey() string {
 
 // contentKey derives the cache key for an APK image: the payload digest
 // (recomputed from content, so a tampered DIGEST entry cannot poison
-// another APK's slot) plus the SDK-index fingerprint, so changing the
-// catalog invalidates all cached attributions. Images too broken to digest
+// another APK's slot) plus the analysis version and the SDK-index
+// fingerprint, so changing the analysis code or the catalog invalidates
+// all cached attributions. Images too broken to digest
 // fall back to a hash of the raw bytes — still content-addressed, so even
 // broken APKs hit the cache on a warm run. With linting enabled the
 // rule-config fingerprint is appended too: cached entries then include lint
@@ -667,7 +649,7 @@ func (p *Pipeline) contentKey(img []byte) string {
 		sum := sha256.Sum256(img)
 		d = "raw-" + hex.EncodeToString(sum[:])
 	}
-	return d + "@" + p.configKey()
+	return d + "@" + p.key
 }
 
 // scratch holds per-APK temporaries reused across analyses via a pool.

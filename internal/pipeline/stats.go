@@ -31,8 +31,10 @@ type Stats struct {
 	List StageStats
 	// Metadata covers store-metadata fetch + selection filtering.
 	Metadata StageStats
-	// Download covers APK fetch and cache lookup. Out counts images handed
-	// to analysis, i.e. cache misses; hits skip the Analyze stage.
+	// Download covers APK fetch and cache lookup. In counts every package
+	// that reaches the stage (Metadata.Out minus JournalSkips); each leaves
+	// as Out (an image handed to analysis, i.e. a cache miss), a cache hit
+	// (which skips the Analyze stage) or a quarantine.
 	Download StageStats
 	// Analyze covers decompile → parse → call graph → attribution. In is
 	// the number of cache misses analysed; Out excludes broken APKs.

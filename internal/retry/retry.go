@@ -118,6 +118,28 @@ type Policy struct {
 	rng *rand.Rand
 }
 
+// WithMetrics returns a copy of p whose attempts count into m instead of
+// p.Metrics: the same schedule, seed, sleeper, classifier and breaker
+// (the Breaker pointer is shared, as both talk to the same upstream), with
+// its own jitter state. A nil p returns nil. Policy holds a mutex, so
+// callers copy through here rather than by value.
+func (p *Policy) WithMetrics(m *Metrics) *Policy {
+	if p == nil {
+		return nil
+	}
+	return &Policy{
+		MaxAttempts: p.MaxAttempts,
+		BaseDelay:   p.BaseDelay,
+		MaxDelay:    p.MaxDelay,
+		Multiplier:  p.Multiplier,
+		Seed:        p.Seed,
+		Sleep:       p.Sleep,
+		Classify:    p.Classify,
+		Metrics:     m,
+		Breaker:     p.Breaker,
+	}
+}
+
 // Do invokes fn until it succeeds, a non-retryable error occurs, the
 // context is done, or the policy's attempts are exhausted; it returns
 // fn's last value. A nil policy performs exactly one attempt.

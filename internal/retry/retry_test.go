@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -162,5 +163,56 @@ func TestUnclassifiedErrorsRetryByDefault(t *testing.T) {
 	})
 	if calls != 3 {
 		t.Errorf("calls = %d, want 3 (plain errors retry)", calls)
+	}
+}
+
+// TestWithMetricsCopiesEveryField sets every exported Policy field and
+// asserts WithMetrics carries each one but Metrics, which it replaces, so a
+// field added to Policy later cannot be dropped by the copy.
+func TestWithMetricsCopiesEveryField(t *testing.T) {
+	var p Policy
+	v := reflect.ValueOf(&p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(int64(i + 1))
+		case reflect.Float64:
+			fv.SetFloat(float64(i) + 0.5)
+		case reflect.Func:
+			fv.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { panic("not called") }))
+		case reflect.Pointer:
+			fv.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("field %s: no test value for kind %s; extend this test", f.Name, fv.Kind())
+		}
+	}
+	m := &Metrics{}
+	cp := reflect.ValueOf(p.WithMetrics(m)).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		want, got := v.Field(i), cp.Field(i)
+		if f.Name == "Metrics" {
+			want = reflect.ValueOf(m)
+		}
+		switch want.Kind() {
+		case reflect.Func, reflect.Pointer:
+			if got.Pointer() != want.Pointer() {
+				t.Errorf("WithMetrics: %s not carried over", f.Name)
+			}
+		default:
+			if got.Interface() != want.Interface() {
+				t.Errorf("WithMetrics: %s = %v, want %v", f.Name, got, want)
+			}
+		}
+	}
+	if (*Policy)(nil).WithMetrics(m) != nil {
+		t.Error("nil policy: WithMetrics returned a policy")
 	}
 }

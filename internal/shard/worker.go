@@ -214,9 +214,12 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		// zero filter scans the paper's selection, not the whole snapshot)
 		Workers:        spec.Workers,
 		MaxFailureFrac: spec.MaxFailureFrac,
-		Retry:          pipelinePolicy(w.cfg.Retry),
-		Telemetry:      hub,
-		Partition:      grant.Tag,
+		// Fresh Metrics: the federated retry counters carry only the
+		// pipeline's deterministic per-package traffic, not the control
+		// plane's.
+		Retry:     w.cfg.Retry.WithMetrics(&retry.Metrics{}),
+		Telemetry: hub,
+		Partition: grant.Tag,
 	}
 	if cfg.MinDownloads == 0 {
 		cfg.MinDownloads = corpus.MinDownloads
@@ -342,28 +345,6 @@ func (w *Worker) flushSnapshot(ctx context.Context) {
 	}
 	w.call(ctx, "POST", "/v1/snapshot",
 		snapshotRequest{Worker: w.cfg.Name, Metrics: metrics}, &struct{}{})
-}
-
-// pipelinePolicy derives a partition's retry policy from the worker's
-// control-plane policy: same schedule and classifier, fresh Metrics so
-// the federated retry counters carry only the pipeline's deterministic
-// per-package traffic. The Breaker pointer is shared — both paths talk to
-// the same upstream. Policy embeds a mutex, so fields copy explicitly.
-func pipelinePolicy(p *retry.Policy) *retry.Policy {
-	if p == nil {
-		return nil
-	}
-	return &retry.Policy{
-		MaxAttempts: p.MaxAttempts,
-		BaseDelay:   p.BaseDelay,
-		MaxDelay:    p.MaxDelay,
-		Multiplier:  p.Multiplier,
-		Seed:        p.Seed,
-		Sleep:       p.Sleep,
-		Classify:    p.Classify,
-		Metrics:     &retry.Metrics{},
-		Breaker:     p.Breaker,
-	}
 }
 
 // defaultServices dials the repository and store over HTTP, the way a
