@@ -305,15 +305,20 @@ func run(out *os.File, o options) error {
 	// services. The pipeline's cfg.Retry is the one retry layer for both:
 	// the clients carry no policy of their own, so -retries N allows N+1
 	// attempts per operation, not (N+1)².
-	azHC := azSrv.Client()
+	//
+	// Both clients keep an idle connection per pipeline worker and host:
+	// with net/http's default of 2, workers beyond the second dial anew.
+	svc := &http.Transport{MaxIdleConnsPerHost: pipeline.PoolSize(o.workers)}
+	defer svc.CloseIdleConnections()
+	azHC := &http.Client{Transport: svc}
 	if injecting && (fcfg.TruncateRate > 0 || fcfg.CorruptRate > 0) {
-		azHC = &http.Client{Transport: faults.NewTransport(azHC.Transport, faults.Config{
+		azHC = &http.Client{Transport: faults.NewTransport(svc, faults.Config{
 			Seed: fcfg.Seed, TruncateRate: fcfg.TruncateRate, CorruptRate: fcfg.CorruptRate,
 			Telemetry: o.telemetry,
 		})}
 	}
 	var repo pipeline.Repository = androzoo.NewClient(azSrv.URL, azHC)
-	var meta pipeline.MetadataSource = playstore.NewClient(psSrv.URL, psSrv.Client())
+	var meta pipeline.MetadataSource = playstore.NewClient(psSrv.URL, &http.Client{Transport: svc})
 	if injecting && (fcfg.ErrorRate > 0 || fcfg.LatencyRate > 0) {
 		svcCfg := faults.Config{
 			Seed: fcfg.Seed, ErrorRate: fcfg.ErrorRate,

@@ -8,9 +8,10 @@
 //	                      APK signing; AndroZoo indexes APKs by digest)
 //	assets/...            optional asset files
 //
-// Pack and Open are the two halves; Open tolerates and reports the kinds of
-// damage the paper's pipeline encountered ("242 APKs were discovered to be
-// broken") via ErrBroken so that the pipeline can count rather than crash.
+// Pack and Open are the two halves; Open (Read, then Payload.Open)
+// tolerates and reports the kinds of damage the paper's pipeline
+// encountered ("242 APKs were discovered to be broken") via ErrBroken so
+// that the pipeline can count rather than crash.
 package apk
 
 import (
@@ -103,65 +104,134 @@ func Pack(m *manifest.Manifest, dex *dalvik.File, assets map[string][]byte) ([]b
 	return buf.Bytes(), nil
 }
 
-// Open parses an APK archive image. Any structural problem — unreadable
-// ZIP, missing entries, corrupt bytecode or manifest, digest mismatch — is
-// reported wrapped in ErrBroken.
-func Open(data []byte) (*APK, error) {
+// Payload is an APK archive read in one pass: the bytes of every entry
+// and the digest of the manifest and dex payloads. Read makes it; its Open
+// method decodes it. The pipeline keys its result cache on Digest and, on
+// a miss, opens the same payload, so an archive is parsed once.
+type Payload struct {
+	// Digest is the hex SHA-256 of the manifest and dex payloads, as
+	// ComputeDigest returns it.
+	Digest string
+
+	manifest, dex, digest []byte // digest is nil when the entry is absent
+	assets                map[string][]byte
+	// err is the first read failure of an entry the digest does not
+	// cover, reported by Open.
+	err error
+}
+
+// Read parses an APK archive image in one pass: it reads every entry
+// once and hashes the manifest and dex payloads once. An unreadable
+// archive or a missing or unreadable manifest or dex entry is an error
+// wrapping ErrBroken; a failure to read any other entry (META-INF/DIGEST,
+// an asset) is kept for Open, so the digest of an archive whose payloads
+// read is always known.
+func Read(data []byte) (*Payload, error) {
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBroken, err)
 	}
-
-	entries := make(map[string][]byte)
+	p := &Payload{}
 	for _, f := range zr.File {
-		rc, err := f.Open()
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %s: %v", ErrBroken, f.Name, err)
+		payload := f.Name == ManifestEntry || f.Name == DexEntry
+		if p.err != nil && !payload {
+			continue // Open fails anyway; only the digest still needs reading
 		}
-		b, err := io.ReadAll(rc)
-		rc.Close()
+		b, err := readEntry(f, int64(len(data)))
 		if err != nil {
-			return nil, fmt.Errorf("%w: entry %s: %v", ErrBroken, f.Name, err)
+			err = fmt.Errorf("%w: entry %s: %v", ErrBroken, f.Name, err)
+			if payload {
+				return nil, err
+			}
+			p.err = err
+			continue
 		}
-		entries[f.Name] = b
+		switch {
+		case f.Name == ManifestEntry:
+			p.manifest = b
+		case f.Name == DexEntry:
+			p.dex = b
+		case f.Name == DigestEntry:
+			p.digest = b
+		case len(f.Name) > len("assets/") && f.Name[:len("assets/")] == "assets/":
+			if p.assets == nil {
+				p.assets = make(map[string][]byte)
+			}
+			p.assets[f.Name[len("assets/"):]] = b
+		}
 	}
-
-	manifestXML, ok := entries[ManifestEntry]
-	if !ok {
+	if p.manifest == nil {
 		return nil, fmt.Errorf("%w: missing %s", ErrBroken, ManifestEntry)
 	}
-	dexBytes, ok := entries[DexEntry]
-	if !ok {
+	if p.dex == nil {
 		return nil, fmt.Errorf("%w: missing %s", ErrBroken, DexEntry)
 	}
-	wantDigest, ok := entries[DigestEntry]
-	if !ok {
+	p.Digest = payloadDigest(p.manifest, p.dex)
+	return p, nil
+}
+
+// readEntry reads one entry to io.EOF, so that archive/zip checks its
+// size, CRC-32 and any data descriptor. A stored entry whose declared size
+// fits in the archive is read into a buffer of exactly that size; any
+// other entry grows through io.ReadAll, so a false declared size costs at
+// most what the archive holds. The result is never nil.
+func readEntry(f *zip.File, archiveSize int64) ([]byte, error) {
+	rc, err := f.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	if f.Method != zip.Store || f.UncompressedSize64 > uint64(archiveSize) {
+		return io.ReadAll(rc)
+	}
+	b := make([]byte, f.UncompressedSize64)
+	if _, err := io.ReadFull(rc, b); err != nil {
+		return nil, err
+	}
+	var tail [1]byte
+	if _, err := io.ReadFull(rc, tail[:]); err != io.EOF {
+		if err == nil {
+			err = errors.New("entry longer than its declared size")
+		}
+		return nil, err
+	}
+	return b, nil
+}
+
+// Open checks the payload against META-INF/DIGEST and decodes the manifest
+// and bytecode. Any structural problem — an entry Read could not read, a
+// missing or mismatched DIGEST, a corrupt manifest or bytecode — is
+// reported wrapped in ErrBroken.
+func (p *Payload) Open() (*APK, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	if p.digest == nil {
 		return nil, fmt.Errorf("%w: missing %s", ErrBroken, DigestEntry)
 	}
-	digest := payloadDigest(manifestXML, dexBytes)
-	if digest != string(wantDigest) {
+	if p.Digest != string(p.digest) {
 		return nil, fmt.Errorf("%w: digest mismatch", ErrBroken)
 	}
-
-	m, err := manifest.Decode(manifestXML)
+	m, err := manifest.Decode(p.manifest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBroken, err)
 	}
-	dex, err := dalvik.Decode(dexBytes)
+	dex, err := dalvik.Decode(p.dex)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBroken, err)
 	}
+	return &APK{Manifest: m, Dex: dex, Assets: p.assets, Digest: p.Digest}, nil
+}
 
-	a := &APK{Manifest: m, Dex: dex, Digest: digest}
-	for name, b := range entries {
-		if len(name) > len("assets/") && name[:len("assets/")] == "assets/" {
-			if a.Assets == nil {
-				a.Assets = make(map[string][]byte)
-			}
-			a.Assets[name[len("assets/"):]] = b
-		}
+// Open parses an APK archive image: Read, then the payload's Open. Any
+// structural problem — unreadable ZIP, missing entries, corrupt bytecode
+// or manifest, digest mismatch — is reported wrapped in ErrBroken.
+func Open(data []byte) (*APK, error) {
+	p, err := Read(data)
+	if err != nil {
+		return nil, err
 	}
-	return a, nil
+	return p.Open()
 }
 
 // ComputeDigest hashes the archive's manifest and dex payloads directly,
@@ -170,44 +240,14 @@ func Open(data []byte) (*APK, error) {
 // content address used to key analysis-result caches: it never lies about
 // the payload, so a digest mismatch (a broken APK) still maps to a key of
 // its own instead of poisoning the entry of the APK it claims to be.
-// ComputeDigest does not validate the manifest or bytecode structure.
+// ComputeDigest does not validate the manifest or bytecode structure, and
+// it succeeds when only an entry outside the payload fails to read.
 func ComputeDigest(data []byte) (string, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	p, err := Read(data)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBroken, err)
+		return "", err
 	}
-	var manifestXML, dexBytes []byte
-	read := func(f *zip.File) ([]byte, error) {
-		rc, err := f.Open()
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %s: %v", ErrBroken, f.Name, err)
-		}
-		defer rc.Close()
-		b, err := io.ReadAll(rc)
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %s: %v", ErrBroken, f.Name, err)
-		}
-		return b, nil
-	}
-	for _, f := range zr.File {
-		switch f.Name {
-		case ManifestEntry:
-			if manifestXML, err = read(f); err != nil {
-				return "", err
-			}
-		case DexEntry:
-			if dexBytes, err = read(f); err != nil {
-				return "", err
-			}
-		}
-	}
-	if manifestXML == nil {
-		return "", fmt.Errorf("%w: missing %s", ErrBroken, ManifestEntry)
-	}
-	if dexBytes == nil {
-		return "", fmt.Errorf("%w: missing %s", ErrBroken, DexEntry)
-	}
-	return payloadDigest(manifestXML, dexBytes), nil
+	return p.Digest, nil
 }
 
 func payloadDigest(manifestXML, dexBytes []byte) string {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/manifest"
 )
 
-func sampleInputs(t *testing.T) (*manifest.Manifest, *dalvik.File) {
+func sampleInputs(t testing.TB) (*manifest.Manifest, *dalvik.File) {
 	t.Helper()
 	m := &manifest.Manifest{
 		Package:     "com.example.pack",

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-func sampleFile(t *testing.T) *File {
+func sampleFile(t testing.TB) *File {
 	t.Helper()
 	b := NewBuilder()
 	b.Class("com.example.app.MainActivity", "android.app.Activity", AccPublic).

@@ -187,7 +187,7 @@ func Instrument(hub *telemetry.Hub) {
 	)
 	stepBudgetCounter.Store(hub.Counter("jsvm_step_budget_exhausted_total", "scripts halted by the interpreter step budget"))
 	compileCounter.Store(hub.Counter("jsvm_bytecode_compile_total", "programs lowered to bytecode"))
-	executeCounter.Store(hub.Counter("jsvm_execute_total", "program executions (both engines)"))
+	executeCounter.Store(hub.Counter("jsvm_execute_total", "program executions"))
 	icHitCounter.Store(hub.Counter("jsvm_inline_cache_total", "bytecode inline-cache lookups by result", "result", "hit"))
 	icMissCounter.Store(hub.Counter("jsvm_inline_cache_total", "bytecode inline-cache lookups by result", "result", "miss"))
 }

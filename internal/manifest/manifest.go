@@ -5,8 +5,8 @@
 // device simulator uses it for intent resolution.
 //
 // The on-disk form inside an APK is plain XML (Android's binary-XML
-// packing is an encoding detail the analyses never depend on), parsed and
-// emitted with encoding/xml.
+// packing is an encoding detail the analyses never depend on), emitted
+// with encoding/xml and read back by Decode's own scanner.
 package manifest
 
 import (
@@ -177,8 +177,9 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// xmlManifest is the wire representation. Components serialise under their
-// kind-specific element names inside <application>, as on Android.
+// xmlManifest is the wire representation Encode writes. Components
+// serialise under their kind-specific element names inside <application>,
+// as on Android.
 type xmlManifest struct {
 	XMLName     xml.Name       `xml:"manifest"`
 	Package     string         `xml:"package,attr"`
@@ -232,35 +233,4 @@ func Encode(m *Manifest) ([]byte, error) {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	return append([]byte(xml.Header), out...), nil
-}
-
-// Decode parses a manifest produced by Encode (or hand-written XML of the
-// same shape).
-func Decode(data []byte) (*Manifest, error) {
-	var x xmlManifest
-	if err := xml.Unmarshal(data, &x); err != nil {
-		return nil, fmt.Errorf("manifest: %w", err)
-	}
-	m := &Manifest{
-		Package:     x.Package,
-		VersionCode: x.VersionCode,
-		VersionName: x.VersionName,
-	}
-	if x.UsesSDK != nil {
-		m.MinSDK, m.TargetSDK = x.UsesSDK.Min, x.UsesSDK.Target
-	}
-	add := func(kind ComponentKind, cs []Component) {
-		for _, c := range cs {
-			c.Kind = kind
-			m.Components = append(m.Components, c)
-		}
-	}
-	add(KindActivity, x.Application.Activities)
-	add(KindService, x.Application.Services)
-	add(KindReceiver, x.Application.Receivers)
-	add(KindProvider, x.Application.Providers)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

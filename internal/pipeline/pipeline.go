@@ -138,11 +138,20 @@ type Pipeline struct {
 	key  string // configKey(cfg), fixed for the pipeline's lifetime
 }
 
+// PoolSize is the size of each of a run's worker pools for Config.Workers
+// = workers: workers itself, or GOMAXPROCS when it is 0 or less. Each pool
+// keeps up to that many requests to one service in flight, so an HTTP
+// client of the services keeps that many idle connections per host.
+func PoolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
 // New constructs a pipeline over the given services.
 func New(repo Repository, meta MetadataSource, cfg Config) *Pipeline {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	cfg.Workers = PoolSize(cfg.Workers)
 	if cfg.Index == nil {
 		cfg.Index = sdkindex.Default()
 	}
@@ -513,9 +522,13 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				m.apkBytes.Observe(float64(len(img)))
 				m.addInFlight(int64(len(img)))
 
+				// One ZIP pass per image: its payload digest keys the cache
+				// and, on a miss, the same payload is analysed. Every Read
+				// error marks a broken APK, which a nil payload carries.
+				pl, _ := apk.Read(img)
 				var key string
 				if p.cfg.Cache != nil {
-					key = p.contentKey(img)
+					key = p.contentKey(img, pl)
 					if an, ok := p.cfg.Cache.Get(key); ok {
 						m.cacheHits.Inc()
 						m.addInFlight(-int64(len(img)))
@@ -528,7 +541,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 					tr.Start("cache", "result", "miss").End()
 				}
 				m.dlOut.Inc()
-				an, err := analyzeAPK(m, sel.md.Package, p.cfg.Index, p.cfg.Lint, p.cfg.URLs, img)
+				an, err := analyzeAPK(m, sel.md.Package, p.cfg.Index, p.cfg.Lint, p.cfg.URLs, img, pl)
 				if err != nil {
 					if runCtx.Err() != nil {
 						return
@@ -592,7 +605,8 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 }
 
 // analysisVersion is the generation of the per-APK analysis code no other
-// fingerprint covers: the decompiler, javaparser, callgraph and
+// fingerprint covers: the APK reader (apk.Read and Payload.Open), the
+// manifest decoder, the decompiler, javaparser, callgraph and
 // attributeSDKs. Bump it on any change to what they produce, so cached
 // analyses and journals from an older binary are not served;
 // TestAnalysisVersionPinsOutput fails on a change without a bump.
@@ -633,23 +647,22 @@ func (p *Pipeline) journalKey() string {
 	return key
 }
 
-// contentKey derives the cache key for an APK image: the payload digest
-// (recomputed from content, so a tampered DIGEST entry cannot poison
-// another APK's slot) plus the analysis version and the SDK-index
-// fingerprint, so changing the analysis code or the catalog invalidates
-// all cached attributions. Images too broken to digest
-// fall back to a hash of the raw bytes — still content-addressed, so even
-// broken APKs hit the cache on a warm run. With linting enabled the
-// rule-config fingerprint is appended too: cached entries then include lint
-// findings, and editing the rule set (or toggling lint) moves to fresh keys
-// instead of serving stale findings.
-func (p *Pipeline) contentKey(img []byte) string {
-	d, err := apk.ComputeDigest(img)
-	if err != nil {
+// contentKey derives the cache key for an APK image from its ZIP pass
+// (apk.Read): the payload digest (recomputed from content, so a tampered
+// DIGEST entry cannot poison another APK's slot) plus the analysis version
+// and the SDK-index fingerprint, so changing the analysis code or the
+// catalog invalidates all cached attributions. Images too broken to
+// digest (a nil payload) fall back to a hash of the raw bytes — still
+// content-addressed, so even broken APKs hit the cache on a warm run. With
+// linting enabled the rule-config fingerprint is appended too: cached
+// entries then include lint findings, and editing the rule set (or
+// toggling lint) moves to fresh keys instead of serving stale findings.
+func (p *Pipeline) contentKey(img []byte, pl *apk.Payload) string {
+	if pl == nil {
 		sum := sha256.Sum256(img)
-		d = "raw-" + hex.EncodeToString(sum[:])
+		return "raw-" + hex.EncodeToString(sum[:]) + "@" + p.key
 	}
-	return d + "@" + p.key
+	return pl.Digest + "@" + p.key
 }
 
 // scratch holds per-APK temporaries reused across analyses via a pool.
@@ -684,7 +697,8 @@ func AnalyzeAndExtract(idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urle
 	if idx == nil {
 		idx = sdkindex.Default()
 	}
-	return analyzeAPK(new(runMetrics), "", idx, lint, ex, img)
+	pl, _ := apk.Read(img) // a nil payload is a broken APK
+	return analyzeAPK(new(runMetrics), "", idx, lint, ex, img, pl)
 }
 
 // analyzeAPK runs one downloaded image through the per-APK stages in
@@ -692,13 +706,14 @@ func AnalyzeAndExtract(idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urle
 // engines are non-nil. Each stage counts its items in m and records its
 // latency and span under pkg; a zero runMetrics records nothing. The
 // image's in-flight bytes are released once it is parsed: the later stages
-// read only the retained sources and call graph.
-func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urlextract.Extractor, img []byte) (*Analysis, error) {
+// read only the retained sources and call graph. pl is the image's ZIP
+// pass (apk.Read), nil when the archive does not read.
+func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urlextract.Extractor, img []byte, pl *apk.Payload) (*Analysis, error) {
 	m.anIn.Inc()
 	tr := m.trace(pkg)
 	sp := tr.Start("analyze")
 	tm := m.hub.Timer(pkg, "analyze")
-	an, parsed, err := analyzeImage(idx, img, lint != nil || ex != nil, tr)
+	an, parsed, err := analyzeImage(idx, pl, lint != nil || ex != nil, tr)
 	tm.ObserveInto(m.anLat)
 	m.addInFlight(-int64(len(img)))
 	if err != nil {
@@ -742,8 +757,11 @@ func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlin
 	return an, nil
 }
 
-func analyzeImage(idx *sdkindex.Index, img []byte, keepParsed bool, tr *telemetry.Trace) (*Analysis, *parsedAPK, error) {
-	a, err := apk.Open(img)
+func analyzeImage(idx *sdkindex.Index, pl *apk.Payload, keepParsed bool, tr *telemetry.Trace) (*Analysis, *parsedAPK, error) {
+	if pl == nil {
+		return &Analysis{Broken: true}, nil, nil
+	}
+	a, err := pl.Open()
 	if err != nil {
 		if errors.Is(err, apk.ErrBroken) {
 			return &Analysis{Broken: true}, nil, nil

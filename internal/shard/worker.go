@@ -144,6 +144,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		defer cancel()
 		w.flushSnapshot(flushCtx)
 	}()
+	services := w.cfg.Services
+	if services == nil {
+		// One service client per spec, apart from the control-plane
+		// client: its idle pool keeps a connection per pipeline worker and
+		// host, where net/http's default of 2 makes further workers dial.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = pipeline.PoolSize(spec.Workers)
+		defer tr.CloseIdleConnections()
+		services = httpServices(&http.Client{Timeout: 60 * time.Second, Transport: tr})
+	}
 	poll := w.cfg.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -169,7 +179,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		if err := w.runPartition(ctx, spec, grant); err != nil {
+		if err := w.runPartition(ctx, spec, grant, services); err != nil {
 			if errors.Is(err, errLeaseLost) {
 				continue
 			}
@@ -179,12 +189,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runPartition scans one leased partition and streams the result back.
-func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGrant) error {
-	services := w.cfg.Services
-	if services == nil {
-		services = w.defaultServices()
-	}
+// runPartition scans one leased partition over the services and streams
+// the result back.
+func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGrant,
+	services func(RunSpec) (pipeline.Repository, pipeline.MetadataSource, error)) error {
 	repo, meta, err := services(spec)
 	if err != nil {
 		return fmt.Errorf("shard: partition %d services: %w", grant.Partition, err)
@@ -347,15 +355,15 @@ func (w *Worker) flushSnapshot(ctx context.Context) {
 		snapshotRequest{Worker: w.cfg.Name, Metrics: metrics}, &struct{}{})
 }
 
-// defaultServices dials the repository and store over HTTP, the way a
-// standalone worker process reaches the real services.
-func (w *Worker) defaultServices() func(RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
+// httpServices dials the repository and store over HTTP with hc, the way
+// a standalone worker process reaches the real services.
+func httpServices(hc *http.Client) func(RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
 	return func(spec RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
 		if spec.RepoURL == "" || spec.StoreURL == "" {
 			return nil, nil, errors.New("spec names no repoUrl/storeUrl and the worker has no injected services")
 		}
 		// No client-side retry: the pipeline is the one retry layer.
-		return androzoo.NewClient(spec.RepoURL, w.hc), playstore.NewClient(spec.StoreURL, w.hc), nil
+		return androzoo.NewClient(spec.RepoURL, hc), playstore.NewClient(spec.StoreURL, hc), nil
 	}
 }
 
