@@ -344,6 +344,31 @@ func BenchmarkAnalyzeOneAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeOneLintURLsAllocs is BenchmarkAnalyzeOneAllocs with the
+// lint and URL-extraction stages on, the configuration of `staticscan
+// -lint -urls`: every consumer of the call graph (usage, ParamTaint and
+// Extract) runs on the APK.
+func BenchmarkAnalyzeOneLintURLsAllocs(b *testing.B) {
+	fix := benchSetup(b)
+	lint, err := webviewlint.New(webviewlint.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := urlextract.New(urlextract.Config{})
+	img := fix.imgs[fix.c.Filtered()[0].Package]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		an, err := pipeline.AnalyzeAndExtract(nil, lint, ex, img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if an.Broken {
+			b.Fatal("fixture APK analysed as broken")
+		}
+	}
+}
+
 // --- Lint stage: WebView misconfiguration analysis -----------------------
 
 func benchLintPipeline(b *testing.B, cache *resultcache.Cache[pipeline.Analysis]) *pipeline.Result {

@@ -18,40 +18,156 @@ import (
 	"repro/internal/intern"
 )
 
-// Graph is a call graph over one sdex file. A Graph is not safe for
-// concurrent use: hierarchy queries memoise their results.
+// Graph is a call graph over one sdex file. Build numbers every defined
+// method in dex order, resolves every invoke once and computes entry-point
+// reachability once; the traversals here and the dataflow engines built on
+// the graph (internal/urlextract) read those tables by method number. A
+// Graph is not safe for concurrent use: hierarchy queries memoise their
+// results.
 type Graph struct {
-	dex     *dalvik.File
 	classes map[string]*dalvik.Class
-	// defined maps every in-file method to its definition.
-	defined map[dalvik.MethodRef]*dalvik.Method
+	// methods holds the numbered methods: a method's number is its index.
+	methods []method
+	// reach marks, by number, the methods reachable from an entry point.
+	reach []bool
 	// webview / component memoise the superclass-chain walks, which
 	// AnalyzeUsage would otherwise repeat for every invoke instruction.
 	webview   map[string]bool
 	component map[string]bool
 }
 
+type method struct {
+	class *dalvik.Class
+	def   *dalvik.Method
+	// targets holds, per instruction, the number of the method an invoke
+	// there resolves to; -1 for external targets and other instructions.
+	targets []int32
+	// callees lists the distinct resolved callees in first-call order.
+	callees []int32
+}
+
+// maxHierarchy bounds every superclass-chain walk: corrupt input can
+// contain hierarchy cycles, which Decode cannot see.
+const maxHierarchy = 1000
+
 // Build constructs the graph. It never fails: unresolved targets are simply
-// external edges.
+// external edges. Should a file define a class or a method twice (Decode
+// and Validate reject both), the first definition wins.
 func Build(dex *dalvik.File) *Graph {
+	n := dex.MethodCount()
 	g := &Graph{
-		dex:     dex,
 		classes: make(map[string]*dalvik.Class, len(dex.Classes)),
-		defined: make(map[dalvik.MethodRef]*dalvik.Method, dex.MethodCount()),
+		methods: make([]method, 0, n),
 	}
+	ids := make(map[dalvik.MethodRef]int32, n)
+	insns := 0
 	for i := range dex.Classes {
 		c := &dex.Classes[i]
+		if g.classes[c.Name] != nil {
+			continue
+		}
 		g.classes[c.Name] = c
 		for j := range c.Methods {
 			m := &c.Methods[j]
-			g.defined[m.Ref(c.Name)] = m
+			ref := m.Ref(c.Name)
+			if _, dup := ids[ref]; dup {
+				continue
+			}
+			ids[ref] = int32(len(g.methods))
+			g.methods = append(g.methods, method{class: c, def: m})
+			insns += len(m.Code)
+		}
+	}
+
+	// Resolve every invoke into one backing array per table; a method
+	// adds each callee once, which lastCaller (caller number + 1) tracks.
+	targets := make([]int32, insns)
+	callees := make([]int32, 0, insns)
+	lastCaller := make([]int32, len(g.methods))
+	for i := range g.methods {
+		m := &g.methods[i]
+		code := m.def.Code
+		m.targets, targets = targets[:len(code):len(code)], targets[len(code):]
+		start := len(callees)
+		for pc := range code {
+			t := int32(-1)
+			if code[pc].Op.IsInvoke() {
+				t = g.resolve(ids, code[pc].Target)
+			}
+			m.targets[pc] = t
+			if t >= 0 && lastCaller[t] != int32(i)+1 {
+				lastCaller[t] = int32(i) + 1
+				callees = append(callees, t)
+			}
+		}
+		m.callees = callees[start:len(callees):len(callees)]
+	}
+
+	// Entry-point reachability, once per graph.
+	g.reach = make([]bool, len(g.methods))
+	var stack []int32
+	for i := range g.methods {
+		if g.isEntryPoint(&g.methods[i]) {
+			g.reach[i] = true
+			stack = append(stack, int32(i))
+		}
+	}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range g.methods[cur].callees {
+			if !g.reach[c] {
+				g.reach[c] = true
+				stack = append(stack, c)
+			}
 		}
 	}
 	return g
 }
 
-// Class returns the in-file class definition, or nil for external types.
-func (g *Graph) Class(name string) *dalvik.Class { return g.classes[name] }
+// resolve finds the number of the definition a call to ref would dispatch
+// to: the method on ref.Class or on the nearest in-file superclass defining
+// it. It returns -1 for external targets and for chains the bounded walk
+// does not finish.
+func (g *Graph) resolve(ids map[dalvik.MethodRef]int32, ref dalvik.MethodRef) int32 {
+	for steps := 0; ref.Class != "" && steps < maxHierarchy; steps++ {
+		if id, ok := ids[ref]; ok {
+			return id
+		}
+		c := g.classes[ref.Class]
+		if c == nil {
+			return -1
+		}
+		ref.Class = c.SuperName
+	}
+	return -1
+}
+
+// NumMethods returns how many methods the graph numbers: every defined
+// method, in dex order.
+func (g *Graph) NumMethods() int { return len(g.methods) }
+
+// Ref returns the reference that invokes use to target method i.
+func (g *Graph) Ref(i int32) dalvik.MethodRef {
+	m := &g.methods[i]
+	return m.def.Ref(m.class.Name)
+}
+
+// Code returns the body of method i.
+func (g *Graph) Code(i int32) []dalvik.Instruction { return g.methods[i].def.Code }
+
+// Targets returns, for every instruction of method i, the number of the
+// method an invoke there resolves to: the definition on the target class
+// or its nearest in-file superclass. -1 marks external targets and
+// instructions that are not invokes.
+func (g *Graph) Targets(i int32) []int32 { return g.methods[i].targets }
+
+// Callees returns the distinct methods i invokes, resolved, in first-call
+// order.
+func (g *Graph) Callees(i int32) []int32 { return g.methods[i].callees }
+
+// Reachable reports whether method i is reachable from an entry point.
+func (g *Graph) Reachable(i int32) bool { return g.reach[i] }
 
 // IsSubclassOf walks the in-file superclass chain of name and reports
 // whether it reaches root (which may be an external framework class).
@@ -66,7 +182,7 @@ func (g *Graph) IsSubclassOf(name, root string) bool {
 			return false // chain left the file without hitting root
 		}
 		name = c.SuperName
-		if seen++; seen > 1000 {
+		if seen++; seen > maxHierarchy {
 			return false // defensive: cyclic hierarchy in corrupt input
 		}
 	}
@@ -138,135 +254,34 @@ var entryPointNames = func() map[string]bool {
 	return m
 }()
 
-// EntryPoints enumerates the traversal roots: every lifecycle or callback
-// method on every component class, plus every method on classes that
-// implement a listener-style interface (onClick etc. on any class).
+// isEntryPoint reports whether m is a traversal root: a lifecycle or
+// callback method on a component class, or a GUI callback (onClick and
+// friends) on any class, because listeners are registered dynamically and
+// the registration is invisible to a static scan.
+func (g *Graph) isEntryPoint(m *method) bool {
+	name := m.def.Name
+	return entryPointNames[name] && (strings.HasPrefix(name, "on") || g.isComponent(m.class.Name))
+}
+
+// EntryPoints enumerates the traversal roots in reference order.
 func (g *Graph) EntryPoints() []dalvik.MethodRef {
 	var eps []dalvik.MethodRef
-	for i := range g.dex.Classes {
-		c := &g.dex.Classes[i]
-		comp := g.isComponent(c.Name)
-		for j := range c.Methods {
-			m := &c.Methods[j]
-			if !entryPointNames[m.Name] {
-				continue
-			}
-			// Lifecycle methods count on components; GUI callbacks
-			// (onClick and friends) count on any class, because listeners
-			// are registered dynamically and the registration is invisible
-			// to a static scan.
-			if comp || strings.HasPrefix(m.Name, "on") {
-				eps = append(eps, m.Ref(c.Name))
-			}
+	for i := range g.methods {
+		if g.isEntryPoint(&g.methods[i]) {
+			eps = append(eps, g.Ref(int32(i)))
 		}
 	}
-	sort.Slice(eps, func(i, j int) bool { return refLess(eps[i], eps[j]) })
+	sort.Slice(eps, func(i, j int) bool {
+		a, b := eps[i], eps[j]
+		if a.Class != b.Class {
+			return a.Class < b.Class
+		}
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.Signature < b.Signature
+	})
 	return eps
-}
-
-func refLess(a, b dalvik.MethodRef) bool {
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.Signature < b.Signature
-}
-
-// resolve finds the definition a call to ref would dispatch to: the method
-// on ref.Class or the nearest in-file superclass defining it. Returns the
-// resolved ref and true, or false for external targets.
-func (g *Graph) resolve(ref dalvik.MethodRef) (dalvik.MethodRef, bool) {
-	name := ref.Class
-	for name != "" {
-		cand := dalvik.MethodRef{Class: name, Name: ref.Name, Signature: ref.Signature}
-		if _, ok := g.defined[cand]; ok {
-			return cand, true
-		}
-		c := g.classes[name]
-		if c == nil {
-			return dalvik.MethodRef{}, false
-		}
-		name = c.SuperName
-	}
-	return dalvik.MethodRef{}, false
-}
-
-// Dex exposes the underlying bytecode file so dataflow passes built on
-// top of the graph (internal/urlextract) can walk method bodies without
-// re-parsing the APK.
-func (g *Graph) Dex() *dalvik.File { return g.dex }
-
-// Resolve is the exported form of resolve, for dataflow engines that need
-// the same dispatch semantics the graph's own traversals use.
-func (g *Graph) Resolve(ref dalvik.MethodRef) (dalvik.MethodRef, bool) {
-	return g.resolve(ref)
-}
-
-// Callees returns the in-file methods any overload of class.method
-// invokes, resolved through the in-file superclass chain, in first-call
-// order without duplicates. External targets are omitted. This is the edge
-// set interprocedural lint rules (unsafe-load-url) follow; like the
-// hierarchy queries it is not safe for concurrent use.
-func (g *Graph) Callees(class, method string) []dalvik.MethodRef {
-	c := g.classes[class]
-	if c == nil {
-		return nil
-	}
-	var out []dalvik.MethodRef
-	var seen map[dalvik.MethodRef]bool
-	for j := range c.Methods {
-		m := &c.Methods[j]
-		if m.Name != method {
-			continue
-		}
-		for _, ins := range m.Code {
-			if !ins.Op.IsInvoke() {
-				continue
-			}
-			res, ok := g.resolve(ins.Target)
-			if !ok || seen[res] {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[dalvik.MethodRef]bool, 4)
-			}
-			seen[res] = true
-			out = append(out, res)
-		}
-	}
-	return out
-}
-
-// Reachable computes the set of defined methods reachable from the given
-// roots (defaulting to EntryPoints when none are passed).
-func (g *Graph) Reachable(roots ...dalvik.MethodRef) map[dalvik.MethodRef]bool {
-	if len(roots) == 0 {
-		roots = g.EntryPoints()
-	}
-	seen := make(map[dalvik.MethodRef]bool, len(g.defined))
-	stack := make([]dalvik.MethodRef, 0, len(roots))
-	push := func(r dalvik.MethodRef) {
-		if res, ok := g.resolve(r); ok && !seen[res] {
-			seen[res] = true
-			stack = append(stack, res)
-		}
-	}
-	for _, r := range roots {
-		push(r)
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m := g.defined[cur]
-		for _, ins := range m.Code {
-			if ins.Op.IsInvoke() {
-				push(ins.Target)
-			}
-		}
-	}
-	return seen
 }
 
 // APICall is one recorded call of interest: a WebView API method call or a
@@ -328,42 +343,34 @@ func isCustomTabsClass(name string) bool {
 // activities here, §3.1.3).
 func (g *Graph) AnalyzeUsage(excludeClasses map[string]bool) *Usage {
 	u := &Usage{WebViewSubclasses: g.WebViewSubclasses()}
-	reach := g.Reachable()
-	// Deterministic order: iterate classes/methods in file order and check
-	// membership, rather than ranging over the map.
-	for i := range g.dex.Classes {
-		c := &g.dex.Classes[i]
-		if excludeClasses[c.Name] {
+	// Method-number order is file order, so the result is deterministic.
+	for i := range g.methods {
+		m := &g.methods[i]
+		if !g.reach[i] || excludeClasses[m.class.Name] {
 			continue
 		}
-		for j := range c.Methods {
-			m := &c.Methods[j]
-			ref := m.Ref(c.Name)
-			if !reach[ref] {
-				continue
-			}
-			lastStr := ""
-			for _, ins := range m.Code {
+		ref := m.def.Ref(m.class.Name)
+		lastStr := ""
+		for _, ins := range m.def.Code {
+			switch {
+			case ins.Op == dalvik.OpConstString:
+				lastStr = ins.Str
+			case ins.Op == dalvik.OpNewInstance && isCustomTabsClass(ins.Type):
+				u.CTCalls = append(u.CTCalls, APICall{
+					Caller: ref,
+					Target: dalvik.MethodRef{Class: ins.Type, Name: "<init>", Signature: "()void"},
+				})
+			case ins.Op.IsInvoke():
+				t := ins.Target
 				switch {
-				case ins.Op == dalvik.OpConstString:
-					lastStr = ins.Str
-				case ins.Op == dalvik.OpNewInstance && isCustomTabsClass(ins.Type):
-					u.CTCalls = append(u.CTCalls, APICall{
-						Caller: ref,
-						Target: dalvik.MethodRef{Class: ins.Type, Name: "<init>", Signature: "()void"},
-					})
-				case ins.Op.IsInvoke():
-					t := ins.Target
-					switch {
-					case g.IsWebViewClass(t.Class) && android.IsWebViewMethod(t.Name):
-						// Normalise custom-subclass receivers to the
-						// framework class so consumers see one API surface.
-						norm := t
-						norm.Class = android.WebViewClass
-						u.WebViewCalls = append(u.WebViewCalls, APICall{Caller: ref, Target: norm, URLHint: lastStr})
-					case isCustomTabsClass(t.Class):
-						u.CTCalls = append(u.CTCalls, APICall{Caller: ref, Target: t, URLHint: lastStr})
-					}
+				case g.IsWebViewClass(t.Class) && android.IsWebViewMethod(t.Name):
+					// Normalise custom-subclass receivers to the
+					// framework class so consumers see one API surface.
+					norm := t
+					norm.Class = android.WebViewClass
+					u.WebViewCalls = append(u.WebViewCalls, APICall{Caller: ref, Target: norm, URLHint: lastStr})
+				case isCustomTabsClass(t.Class):
+					u.CTCalls = append(u.CTCalls, APICall{Caller: ref, Target: t, URLHint: lastStr})
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package callgraph
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/android"
 	"repro/internal/dalvik"
@@ -47,19 +48,55 @@ func appDex(t *testing.T) *dalvik.File {
 	return b.MustBuild()
 }
 
+// number returns the method number of class.name, failing the test when
+// the graph does not define it.
+func number(t *testing.T, g *Graph, class, name string) int32 {
+	t.Helper()
+	for i := int32(0); i < int32(g.NumMethods()); i++ {
+		if ref := g.Ref(i); ref.Class == class && ref.Name == name {
+			return i
+		}
+	}
+	t.Fatalf("%s.%s not numbered", class, name)
+	return -1
+}
+
 func TestCallees(t *testing.T) {
 	g := Build(appDex(t))
-	got := g.Callees("com.app.MainActivity", "onCreate")
-	want := []dalvik.MethodRef{{Class: "com.app.Helper", Name: "show", Signature: "()void"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Callees(onCreate) = %v, want %v", got, want)
+	onCreate := number(t, g, "com.app.MainActivity", "onCreate")
+	show := number(t, g, "com.app.Helper", "show")
+	if got := g.Callees(onCreate); !reflect.DeepEqual(got, []int32{show}) {
+		t.Errorf("Callees(onCreate) = %v, want [%d]", got, show)
+	}
+	if got := g.Targets(onCreate); !reflect.DeepEqual(got, []int32{show, -1}) {
+		t.Errorf("Targets(onCreate) = %v, want [%d -1] (invoke, return)", got, show)
 	}
 	// Helper.show only calls the external WebView method: no in-file edges.
-	if c := g.Callees("com.app.Helper", "show"); c != nil {
-		t.Errorf("Callees(Helper.show) = %v, want nil", c)
+	if c := g.Callees(show); len(c) != 0 {
+		t.Errorf("Callees(Helper.show) = %v, want none", c)
 	}
-	if c := g.Callees("com.app.Missing", "x"); c != nil {
-		t.Errorf("Callees(missing class) = %v, want nil", c)
+	if got := g.Targets(show); !reflect.DeepEqual(got, []int32{-1, -1, -1}) {
+		t.Errorf("Targets(Helper.show) = %v, want all -1 (const, external invoke, return)", got)
+	}
+}
+
+// TestNumbering pins the numbering contract: every defined method, in dex
+// order, with Ref and Code naming its definition.
+func TestNumbering(t *testing.T) {
+	dex := appDex(t)
+	g := Build(dex)
+	if g.NumMethods() != dex.MethodCount() {
+		t.Fatalf("NumMethods = %d, want %d", g.NumMethods(), dex.MethodCount())
+	}
+	i := int32(0)
+	for ci := range dex.Classes {
+		c := &dex.Classes[ci]
+		for mi := range c.Methods {
+			if g.Ref(i) != c.Methods[mi].Ref(c.Name) || &g.Code(i)[0] != &c.Methods[mi].Code[0] {
+				t.Errorf("method %d = %v, want %v", i, g.Ref(i), c.Methods[mi].Ref(c.Name))
+			}
+			i++
+		}
 	}
 }
 
@@ -82,11 +119,10 @@ func TestEntryPoints(t *testing.T) {
 
 func TestReachability(t *testing.T) {
 	g := Build(appDex(t))
-	reach := g.Reachable()
-	if !reach[dalvik.MethodRef{Class: "com.app.Helper", Name: "show", Signature: "()void"}] {
+	if !g.Reachable(number(t, g, "com.app.Helper", "show")) {
 		t.Error("Helper.show not reachable")
 	}
-	if reach[dalvik.MethodRef{Class: "com.app.DeadCode", Name: "unreachable", Signature: "()void"}] {
+	if g.Reachable(number(t, g, "com.app.DeadCode", "unreachable")) {
 		t.Error("DeadCode.unreachable wrongly reachable")
 	}
 }
@@ -198,6 +234,44 @@ func TestIsSubclassOfCycleSafe(t *testing.T) {
 	g := Build(f)
 	if g.IsWebViewClass("a.A") {
 		t.Error("cyclic hierarchy classified as WebView")
+	}
+}
+
+// TestCyclicHierarchyTerminates resolves a call into a hierarchy cycle
+// that Builder, Encode and Decode all accept: com.a.A extends com.a.B
+// extends com.a.A, and the entry point A.onClick calls A.missing(), which
+// neither class defines. The bounded walk gives up and counts the target
+// as external; an unbounded one never returns.
+func TestCyclicHierarchyTerminates(t *testing.T) {
+	b := dalvik.NewBuilder()
+	b.Class("com.a.A", "com.a.B", dalvik.AccPublic).
+		VoidMethod("onClick", dalvik.InvokeVirtual("com.a.A", "missing", "()void"))
+	b.Class("com.a.B", "com.a.A", dalvik.AccPublic)
+	enc, err := dalvik.Encode(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dex, err := dalvik.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Graph, 1)
+	go func() {
+		g := Build(dex)
+		g.AnalyzeUsage(nil)
+		done <- g
+	}()
+	select {
+	case g := <-done:
+		onClick := number(t, g, "com.a.A", "onClick")
+		if got := g.Targets(onClick); !reflect.DeepEqual(got, []int32{-1, -1}) {
+			t.Errorf("Targets(onClick) = %v, want [-1 -1] (external invoke, return)", got)
+		}
+		if !g.Reachable(onClick) {
+			t.Error("entry point onClick not reachable")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Build and AnalyzeUsage did not return on a cyclic hierarchy")
 	}
 }
 

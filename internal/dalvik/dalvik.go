@@ -139,9 +139,9 @@ func (f *File) MethodCount() int {
 }
 
 // Validate checks structural invariants that both the writer and consumers
-// rely on: unique class names, non-empty names, and in-range instruction
-// operands (operand pools are per-file and resolved at encode time, so here
-// we validate the symbolic form).
+// rely on: unique class names, unique methods within a class, non-empty
+// names, and in-range instruction operands (operand pools are per-file and
+// resolved at encode time, so here we validate the symbolic form).
 func (f *File) Validate() error {
 	seen := make(map[string]bool, len(f.Classes))
 	for i := range f.Classes {
@@ -153,6 +153,9 @@ func (f *File) Validate() error {
 			return fmt.Errorf("dalvik: duplicate class %q", c.Name)
 		}
 		seen[c.Name] = true
+		if repeatedMethod(c.Methods) {
+			return fmt.Errorf("dalvik: class %q defines a method twice", c.Name)
+		}
 		for j := range c.Methods {
 			m := &c.Methods[j]
 			if m.Name == "" {
@@ -166,4 +169,30 @@ func (f *File) Validate() error {
 		}
 	}
 	return nil
+}
+
+// repeatedMethod reports whether two of ms share a name and signature.
+// Small classes, the common case, are compared pairwise without
+// allocating; large ones go through a set, so corrupt input with huge
+// classes stays linear.
+func repeatedMethod(ms []Method) bool {
+	if len(ms) > 16 {
+		seen := make(map[[2]string]bool, len(ms))
+		for i := range ms {
+			k := [2]string{ms[i].Name, ms[i].Signature}
+			if seen[k] {
+				return true
+			}
+			seen[k] = true
+		}
+		return false
+	}
+	for i := range ms {
+		for j := i + 1; j < len(ms); j++ {
+			if ms[i].Name == ms[j].Name && ms[i].Signature == ms[j].Signature {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package dalvik
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -186,6 +187,49 @@ func TestValidateDuplicateClass(t *testing.T) {
 	f := &File{Classes: []Class{{Name: "a.B"}, {Name: "a.B"}}}
 	if err := f.Validate(); err == nil {
 		t.Error("Validate accepted duplicate class names")
+	}
+}
+
+func TestValidateDuplicateMethod(t *testing.T) {
+	f := &File{Classes: []Class{{Name: "a.B", Methods: []Method{
+		{Name: "m", Signature: "()void"},
+		{Name: "m", Signature: "(int)void"},
+		{Name: "m", Signature: "()void"},
+	}}}}
+	if err := f.Validate(); err == nil {
+		t.Error("Validate accepted a method defined twice in one class")
+	}
+}
+
+// TestDecodeRejectsRepeatedDefinitions patches one name of an encoded file
+// (same length, checksum rewritten) so that the file repeats a class,
+// repeats a method within a class, or lists its classes out of the name
+// order Encode writes. Decode must reject all three as corrupt.
+func TestDecodeRejectsRepeatedDefinitions(t *testing.T) {
+	b := NewBuilder()
+	b.Class("com.a.Aaa", "android.app.Activity", AccPublic).
+		VoidMethod("onCreate", ConstString("https://first.example/")).
+		VoidMethod("runOne").
+		VoidMethod("runTwo")
+	b.Class("com.a.Aab", "android.app.Activity", AccPublic).
+		VoidMethod("onCreate", ConstString("https://second.example/"))
+	valid, err := Encode(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("unpatched file: %v", err)
+	}
+	for _, tc := range []struct{ name, from, to string }{
+		{"repeated class", "com.a.Aab", "com.a.Aaa"},
+		{"class out of order", "com.a.Aab", "com.a.Aa0"},
+		{"repeated method", "runTwo", "runOne"},
+	} {
+		data := bytes.ReplaceAll(valid, []byte(tc.from), []byte(tc.to))
+		rechecksum(data)
+		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode error = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

@@ -3,16 +3,15 @@ package dalvik
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"testing"
 )
 
 // FuzzDecode feeds Decode mutated files whose adler32 header the harness
 // rewrites, so that mutations reach the pools and classes behind the
 // checksum. Decode must not panic, every error must wrap one of the
-// package's sentinel errors, and a file Decode accepts and Encode accepts
-// must decode back deeply equal (with its classes in name order, the order
-// Encode writes them).
+// package's sentinel errors, no accepted file may define a class or a
+// method within a class twice, and a file Decode accepts and Encode
+// accepts must decode back deeply equal.
 func FuzzDecode(f *testing.F) {
 	valid, err := Encode(sampleFile(f))
 	if err != nil {
@@ -36,15 +35,30 @@ func FuzzDecode(f *testing.F) {
 			}
 			t.Fatalf("Decode: error %v wraps no sentinel error", err)
 		}
+		classes := make(map[string]bool, len(file.Classes))
+		for i := range file.Classes {
+			c := &file.Classes[i]
+			methods := make(map[MethodRef]bool, len(c.Methods))
+			for j := range c.Methods {
+				ref := c.Methods[j].Ref(c.Name)
+				if methods[ref] {
+					t.Fatalf("Decode accepted method %v defined twice", ref)
+				}
+				methods[ref] = true
+			}
+			if classes[c.Name] {
+				t.Fatalf("Decode accepted class %q defined twice", c.Name)
+			}
+			classes[c.Name] = true
+		}
 		enc, err := Encode(file)
 		if err != nil {
-			return // Decode is more permissive than Validate
+			return // Validate also rejects empty names and incomplete operands
 		}
 		back, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode(Encode(file)): %v", err)
 		}
-		sort.Slice(file.Classes, func(i, j int) bool { return file.Classes[i].Name < file.Classes[j].Name })
 		if !reflect.DeepEqual(back, file) {
 			t.Fatalf("Decode(Encode(file)) differs:\n got %+v\nwant %+v", back, file)
 		}

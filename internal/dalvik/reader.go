@@ -52,7 +52,9 @@ func (d *reader) str(n uint64) (string, error) {
 
 // Decode parses an sdex binary image produced by Encode. It verifies the
 // magic, version and checksum before touching the pools, so corrupt input is
-// rejected early and deterministically.
+// rejected early and deterministically. Like Validate, it rejects a class
+// or a method within a class defined twice: Encode writes classes in
+// strictly ascending name order, so a class out of that order is corrupt.
 func Decode(data []byte) (*File, error) {
 	if len(data) < 10 {
 		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrCorrupt, len(data))
@@ -97,6 +99,12 @@ func Decode(data []byte) (*File, error) {
 		c, err := d.readClass(strs, types, methods)
 		if err != nil {
 			return nil, fmt.Errorf("class %d: %w", i, err)
+		}
+		if n := len(f.Classes); n > 0 && c.Name <= f.Classes[n-1].Name {
+			return nil, fmt.Errorf("%w: class %q repeated or out of name order", ErrCorrupt, c.Name)
+		}
+		if repeatedMethod(c.Methods) {
+			return nil, fmt.Errorf("%w: class %q defines a method twice", ErrCorrupt, c.Name)
 		}
 		f.Classes = append(f.Classes, c)
 	}

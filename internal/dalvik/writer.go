@@ -17,7 +17,7 @@ import (
 //	strings   pool     (uvarint count, then length-prefixed UTF-8)
 //	types     pool     (uvarint count, then string-pool indices)
 //	methods   pool     (uvarint count, then class-type, name-string, sig-string indices)
-//	classes   uvarint count, then per class:
+//	classes   uvarint count, then per class in strictly ascending name order:
 //	            name-type, super-type(+1, 0=none), iface count + types,
 //	            source-string(+1, 0=none), flags,
 //	            field count + (name, type, flags),

@@ -17,8 +17,9 @@ import (
 // contentKeysDigest pins the SHA-256 of every cache key, one
 // "package key" line per filtered APK of the scale-2000, seed-1 corpus
 // under the default configuration. A change to it makes a warm
-// -cachedir miss everything.
-const contentKeysDigest = "deaac10043793576ed1254a8b7508ff0c323e5516169f0f1683b7e58a9c9364a"
+// -cachedir miss everything, as analysisVersion 2 (Decode rejecting
+// repeated definitions) deliberately did.
+const contentKeysDigest = "4de9130bb7ffb20505a3d4c2fe5e2bef7f2cc52e6bbca3a98e59a0bbf9988785"
 
 // keyOf is the cache key the per-APK worker derives for img.
 func keyOf(p *Pipeline, img []byte) string {

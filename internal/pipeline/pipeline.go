@@ -610,7 +610,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // attributeSDKs. Bump it on any change to what they produce, so cached
 // analyses and journals from an older binary are not served;
 // TestAnalysisVersionPinsOutput fails on a change without a bump.
-const analysisVersion = 1
+const analysisVersion = 2
 
 // configKey fingerprints the analysis code and configuration (the
 // analysis version, the SDK index and, when enabled, the lint rule set and

@@ -172,23 +172,26 @@ type Template struct {
 }
 
 type sinkSite struct {
-	ref      dalvik.MethodRef
+	method   int32 // the sink's caller, by graph method number
 	api      string
 	val      Value
 	grounded bool
 }
 
 type rawEndpoint struct {
-	ref dalvik.MethodRef
-	api string
-	val Value
+	method int32
+	api    string
+	val    Value
 }
 
 type run struct {
-	ex        *Extractor
-	g         *callgraph.Graph
-	summaries map[dalvik.MethodRef]Summary
-	inSCC     map[dalvik.MethodRef]bool
+	ex *Extractor
+	g  *callgraph.Graph
+	// summaries holds, by method number, the summary of every method whose
+	// SCC is finished (done). Inside a recursive SCC a call therefore
+	// stays Dynamic until the whole component is summarised.
+	summaries []Summary
+	done      []bool
 	sites     []*sinkSite
 	raw       []rawEndpoint
 }
@@ -200,50 +203,23 @@ type run struct {
 // non-nil, attributes endpoints first-party-vs-SDK. The result is
 // deterministic for a given dex.
 func (e *Extractor) Extract(g *callgraph.Graph, exclude map[string]bool, idx *sdkindex.Index) []Endpoint {
-	dex := g.Dex()
-	r := &run{
-		ex:        e,
-		g:         g,
-		summaries: make(map[dalvik.MethodRef]Summary, dex.MethodCount()),
-		inSCC:     make(map[dalvik.MethodRef]bool),
-	}
-	body := make(map[dalvik.MethodRef]*dalvik.Method, dex.MethodCount())
-	order := make([]dalvik.MethodRef, 0, dex.MethodCount())
-	for ci := range dex.Classes {
-		c := &dex.Classes[ci]
-		for mi := range c.Methods {
-			m := &c.Methods[mi]
-			ref := m.Ref(c.Name)
-			if _, dup := body[ref]; dup {
-				continue
-			}
-			body[ref] = m
-			order = append(order, ref)
+	n := g.NumMethods()
+	r := &run{ex: e, g: g, summaries: make([]Summary, n), done: make([]bool, n)}
+	condense(g, func(scc []int32) {
+		for _, id := range scc {
+			m := &mach{r: r, id: id, code: g.Code(id), targets: g.Targets(id),
+				arity: arity(g.Ref(id).Signature), cfg: e.cfg}
+			r.summaries[id] = m.run()
 		}
-	}
-	for _, scc := range condense(order, body, g) {
-		recursive := len(scc) > 1 || callsSelf(scc[0], body[scc[0]], g)
-		if recursive {
-			for _, ref := range scc {
-				r.inSCC[ref] = true
-			}
+		for _, id := range scc {
+			r.done[id] = true
 		}
-		for _, ref := range scc {
-			m := &mach{r: r, ref: ref, code: body[ref].Code,
-				arity: arity(ref.Signature), cfg: e.cfg}
-			r.summaries[ref] = m.run()
-		}
-		if recursive {
-			for _, ref := range scc {
-				delete(r.inSCC, ref)
-			}
-		}
-	}
+	})
 	// Sink templates no caller ever grounded degrade to their own site:
 	// the constant prefix is real, the parameter tail is not knowable.
 	for _, s := range r.sites {
 		if !s.grounded {
-			r.raw = append(r.raw, rawEndpoint{ref: s.ref, api: s.api,
+			r.raw = append(r.raw, rawEndpoint{method: s.method, api: s.api,
 				val: Value{Prefix: s.val.Prefix, Tail: TailDynamic}})
 		}
 	}
@@ -251,14 +227,14 @@ func (e *Extractor) Extract(g *callgraph.Graph, exclude map[string]bool, idx *sd
 }
 
 func (r *run) finalize(exclude map[string]bool, idx *sdkindex.Index) []Endpoint {
-	reach := r.g.Reachable()
 	seen := make(map[Endpoint]bool, len(r.raw))
 	var out []Endpoint
 	for _, raw := range r.raw {
-		if exclude[raw.ref.Class] || !reach[raw.ref] {
+		ref := r.g.Ref(raw.method)
+		if exclude[ref.Class] || !r.g.Reachable(raw.method) {
 			continue
 		}
-		ep := classify(raw)
+		ep := classify(ref, raw)
 		attribute(&ep, idx)
 		if seen[ep] {
 			continue
@@ -285,8 +261,8 @@ func (r *run) finalize(exclude map[string]bool, idx *sdkindex.Index) []Endpoint 
 	return out
 }
 
-func classify(raw rawEndpoint) Endpoint {
-	ep := Endpoint{Class: raw.ref.Class, Method: raw.ref.Name, API: raw.api}
+func classify(ref dalvik.MethodRef, raw rawEndpoint) Endpoint {
+	ep := Endpoint{Class: ref.Class, Method: ref.Name, API: raw.api}
 	v := raw.val
 	switch {
 	case v.Tail == TailNone:
@@ -316,93 +292,39 @@ func attribute(ep *Endpoint, idx *sdkindex.Index) {
 	ep.FirstParty = true
 }
 
-// callEdges returns the in-file methods ref's body invokes, resolved, in
-// code order without duplicates.
-func callEdges(m *dalvik.Method, g *callgraph.Graph) []dalvik.MethodRef {
-	var out []dalvik.MethodRef
-	var seen map[dalvik.MethodRef]bool
-	for _, ins := range m.Code {
-		if !ins.Op.IsInvoke() {
-			continue
-		}
-		resolved, ok := g.Resolve(ins.Target)
-		if !ok {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[dalvik.MethodRef]bool, 4)
-		}
-		if seen[resolved] {
-			continue
-		}
-		seen[resolved] = true
-		out = append(out, resolved)
-	}
-	return out
-}
-
-func callsSelf(ref dalvik.MethodRef, m *dalvik.Method, g *callgraph.Graph) bool {
-	for _, edge := range callEdges(m, g) {
-		if edge == ref {
-			return true
-		}
-	}
-	return false
-}
-
-// condense runs an iterative Tarjan over the caller→callee edges and
-// returns the SCCs callees-first (reverse topological order), which is
-// exactly the order bottom-up summary propagation needs. Root and edge
-// order follow the dex file, so the output is deterministic. Methods are
-// numbered by dex position once up front so the walk runs on integer-
-// indexed slices — hashing three-string MethodRef keys per step dominated
-// the extraction profile.
-func condense(order []dalvik.MethodRef, body map[dalvik.MethodRef]*dalvik.Method, g *callgraph.Graph) [][]dalvik.MethodRef {
-	n := len(order)
-	id := make(map[dalvik.MethodRef]int, n)
-	for i, ref := range order {
-		id[ref] = i
-	}
-	edges := make([][]int, n)
-	for i, ref := range order {
-		ce := callEdges(body[ref], g)
-		if len(ce) == 0 {
-			continue
-		}
-		es := make([]int, 0, len(ce))
-		for _, w := range ce {
-			if j, ok := id[w]; ok {
-				es = append(es, j)
-			}
-		}
-		edges[i] = es
-	}
-
-	index := make([]int, n) // discovery order + 1; 0 = unvisited
-	low := make([]int, n)
+// condense runs an iterative Tarjan over the graph's caller→callee edges
+// and visits the SCCs callees-first (reverse topological order), which is
+// exactly the order bottom-up summary propagation needs. Roots are taken in
+// method-number (dex) order and edges in first-call order, so the visit
+// order is deterministic. visit receives each component in discovery order
+// and must not retain the slice.
+func condense(g *callgraph.Graph, visit func(scc []int32)) {
+	n := g.NumMethods()
+	index := make([]int32, n) // discovery order + 1; 0 = unvisited
+	low := make([]int32, n)
 	onstack := make([]bool, n)
-	var stack []int
-	var sccs [][]dalvik.MethodRef
-	next := 1
+	var stack []int32
+	next := int32(1)
 
 	type frame struct {
-		v, i int
+		v int32
+		i int
 	}
-	for _, root := range order {
-		rid := id[root]
-		if index[rid] != 0 {
+	var frames []frame
+	for root := int32(0); root < int32(n); root++ {
+		if index[root] != 0 {
 			continue
 		}
-		index[rid] = next
-		low[rid] = next
+		index[root] = next
+		low[root] = next
 		next++
-		stack = append(stack, rid)
-		onstack[rid] = true
-		frames := []frame{{v: rid}}
+		stack = append(stack, root)
+		onstack[root] = true
+		frames = append(frames[:0], frame{v: root})
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.i < len(edges[f.v]) {
-				w := edges[f.v][f.i]
+			if edges := g.Callees(f.v); f.i < len(edges) {
+				w := edges[f.i]
 				f.i++
 				if index[w] == 0 {
 					index[w] = next
@@ -425,25 +347,20 @@ func condense(order []dalvik.MethodRef, body map[dalvik.MethodRef]*dalvik.Method
 				}
 			}
 			if low[v] == index[v] {
-				var scc []dalvik.MethodRef
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				// The component is the top of the stack down to v, already
+				// in discovery order.
+				k := len(stack) - 1
+				for stack[k] != v {
+					k--
+				}
+				for _, w := range stack[k:] {
 					onstack[w] = false
-					scc = append(scc, order[w])
-					if w == v {
-						break
-					}
 				}
-				// Restore discovery order inside the component.
-				for i, j := 0, len(scc)-1; i < j; i, j = i+1, j-1 {
-					scc[i], scc[j] = scc[j], scc[i]
-				}
-				sccs = append(sccs, scc)
+				visit(stack[k:])
+				stack = stack[:k]
 			}
 		}
 	}
-	return sccs
 }
 
 // absState is the abstract machine state entering an instruction: the
@@ -501,13 +418,14 @@ func joinStates(a, b absState) absState {
 
 // mach interprets one method body.
 type mach struct {
-	r     *run
-	ref   dalvik.MethodRef
-	code  []dalvik.Instruction
-	arity int
-	cfg   Config
-	sum   Summary
-	in    []absState
+	r       *run
+	id      int32 // graph method number
+	code    []dalvik.Instruction
+	targets []int32 // resolved callee per pc, from the graph
+	arity   int
+	cfg     Config
+	sum     Summary
+	in      []absState
 }
 
 // run computes the fixpoint of per-pc in-states (phase A), then walks the
@@ -617,7 +535,7 @@ func (m *mach) exec(st absState, pc int, emitting bool) (absState, int, int) {
 	case dalvik.OpNewInstance:
 		st.pendingNew = ins.Type
 	case dalvik.OpInvokeVirtual, dalvik.OpInvokeStatic, dalvik.OpInvokeDirect, dalvik.OpInvokeInterface:
-		wasInvoke = m.invoke(&st, ins, emitting)
+		wasInvoke = m.invoke(&st, ins, m.targets[pc], emitting)
 	case dalvik.OpMoveResult:
 		if st.afterInvoke {
 			m.push(&st, st.last)
@@ -672,10 +590,11 @@ func (m *mach) takeArgs(st *absState, ar int) []Value {
 	return args
 }
 
-// invoke interprets one invoke instruction in place and reports whether a
+// invoke interprets one invoke instruction, whose target resolves to
+// method number callee (-1 when external), in place and reports whether a
 // directly following move-result captures its result (constructors do
 // not: the decompiler renders the placeholder __result there).
-func (m *mach) invoke(st *absState, ins dalvik.Instruction, emitting bool) bool {
+func (m *mach) invoke(st *absState, ins dalvik.Instruction, callee int32, emitting bool) bool {
 	t := ins.Target
 	ar := arity(t.Signature)
 	if ins.Op == dalvik.OpInvokeDirect && t.Name == ctorName && st.pendingNew == t.Class {
@@ -728,12 +647,11 @@ func (m *mach) invoke(st *absState, ins dalvik.Instruction, emitting bool) bool 
 		}
 	}
 	st.last = Dynamic()
-	if resolved, ok := m.r.g.Resolve(t); ok && !m.r.inSCC[resolved] {
-		if sum, have := m.r.summaries[resolved]; have {
-			st.last = substitute(sum.Ret, args)
-			if emitting {
-				m.instantiate(sum, args)
-			}
+	if callee >= 0 && m.r.done[callee] {
+		sum := m.r.summaries[callee]
+		st.last = substitute(sum.Ret, args)
+		if emitting {
+			m.instantiate(sum, args)
 		}
 	}
 	return true
@@ -783,11 +701,11 @@ func (m *mach) emitSink(t dalvik.MethodRef, args []Value) {
 			return
 		}
 		id := len(m.r.sites)
-		m.r.sites = append(m.r.sites, &sinkSite{ref: m.ref, api: apiName(t), val: v})
+		m.r.sites = append(m.r.sites, &sinkSite{method: m.id, api: apiName(t), val: v})
 		m.sum.Sinks = append(m.sum.Sinks, Template{Site: id, Val: v})
 		return
 	}
-	m.r.raw = append(m.r.raw, rawEndpoint{ref: m.ref, api: apiName(t), val: v})
+	m.r.raw = append(m.r.raw, rawEndpoint{method: m.id, api: apiName(t), val: v})
 }
 
 // instantiate grounds a callee's sink templates with the actual
@@ -806,6 +724,6 @@ func (m *mach) instantiate(sum Summary, args []Value) {
 		}
 		site := m.r.sites[t.Site]
 		site.grounded = true
-		m.r.raw = append(m.r.raw, rawEndpoint{ref: site.ref, api: site.api, val: v})
+		m.r.raw = append(m.r.raw, rawEndpoint{method: site.method, api: site.api, val: v})
 	}
 }

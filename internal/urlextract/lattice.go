@@ -112,11 +112,13 @@ func NormalizeURL(raw string) string {
 	}
 	authority, tail := splitAuthority(rest)
 	host, port := splitHostPort(authority)
-	host = strings.ToLower(host)
-	switch {
-	case port == "80" && scheme == "http", port == "443" && scheme == "https":
-		port = ""
+	// Dropping a default port can expose another one ("a:80:80"), so strip
+	// until a non-default port or none is left, which keeps the result a
+	// fixed point.
+	for port == "80" && scheme == "http" || port == "443" && scheme == "https" {
+		host, port = splitHostPort(host)
 	}
+	host = strings.ToLower(host)
 	var b strings.Builder
 	b.Grow(len(raw))
 	b.WriteString(scheme)
@@ -189,16 +191,15 @@ func splitAuthority(rest string) (authority, tail string) {
 }
 
 // splitHostPort strips an explicit ":port" suffix (digits only) from an
-// authority. Userinfo is not modelled by the corpus and left alone.
+// authority; trailing colons are empty ports and go too. Userinfo is not
+// modelled by the corpus and left alone.
 func splitHostPort(authority string) (host, port string) {
+	authority = strings.TrimRight(authority, ":")
 	i := strings.LastIndexByte(authority, ':')
 	if i < 0 {
 		return authority, ""
 	}
 	p := authority[i+1:]
-	if p == "" {
-		return authority[:i], ""
-	}
 	for j := 0; j < len(p); j++ {
 		if !isDigit(p[j]) {
 			return authority, ""

@@ -1,8 +1,6 @@
 package urlextract
 
 import (
-	"sort"
-
 	"repro/internal/callgraph"
 	"repro/internal/dalvik"
 )
@@ -18,76 +16,50 @@ type TaintConfig struct {
 }
 
 // ParamTaint runs an interprocedural boolean taint fixpoint over the
-// graph's bytecode and returns, per method, the sorted indices of
-// parameters that can carry source-derived data. The per-method walk
-// mirrors the decompiler's rendering semantics exactly — linear scan,
-// operand stack cleared at branches, constructor operands left for the
-// call they feed, missing leading invoke arguments standing in for the
-// enclosing method's own parameters — so lint rules that match on the
+// graph's bytecode and returns, by graph method number, which parameters
+// can carry source-derived data (nil for a method with none). The
+// per-method walk mirrors the decompiler's rendering semantics exactly —
+// linear scan, operand stack cleared at branches, constructor operands left
+// for the call they feed, missing leading invoke arguments standing in for
+// the enclosing method's own parameters — so lint rules that match on the
 // decompiled source see the same flows the bytecode carries.
-func ParamTaint(g *callgraph.Graph, cfg TaintConfig) map[dalvik.MethodRef][]int {
-	dex := g.Dex()
-	body := make(map[dalvik.MethodRef]*dalvik.Method, dex.MethodCount())
-	var order []dalvik.MethodRef
-	for ci := range dex.Classes {
-		c := &dex.Classes[ci]
-		for mi := range c.Methods {
-			m := &c.Methods[mi]
-			ref := m.Ref(c.Name)
-			if _, dup := body[ref]; dup {
-				continue
-			}
-			body[ref] = m
-			order = append(order, ref)
+func ParamTaint(g *callgraph.Graph, cfg TaintConfig) [][]bool {
+	n := g.NumMethods()
+	taint := make([][]bool, n)
+	queued := make([]bool, n)
+	work := make([]int32, n)
+	for i := range work {
+		work[i] = int32(i)
+		queued[i] = true
+	}
+	push := func(id int32) {
+		if !queued[id] {
+			queued[id] = true
+			work = append(work, id)
 		}
 	}
-
-	taint := make(map[dalvik.MethodRef]map[int]bool)
-	queued := make(map[dalvik.MethodRef]bool, len(order))
-	work := append([]dalvik.MethodRef(nil), order...)
-	for _, ref := range work {
-		queued[ref] = true
-	}
-	push := func(ref dalvik.MethodRef) {
-		if !queued[ref] {
-			queued[ref] = true
-			work = append(work, ref)
-		}
-	}
-
 	for len(work) > 0 {
-		ref := work[0]
+		id := work[0]
 		work = work[1:]
-		queued[ref] = false
-		taintWalk(g, ref, body[ref], taint, cfg, push)
+		queued[id] = false
+		taintWalk(g, id, taint, cfg, push)
 	}
-
-	out := make(map[dalvik.MethodRef][]int, len(taint))
-	for ref, set := range taint {
-		idxs := make([]int, 0, len(set))
-		for i := range set {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		out[ref] = idxs
-	}
-	return out
+	return taint
 }
 
-// taintWalk scans one method linearly, tracking taint per operand-stack
+// taintWalk scans method id linearly, tracking taint per operand-stack
 // slot plus the last-invoke-result variable, and records interprocedural
 // edges: a tainted argument at slot k taints the resolved callee's k-th
 // parameter (enqueueing the callee when its set grows).
-func taintWalk(g *callgraph.Graph, ref dalvik.MethodRef, m *dalvik.Method,
-	taint map[dalvik.MethodRef]map[int]bool, cfg TaintConfig, push func(dalvik.MethodRef)) {
-	params := taint[ref]
-	own := arity(ref.Signature)
-	var stack []bool
+func taintWalk(g *callgraph.Graph, id int32, taint [][]bool, cfg TaintConfig, push func(int32)) {
+	params := taint[id]
+	targets := g.Targets(id)
+	var stack, args []bool
 	lastTainted := false
 	afterInvoke := false
 	resTaint := false
 	pendingNew := ""
-	for _, ins := range m.Code {
+	for pc, ins := range g.Code(id) {
 		wasInvoke := false
 		switch ins.Op {
 		case dalvik.OpConstString, dalvik.OpConstInt:
@@ -111,16 +83,14 @@ func taintWalk(g *callgraph.Graph, ref dalvik.MethodRef, m *dalvik.Method,
 			if len(stack) < take {
 				take = len(stack)
 			}
-			args := make([]bool, ar)
+			args = append(args[:0], make([]bool, ar)...)
 			base := len(stack) - take
 			for i := 0; i < take; i++ {
 				args[ar-take+i] = stack[base+i]
 			}
 			stack = stack[:base]
-			for i := 0; i < ar-take; i++ {
-				if i < own && params[i] {
-					args[i] = true
-				}
+			for i := 0; i < ar-take && i < len(params); i++ {
+				args[i] = params[i]
 			}
 			switch {
 			case cfg.Sources[t.Name]:
@@ -134,20 +104,18 @@ func taintWalk(g *callgraph.Graph, ref dalvik.MethodRef, m *dalvik.Method,
 			default:
 				resTaint = false
 			}
-			if !cfg.Sinks[t.Name] {
-				if resolved, ok := g.Resolve(t); ok {
-					calleeAr := arity(resolved.Signature)
-					for k, a := range args {
-						if !a || k >= calleeAr {
-							continue
-						}
-						if taint[resolved] == nil {
-							taint[resolved] = make(map[int]bool, 2)
-						}
-						if !taint[resolved][k] {
-							taint[resolved][k] = true
-							push(resolved)
-						}
+			if callee := targets[pc]; callee >= 0 && !cfg.Sinks[t.Name] {
+				calleeAr := arity(g.Ref(callee).Signature)
+				for k, a := range args {
+					if !a || k >= calleeAr {
+						continue
+					}
+					if taint[callee] == nil {
+						taint[callee] = make([]bool, calleeAr)
+					}
+					if !taint[callee][k] {
+						taint[callee][k] = true
+						push(callee)
 					}
 				}
 			}

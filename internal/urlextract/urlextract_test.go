@@ -66,6 +66,12 @@ func TestNormalizeURL(t *testing.T) {
 		"about:blank":                      "about:blank",
 		"not a url":                        "not a url",
 		"https://HOST.example":             "https://host.example",
+		// Empty ports drop, and so does a default port that dropping
+		// another one exposes.
+		"A://::":               "a://",
+		"http://a.example:80:": "http://a.example",
+		"https://a:443:443/x":  "https://a/x",
+		"http://a::80":         "http://a",
 	}
 	for in, want := range cases {
 		got := NormalizeURL(in)
@@ -418,9 +424,10 @@ func TestParamTaintInterprocedural(t *testing.T) {
 		Derivers: map[string]bool{"getDataString": true},
 		Sinks:    map[string]bool{"loadUrl": true},
 	})
-	route := dalvik.MethodRef{Class: "com.app.LinkRouter", Name: "route", Signature: "(String)void"}
-	if idxs := got[route]; len(idxs) != 1 || idxs[0] != 0 {
-		t.Errorf("route param taint = %v (full map %v)", idxs, got)
+	// Methods are numbered in dex order: onCreate, openDeepLink, route.
+	want := [][]bool{nil, nil, {true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("param taint = %v, want %v (route's parameter 0)", got, want)
 	}
 }
 
@@ -442,7 +449,9 @@ func TestParamTaintConstArgStaysClean(t *testing.T) {
 		Derivers: map[string]bool{"getDataString": true},
 		Sinks:    map[string]bool{"loadUrl": true},
 	})
-	if len(got) != 0 {
-		t.Errorf("unexpected taint: %v", got)
+	for id, params := range got {
+		if params != nil {
+			t.Errorf("unexpected taint on method %d: %v", id, params)
+		}
 	}
 }

@@ -2,10 +2,8 @@ package webviewlint
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/dalvik"
 	"repro/internal/urlextract"
 )
 
@@ -116,26 +114,20 @@ func (a *Analyzer) seedParamTaint(app App, classes map[string]*classInfo) map[me
 	engine := urlextract.ParamTaint(app.Graph, urlextract.TaintConfig{
 		Sources: taintSources, Derivers: taintDerivers, Sinks: taintSinks,
 	})
-	refs := make([]dalvik.MethodRef, 0, len(engine))
-	for ref := range engine {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Class != refs[j].Class {
-			return refs[i].Class < refs[j].Class
+	for id, params := range engine {
+		if params == nil {
+			continue
 		}
-		if refs[i].Name != refs[j].Name {
-			return refs[i].Name < refs[j].Name
-		}
-		return refs[i].Signature < refs[j].Signature
-	})
-	for _, ref := range refs {
+		ref := app.Graph.Ref(int32(id))
 		ci := classes[ref.Class]
 		if ci == nil {
 			continue
 		}
 		k := methodKey{ref.Class, ref.Name}
-		for _, idx := range engine[ref] {
+		for idx, tainted := range params {
+			if !tainted {
+				continue
+			}
 			for mi := range ci.td.Methods {
 				cm := &ci.td.Methods[mi]
 				if cm.Name != ref.Name || idx >= len(cm.Params) {
