@@ -7,7 +7,7 @@
 // The client verifies every download against the server-sent payload
 // digest and Content-Length, surfacing truncated or corrupted bodies as
 // retryable errors, and can wrap all its requests in a retry policy
-// (WithRetry) with backoff and per-endpoint circuit breaking.
+// (WithRetry) with backoff.
 package androzoo
 
 import (

@@ -97,9 +97,11 @@ func (s *Server) Handler() http.Handler {
 
 // DecodeCollect extracts the beacon batch from a /collect request — the
 // one shared path for both the GET (query-parameter, single-beacon) and
-// POST (JSON-array, body-capped) channels. POST bodies beyond
-// MaxCollectBody fail with a *http.MaxBytesError, malformed JSON (or junk
-// trailing the array) with a plain error; WriteCollectError maps both.
+// POST (JSON-array, body-capped) channels. A POST body must be exactly one
+// JSON array, with nothing but whitespace after it. Bodies beyond
+// MaxCollectBody fail with a *http.MaxBytesError, anything else malformed
+// (null, another value, junk trailing the array) with a plain error;
+// WriteCollectError maps both.
 func DecodeCollect(w http.ResponseWriter, r *http.Request) ([]Trace, error) {
 	if r.Method == http.MethodGet {
 		return []Trace{{
@@ -112,8 +114,15 @@ func DecodeCollect(w http.ResponseWriter, r *http.Request) ([]Trace, error) {
 	if err := dec.Decode(&batch); err != nil {
 		return nil, fmt.Errorf("measure: bad batch: %w", err)
 	}
-	if dec.More() {
-		return nil, errors.New("measure: bad batch: trailing data after array")
+	// Decode leaves a slice nil only for a JSON null; "[]" decodes empty.
+	if batch == nil {
+		return nil, errors.New("measure: bad batch: not a JSON array")
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after array")
+		}
+		return nil, fmt.Errorf("measure: bad batch: %w", err)
 	}
 	return batch, nil
 }

@@ -150,7 +150,12 @@ func TestCollectRejectsMalformedBatch(t *testing.T) {
 		{"garbage", "{not json", http.StatusBadRequest},
 		{"wrong shape", `{"app":"x"}`, http.StatusBadRequest},
 		{"trailing data", `[]{"x":1}`, http.StatusBadRequest},
+		{"trailing bracket", `[]]`, http.StatusBadRequest},
+		{"trailing brace", `[{"interface":"a","method":"b"}]}`, http.StatusBadRequest},
+		{"trailing brackets", `[{"interface":"a"}]]]]`, http.StatusBadRequest},
+		{"null", `null`, http.StatusBadRequest},
 		{"empty beacon", `[{"app":"com.x"}]`, http.StatusBadRequest},
+		{"empty batch", " [ ]\n", http.StatusNoContent},
 		{"valid", `[{"interface":"Document","method":"createElement"}]`, http.StatusNoContent},
 	}
 	for _, tc := range cases {

@@ -309,11 +309,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 
 	res := &Result{}
 	listStart := time.Now()
-	// The listing retries on the per-package schedule, classifier and
-	// breaker but counts into no metrics sink: it runs once per pipeline
-	// run, so counting its attempt would make per-run metric deltas depend
-	// on how a corpus is partitioned across runs; the mirrored retry
-	// families (and Stats.Retries) carry per-package traffic only.
+	// The listing retries on the per-package schedule and classifier but
+	// counts into no metrics sink: it runs once per pipeline run, so
+	// counting its attempt would make per-run metric deltas depend on how
+	// a corpus is partitioned across runs; the mirrored retry families
+	// (and Stats.Retries) carry per-package traffic only.
 	pkgs, err := retry.Do(runCtx, p.cfg.Retry.WithMetrics(nil), func(ctx context.Context) ([]string, error) {
 		return p.repo.List(ctx)
 	})

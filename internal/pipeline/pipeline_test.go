@@ -66,6 +66,31 @@ func TestFunnelMatchesCorpus(t *testing.T) {
 	}
 }
 
+// TestTable7AdoptionMatchesExperiments pins the 1/600 adoption rows that
+// EXPERIMENTS.md prints under "Table 7 — WebView/CT API usage" and that its
+// known deviation 3 ("both" rate by scale) quotes: 245 analysed, 136
+// WebView, 52 CT and 45 both (18.4%).
+func TestTable7AdoptionMatchesExperiments(t *testing.T) {
+	res, _ := runPipeline(t, 600)
+	var webView, ct, both int
+	for i := range res.Apps {
+		app := &res.Apps[i]
+		if app.UsesWebView {
+			webView++
+		}
+		if app.UsesCT {
+			ct++
+		}
+		if app.UsesWebView && app.UsesCT {
+			both++
+		}
+	}
+	if len(res.Apps) != 245 || webView != 136 || ct != 52 || both != 45 {
+		t.Errorf("analysed %d, WebView %d, CT %d, both %d; EXPERIMENTS.md prints 245, 136, 52, 45",
+			len(res.Apps), webView, ct, both)
+	}
+}
+
 func TestPerAppResultsMatchGroundTruth(t *testing.T) {
 	res, c := runPipeline(t, 600)
 	specs := make(map[string]*corpus.Spec)

@@ -218,10 +218,9 @@ func (p *Pipeline) instrumentShared(hub *telemetry.Hub) {
 	}
 	if p.cfg.Retry != nil && p.cfg.Retry.Metrics != nil {
 		p.cfg.Retry.Metrics.Mirror = retry.Mirror{
-			Attempts:       hub.Counter("retry_attempts_total", "operation invocations, first tries included"),
-			Retries:        hub.Counter("retry_retries_total", "re-invocations after a retryable failure"),
-			Failures:       hub.Counter("retry_failures_total", "operations that exhausted retries or hit a permanent error"),
-			BreakerRejects: hub.Counter("retry_breaker_rejects_total", "calls refused by an open circuit breaker"),
+			Attempts: hub.Counter("retry_attempts_total", "operation invocations, first tries included"),
+			Retries:  hub.Counter("retry_retries_total", "re-invocations after a retryable failure"),
+			Failures: hub.Counter("retry_failures_total", "operations that exhausted retries or hit a permanent error"),
 		}
 	}
 }

@@ -23,8 +23,7 @@ import (
 // fresh hub and returns the canonical metrics JSON and trace JSONL it
 // emitted. cfg supplies the worker count and stages; the selection filter
 // and hub are set here. With faulted, the backends inject 10% transient
-// errors (absorbed by retries; no breaker — breaker transitions are
-// scheduling-dependent and excluded from determinism guarantees).
+// errors, absorbed by retries.
 func telemetryRun(t *testing.T, c *corpus.Corpus, cfg pipeline.Config, faulted bool) (hub *telemetry.Hub, metrics, trace string) {
 	t.Helper()
 	hub = telemetry.New(telemetry.Options{Timing: telemetry.SeededTiming{Seed: 11}, Tracing: true})

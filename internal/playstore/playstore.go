@@ -97,8 +97,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 // WithRetry wraps every Metadata call in the given retry policy (nil
 // disables retrying) and returns the client. Not-found responses are
 // classified permanent — an app's absence is an answer, not a failure —
-// so they are never retried and never trip a circuit breaker into
-// mistaking 4.05M honest 404s for an outage.
+// so they are never retried.
 func (c *Client) WithRetry(p *retry.Policy) *Client {
 	c.retry = p
 	return c

@@ -1,8 +1,7 @@
 // Package retry implements the fault-tolerance primitives the pipeline's
 // network edges share: a generic retrying executor with exponential
 // backoff and full jitter, error classification (transient failures are
-// retried, permanent ones surface immediately), per-endpoint circuit
-// breaking, and atomic metrics.
+// retried, permanent ones surface immediately), and atomic metrics.
 //
 // Everything nondeterministic is injectable — the jitter RNG is seeded
 // and the sleeper is a function value — so tests drive the exact retry
@@ -41,8 +40,6 @@ type Metrics struct {
 	// Failures counts operations that gave up (exhausted attempts, hit a
 	// permanent error, or lost their context).
 	Failures atomic.Int64
-	// BreakerRejects counts calls refused by an open circuit breaker.
-	BreakerRejects atomic.Int64
 
 	// Mirror, when its counters are set, duplicates every increment into a
 	// telemetry registry so a live scrape sees retry traffic as it happens.
@@ -52,10 +49,9 @@ type Metrics struct {
 
 // Mirror holds the telemetry counters Metrics duplicates into.
 type Mirror struct {
-	Attempts       *telemetry.Counter
-	Retries        *telemetry.Counter
-	Failures       *telemetry.Counter
-	BreakerRejects *telemetry.Counter
+	Attempts *telemetry.Counter
+	Retries  *telemetry.Counter
+	Failures *telemetry.Counter
 }
 
 func (m *Metrics) attempt() {
@@ -76,13 +72,6 @@ func (m *Metrics) failed() {
 	if m != nil {
 		m.Failures.Add(1)
 		m.Mirror.Failures.Inc()
-	}
-}
-
-func (m *Metrics) rejected() {
-	if m != nil {
-		m.BreakerRejects.Add(1)
-		m.Mirror.BreakerRejects.Inc()
 	}
 }
 
@@ -109,19 +98,14 @@ type Policy struct {
 	Classify func(error) bool
 	// Metrics, when non-nil, accumulates attempt/retry/failure counts.
 	Metrics *Metrics
-	// Breaker, when non-nil, is consulted before each attempt and fed the
-	// outcome; an open breaker fails calls fast instead of hammering a
-	// down endpoint.
-	Breaker *Breaker
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
 // WithMetrics returns a copy of p whose attempts count into m instead of
-// p.Metrics: the same schedule, seed, sleeper, classifier and breaker
-// (the Breaker pointer is shared, as both talk to the same upstream), with
-// its own jitter state. A nil p returns nil. Policy holds a mutex, so
+// p.Metrics: the same schedule, seed, sleeper and classifier, with its own
+// jitter state. A nil p returns nil. Policy holds a mutex, so
 // callers copy through here rather than by value.
 func (p *Policy) WithMetrics(m *Metrics) *Policy {
 	if p == nil {
@@ -136,7 +120,6 @@ func (p *Policy) WithMetrics(m *Metrics) *Policy {
 		Sleep:       p.Sleep,
 		Classify:    p.Classify,
 		Metrics:     m,
-		Breaker:     p.Breaker,
 	}
 }
 
@@ -157,17 +140,8 @@ func Do[T any](ctx context.Context, p *Policy, fn func(context.Context) (T, erro
 		classify = IsRetryable
 	}
 	for i := 0; ; i++ {
-		if p.Breaker != nil {
-			if err := p.Breaker.Allow(); err != nil {
-				p.Metrics.rejected()
-				return zero, err
-			}
-		}
 		p.Metrics.attempt()
 		v, err := fn(ctx)
-		if p.Breaker != nil {
-			p.Breaker.Record(err)
-		}
 		if err == nil {
 			return v, nil
 		}

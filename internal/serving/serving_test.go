@@ -136,6 +136,10 @@ func TestMalformedInputRejectedNotShed(t *testing.T) {
 		{"garbage", "{nope", http.StatusBadRequest},
 		{"empty beacon", `[{"app":"com.a"}]`, http.StatusBadRequest},
 		{"oversized", `[{"interface":"I","method":"` + strings.Repeat("m", 2<<10) + `"}]`, http.StatusRequestEntityTooLarge},
+		{"trailing bracket", `[]]`, http.StatusBadRequest},
+		{"trailing brace", `[{"interface":"a","method":"b"}]}`, http.StatusBadRequest},
+		{"trailing brackets", `[{"interface":"a"}]]]]`, http.StatusBadRequest},
+		{"null", `null`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest(http.MethodPost, "/collect", strings.NewReader(tc.body))
@@ -146,8 +150,8 @@ func TestMalformedInputRejectedNotShed(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.Rejected != 3 || st.ShedTotal() != 0 || st.IngestRequests != 0 {
-		t.Errorf("stats = %+v; want 3 rejected, 0 shed, 0 ingested", st)
+	if st.Rejected != int64(len(cases)) || st.ShedTotal() != 0 || st.IngestRequests != 0 {
+		t.Errorf("stats = %+v; want %d rejected, 0 shed, 0 ingested", st, len(cases))
 	}
 }
 
