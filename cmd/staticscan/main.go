@@ -26,7 +26,7 @@
 //
 // With -cachedir, per-APK analyses are cached on disk keyed by APK content
 // digest: a re-run over an unchanged corpus downloads each APK but skips
-// its decompile/parse/callgraph work entirely (the stats line reports the
+// its call-graph, lint and URL work entirely (the stats line reports the
 // hit rate). Edit the SDK catalog or the corpus and the affected entries
 // miss and recompute. -stats prints the per-stage pipeline summary to
 // stderr.

@@ -4,9 +4,12 @@
 // The output is real, parseable Java-subset source: a package declaration,
 // an import block, a class declaration with extends/implements clauses and
 // method bodies reconstructed statement-by-statement from the instruction
-// stream. Downstream, package javaparser re-parses this text to find custom
-// WebView subclasses — exactly the decompile-then-parse round trip the
-// paper performs, rather than a shortcut over the in-memory structures.
+// stream. One walk over the bytecode yields it line by line (walk.go), and
+// two readings run on that walk. The text renderer (Decompile) is the
+// developer view, and with package javaparser reading the text back it is
+// the oracle for the paper's decompile-then-parse method (§3.1.2). Parsed
+// builds the compilation units javaparser reads from that text without
+// writing any, and the pipeline's lint stage reads those.
 package decompiler
 
 import (
@@ -40,9 +43,8 @@ func Decompile(f *dalvik.File) []Unit {
 	return units
 }
 
-// bufPool recycles the render buffer across classes: decompilation runs
-// once per class per APK on the pipeline's hottest path, and reusing the
-// grown buffer avoids re-paying the append-doubling allocations every time.
+// bufPool recycles the render buffer across classes, so rendering a whole
+// file does not re-pay the buffer's append-doubling for every class.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // DecompileClass renders a single class definition as Java-like source.
@@ -50,32 +52,79 @@ func DecompileClass(c *dalvik.Class) string {
 	sb := bufPool.Get().(*bytes.Buffer)
 	sb.Reset()
 	defer bufPool.Put(sb)
-	pkg := c.Package()
-	simple := simpleName(c.Name)
+	w := &walk{r: renderer{sb}}
+	w.class(c)
+	return sb.String() // copies out of the pooled buffer
+}
 
-	fmt.Fprintf(sb, "// Decompiled with sjadx from %s\n", sourceOf(c))
-	if pkg != "" {
-		fmt.Fprintf(sb, "package %s;\n\n", pkg)
-	}
+// renderer writes each line of the walk as source text.
+type renderer struct{ sb *bytes.Buffer }
 
-	imports := collectImports(c, pkg)
-	for _, imp := range imports {
-		fmt.Fprintf(sb, "import %s;\n", imp)
+func (r renderer) read(l line) {
+	sb := r.sb
+	for i := 0; i < l.indent; i++ {
+		sb.WriteString("    ")
 	}
-	if len(imports) > 0 {
-		sb.WriteByte('\n')
+	switch l.kind {
+	case lineSource:
+		sb.WriteString("// Decompiled with sjadx from ")
+		sb.WriteString(l.text)
+	case linePackage:
+		fmt.Fprintf(sb, "package %s;", l.text)
+	case lineImport:
+		fmt.Fprintf(sb, "import %s;", l.text)
+	case lineType:
+		writeTypeHeader(sb, l.class)
+	case lineField:
+		fmt.Fprintf(sb, "%s%s %s;", modifiers(l.field.Flags), simpleName(l.field.Type), l.field.Name)
+	case lineMethod:
+		ret, params := splitSignature(l.method.Signature)
+		fmt.Fprintf(sb, "%s%s %s(%s) {", modifiers(l.method.Flags), ret, l.method.Name, params)
+	case lineClose:
+		sb.WriteByte('}')
+	case lineConstString:
+		fmt.Fprintf(sb, "String s%d = %q;", l.n, l.text)
+	case lineConstInt:
+		fmt.Fprintf(sb, "int i%d = %d;", l.n, l.num)
+	case lineNew:
+		typ := simpleName(l.text)
+		fmt.Fprintf(sb, "%s %s = new %s(%s);", typ, l.v, typ, strings.Join(paramNames(l.sig), ", "))
+	case lineCall:
+		if l.v != "" {
+			fmt.Fprintf(sb, "Object %s = ", l.v)
+		}
+		fmt.Fprintf(sb, "%s.%s(%s);", l.recv, l.name, strings.Join(l.args, ", "))
+	case lineResult:
+		fmt.Fprintf(sb, "Object %s = __result;", l.v)
+	case lineIf:
+		sb.WriteString("if (__cond != 0) {")
+	case lineGoto:
+		fmt.Fprintf(sb, "// goto %+d", l.num)
+	case lineReturn:
+		sb.WriteString("return;")
+	case lineReturnValue:
+		fmt.Fprintf(sb, "return %s;", l.v)
+	case lineThrow:
+		sb.WriteString("throw new RuntimeException();")
 	}
+	sb.WriteByte('\n')
+}
 
+// writeTypeHeader writes a class or interface declaration up to the brace
+// that opens its body. The class is declared by its dex simple name, so an
+// inner class keeps its $ (Outer$Inner, a legal Java identifier);
+// references to a type print it as Outer.Inner.
+func writeTypeHeader(sb *bytes.Buffer, c *dalvik.Class) {
 	sb.WriteString(modifiers(c.Flags))
 	if c.Flags&dalvik.AccInterface != 0 {
 		sb.WriteString("interface ")
 	} else {
 		sb.WriteString("class ")
 	}
-	sb.WriteString(simple)
-	if c.SuperName != "" && c.SuperName != "java.lang.Object" {
+	sb.WriteString(declName(c.Name))
+	if ext := extendsName(c); ext != "" {
 		sb.WriteString(" extends ")
-		sb.WriteString(simpleName(c.SuperName))
+		sb.WriteString(ext)
 	}
 	if len(c.Interfaces) > 0 {
 		sb.WriteString(" implements ")
@@ -86,23 +135,7 @@ func DecompileClass(c *dalvik.Class) string {
 			sb.WriteString(simpleName(it))
 		}
 	}
-	sb.WriteString(" {\n")
-
-	for _, fl := range c.Fields {
-		fmt.Fprintf(sb, "    %s%s %s;\n", modifiers(fl.Flags), simpleName(fl.Type), fl.Name)
-	}
-	if len(c.Fields) > 0 && len(c.Methods) > 0 {
-		sb.WriteByte('\n')
-	}
-
-	for i := range c.Methods {
-		writeMethod(sb, &c.Methods[i])
-		if i != len(c.Methods)-1 {
-			sb.WriteByte('\n')
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String() // copies out of the pooled buffer
+	sb.WriteString(" {")
 }
 
 func sourceOf(c *dalvik.Class) string {
@@ -155,179 +188,6 @@ func collectImports(c *dalvik.Class, pkg string) []string {
 	return out
 }
 
-func writeMethod(sb *bytes.Buffer, m *dalvik.Method) {
-	ret, params := splitSignature(m.Signature)
-	fmt.Fprintf(sb, "    %s%s %s(%s) {\n", modifiers(m.Flags), ret, m.Name, params)
-	writeBody(sb, m.Code)
-	sb.WriteString("    }\n")
-}
-
-// operand is one value on the symbolic operand stack writeBody keeps while
-// rendering: the expression text a later invoke can consume as an argument.
-type operand struct {
-	text  string
-	isInt bool
-	num   int64
-}
-
-// writeBody reconstructs statements from the instruction stream. Branch
-// instructions open and close scopes so the output nests plausibly; an
-// invoke following a new-instance of the same class renders as a
-// constructor call.
-//
-// Constants and invoke results are additionally tracked on a symbolic
-// operand stack: a preceding const-string/const-int feeds the trailing
-// arguments of the next invoke, so the output reads
-// setJavaScriptEnabled(true) or loadUrl("https://…") instead of opaque
-// placeholders — the argument expressions the lint rules match on. The
-// stack is cleared at branch boundaries: this linear reconstruction cannot
-// prove a value flows across them.
-func writeBody(sb *bytes.Buffer, code []dalvik.Instruction) {
-	indent := 2
-	depth := 0 // open if-blocks
-	var pendingNew string
-	var ops []operand
-	emit := func(format string, args ...any) {
-		sb.WriteString(strings.Repeat("    ", indent))
-		fmt.Fprintf(sb, format, args...)
-		sb.WriteByte('\n')
-	}
-	varN := 0
-	lastVar := "this"
-	closeBlocks := func() {
-		for depth > 0 {
-			depth--
-			indent--
-			emit("}")
-		}
-	}
-	// finishInvoke renders a non-constructor invoke expression. A directly
-	// following move-result becomes an assignment whose variable goes back
-	// on the operand stack — that is how getIntent()/getDataString() chains
-	// stay visible as def-use edges in the source.
-	finishInvoke := func(i int, expr string) int {
-		if i+1 < len(code) && code[i+1].Op == dalvik.OpMoveResult {
-			varN++
-			lastVar = fmt.Sprintf("v%d", varN)
-			emit("Object %s = %s;", lastVar, expr)
-			ops = append(ops, operand{text: lastVar})
-			return i + 1
-		}
-		emit("%s;", expr)
-		return i
-	}
-	for i := 0; i < len(code); i++ {
-		ins := code[i]
-		switch ins.Op {
-		case dalvik.OpConstString:
-			varN++
-			emit("String s%d = %q;", varN, ins.Str)
-			ops = append(ops, operand{text: fmt.Sprintf("%q", ins.Str)})
-		case dalvik.OpConstInt:
-			varN++
-			emit("int i%d = %d;", varN, ins.Int)
-			ops = append(ops, operand{text: fmt.Sprintf("%d", ins.Int), isInt: true, num: ins.Int})
-		case dalvik.OpNewInstance:
-			pendingNew = ins.Type
-		case dalvik.OpInvokeDirect:
-			if pendingNew == ins.Target.Class && ins.Target.Name == "<init>" {
-				varN++
-				lastVar = fmt.Sprintf("v%d", varN)
-				// Constructor operands come from caller registers in the
-				// builder idiom, not the tracked stack: keep placeholders so
-				// a preceding URL constant stays available for the load call
-				// it actually feeds.
-				emit("%s %s = new %s(%s);", simpleName(pendingNew), lastVar, simpleName(pendingNew), argList(ins.Target.Signature))
-				pendingNew = ""
-				continue
-			}
-			i = finishInvoke(i, fmt.Sprintf("%s.%s(%s)", lastVar, ins.Target.Name, takeArgs(&ops, ins.Target.Signature)))
-		case dalvik.OpInvokeVirtual, dalvik.OpInvokeInterface:
-			i = finishInvoke(i, fmt.Sprintf("%s.%s(%s)", lastVar, ins.Target.Name, takeArgs(&ops, ins.Target.Signature)))
-		case dalvik.OpInvokeStatic:
-			i = finishInvoke(i, fmt.Sprintf("%s.%s(%s)", simpleName(ins.Target.Class), ins.Target.Name, takeArgs(&ops, ins.Target.Signature)))
-		case dalvik.OpMoveResult:
-			// Not directly after an invoke (corrupt or hand-built streams):
-			// keep the legacy placeholder form.
-			varN++
-			lastVar = fmt.Sprintf("v%d", varN)
-			emit("Object %s = __result;", lastVar)
-			ops = append(ops, operand{text: lastVar})
-		case dalvik.OpIfZ:
-			emit("if (__cond != 0) {")
-			indent++
-			depth++
-			ops = ops[:0]
-		case dalvik.OpGoto:
-			emit("// goto %+d", ins.Int)
-			ops = ops[:0]
-		case dalvik.OpReturnVoid:
-			closeBlocks()
-			emit("return;")
-			ops = ops[:0]
-		case dalvik.OpReturnValue:
-			closeBlocks()
-			emit("return %s;", lastVar)
-			ops = ops[:0]
-		case dalvik.OpThrow:
-			emit("throw new RuntimeException();")
-			ops = ops[:0]
-		case dalvik.OpNop:
-			// nothing
-		}
-	}
-	closeBlocks()
-}
-
-// takeArgs renders an invoke's argument list, consuming up to nparams
-// tracked operands for the trailing parameters (the most recent operand is
-// the last argument) and placeholders for the rest. An int operand in a
-// boolean slot renders as true/false, matching javac's encoding of boolean
-// literals as const ints.
-func takeArgs(ops *[]operand, sig string) string {
-	types := paramTypes(sig)
-	n := len(types)
-	if n == 0 {
-		return ""
-	}
-	take := len(*ops)
-	if take > n {
-		take = n
-	}
-	args := make([]string, n)
-	for i := 0; i < n-take; i++ {
-		args[i] = fmt.Sprintf("a%d", i)
-	}
-	popped := (*ops)[len(*ops)-take:]
-	*ops = (*ops)[:len(*ops)-take]
-	for i, op := range popped {
-		s := op.text
-		if op.isInt && types[n-take+i] == "boolean" {
-			if op.num == 0 {
-				s = "false"
-			} else {
-				s = "true"
-			}
-		}
-		args[n-take+i] = s
-	}
-	return strings.Join(args, ", ")
-}
-
-// paramTypes returns the simple parameter type names of "(String,int)void".
-func paramTypes(sig string) []string {
-	open := strings.IndexByte(sig, '(')
-	close := strings.LastIndexByte(sig, ')')
-	if open < 0 || close < open || close == open+1 {
-		return nil
-	}
-	parts := strings.Split(sig[open+1:close], ",")
-	for i := range parts {
-		parts[i] = simpleName(strings.TrimSpace(parts[i]))
-	}
-	return parts
-}
-
 // splitSignature turns "(String,int)void" into ("void", "String a0, int a1").
 func splitSignature(sig string) (ret, params string) {
 	open := strings.IndexByte(sig, '(')
@@ -346,25 +206,28 @@ func splitSignature(sig string) (ret, params string) {
 	parts := strings.Split(inner, ",")
 	out := make([]string, len(parts))
 	for i, p := range parts {
-		out[i] = fmt.Sprintf("%s a%d", simpleName(strings.TrimSpace(p)), i)
+		out[i] = simpleName(strings.TrimSpace(p)) + " " + placeholder(i)
 	}
 	return ret, strings.Join(out, ", ")
 }
 
-func argList(sig string) string {
-	open := strings.IndexByte(sig, '(')
-	close := strings.LastIndexByte(sig, ')')
-	if open < 0 || close < open || close == open+1 {
-		return ""
-	}
-	n := strings.Count(sig[open+1:close], ",") + 1
-	args := make([]string, n)
-	for i := range args {
-		args[i] = fmt.Sprintf("a%d", i)
-	}
-	return strings.Join(args, ", ")
+// declName is the name a class is declared by: its dex name after the
+// package, so an inner class keeps its $.
+func declName(name string) string {
+	return name[strings.LastIndexByte(name, '.')+1:]
 }
 
+// extendsName is the superclass as a declaration prints it, or "" when
+// the class extends java.lang.Object or nothing.
+func extendsName(c *dalvik.Class) string {
+	if c.SuperName == "" || c.SuperName == "java.lang.Object" {
+		return ""
+	}
+	return simpleName(c.SuperName)
+}
+
+// simpleName is a type as a reference prints it: the name after the
+// package, with an inner class's $ read as a dot (Outer.Inner).
 func simpleName(fqn string) string {
 	if i := strings.LastIndexByte(fqn, '.'); i >= 0 {
 		fqn = fqn[i+1:]

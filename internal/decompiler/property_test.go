@@ -2,6 +2,7 @@ package decompiler
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,30 @@ func TestQuickDecompiledSourceAlwaysParses(t *testing.T) {
 		}
 		if len(td.Methods) != len(c.Methods) {
 			t.Logf("methods = %d, want %d\n%s", len(td.Methods), len(c.Methods), src)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the walk's two readings agree — Parsed builds exactly the
+// unit javaparser reads from the rendered source.
+func TestQuickParsedMatchesParse(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomClass(rng, rng.Intn(26))
+		src := DecompileClass(&c)
+		want, err := javaparser.Parse(src)
+		if err != nil {
+			t.Logf("parse error: %v\nsource:\n%s", err, src)
+			return false
+		}
+		got := Parsed(&dalvik.File{Classes: []dalvik.Class{c}})[0]
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("Parsed %+v\nParse  %+v\nsource:\n%s", got, want, src)
 			return false
 		}
 		return true

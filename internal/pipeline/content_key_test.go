@@ -18,8 +18,9 @@ import (
 // "package key" line per filtered APK of the scale-2000, seed-1 corpus
 // under the default configuration. A change to it makes a warm
 // -cachedir miss everything, as analysisVersion 2 (Decode rejecting
-// repeated definitions) deliberately did.
-const contentKeysDigest = "4de9130bb7ffb20505a3d4c2fe5e2bef7f2cc52e6bbca3a98e59a0bbf9988785"
+// repeated definitions) and 3 (subclasses from the call graph, lint on
+// the decompiler's walk) deliberately did.
+const contentKeysDigest = "e9c2bed465f31136c08dfef1b3d342cc8ffe43a982adc94e8135cd3357299d70"
 
 // keyOf is the cache key the per-APK worker derives for img.
 func keyOf(p *Pipeline, img []byte) string {

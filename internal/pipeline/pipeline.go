@@ -1,10 +1,13 @@
 // Package pipeline implements the paper's large-scale static-analysis
 // pipeline (Figure 1): fetch the AndroZoo snapshot, collect Play Store
 // metadata, filter to popular actively-maintained apps, download each APK,
-// decompile it, parse the Java source for custom WebView subclasses, build
-// the call graph, traverse it from every entry point recording WebView and
-// Custom Tabs usage, exclude deep-link-hosted first-party content, and
-// label the calling packages with the SDK index.
+// build its call graph, find the custom WebView subclasses in its class
+// hierarchy, traverse the graph from every entry point recording WebView
+// and Custom Tabs usage, exclude deep-link-hosted first-party content, and
+// label the calling packages with the SDK index. The optional lint stage
+// reads the decompiler's walk of the dex (decompiler.Parsed): the
+// compilation units the paper's decompile-then-parse method would yield,
+// built without rendering or lexing any source text.
 //
 // The pipeline streams: a pool of metadata workers filters the snapshot
 // and hands each selected package to a pool of Config.Workers per-APK
@@ -38,6 +41,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strconv"
@@ -46,9 +50,9 @@ import (
 
 	"repro/internal/apk"
 	"repro/internal/callgraph"
+	"repro/internal/dalvik"
 	"repro/internal/decompiler"
 	"repro/internal/intern"
-	"repro/internal/javaparser"
 	"repro/internal/playstore"
 	"repro/internal/resultcache"
 	"repro/internal/retry"
@@ -77,8 +81,8 @@ type Config struct {
 	MinDownloads int64
 	UpdatedAfter time.Time
 	// Workers sizes the metadata pool and the per-APK pool. The per-APK
-	// pool size also bounds the APK images, and the parsed sources, held in
-	// memory at once; 0 means GOMAXPROCS.
+	// pool size also bounds the APK images, and their decoded dex files,
+	// held in memory at once; 0 means GOMAXPROCS.
 	Workers int
 	// Index labels calling packages; nil uses the default catalog.
 	Index *sdkindex.Index
@@ -187,8 +191,8 @@ type Analysis struct {
 	// WebViewSDKs / CTSDKs name the labeled SDKs driving each surface.
 	WebViewSDKs []SDKHit
 	CTSDKs      []SDKHit
-	// Subclasses are custom WebView classes found by decompiling and
-	// parsing the Java source (§3.1.2).
+	// Subclasses are the in-file classes that extend WebView, directly or
+	// transitively: the custom WebViews of §3.1.2.
 	Subclasses []string
 	// UnlabeledWebViewPackages counts calling packages no SDK-index entry
 	// matched (first-party app code or unknown libraries). Packages whose
@@ -222,8 +226,8 @@ type AppResult struct {
 	// WebViewSDKs / CTSDKs name the labeled SDKs driving each surface.
 	WebViewSDKs []SDKHit
 	CTSDKs      []SDKHit
-	// Subclasses are custom WebView classes found by decompiling and
-	// parsing the Java source (§3.1.2).
+	// Subclasses are the in-file classes that extend WebView, directly or
+	// transitively: the custom WebViews of §3.1.2.
 	Subclasses []string
 	// UnlabeledWebViewPackages counts calling packages no SDK-index entry
 	// matched (first-party app code or unknown libraries).
@@ -479,7 +483,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// lookup and, on a miss, analysis, lint and URL extraction, then the
 	// cache write and journal checkpoint. The pool size is the memory
 	// bound: at most Workers APK images, and at most Workers packages'
-	// parsed sources, are alive at once, whatever the corpus size.
+	// decoded dex files, are alive at once, whatever the corpus size.
 	var apkWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		apkWG.Add(1)
@@ -606,11 +610,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 
 // analysisVersion is the generation of the per-APK analysis code no other
 // fingerprint covers: the APK reader (apk.Read and Payload.Open), the
-// manifest decoder, the decompiler, javaparser, callgraph and
-// attributeSDKs. Bump it on any change to what they produce, so cached
-// analyses and journals from an older binary are not served;
-// TestAnalysisVersionPinsOutput fails on a change without a bump.
-const analysisVersion = 2
+// manifest decoder, callgraph, attributeSDKs and the decompiler's walk
+// (decompiler.Parsed), which the lint stage reads. Bump it on any change
+// to what they produce, so cached analyses and journals from an older
+// binary are not served; TestAnalysisVersionPinsOutput fails on a change
+// without a bump.
+const analysisVersion = 3
 
 // configKey fingerprints the analysis code and configuration (the
 // analysis version, the SDK index and, when enabled, the lint rule set and
@@ -665,31 +670,24 @@ func (p *Pipeline) contentKey(img []byte, pl *apk.Payload) string {
 	return pl.Digest + "@" + p.key
 }
 
-// scratch holds per-APK temporaries reused across analyses via a pool.
-type scratch struct {
-	excl       map[string]bool
-	subclasses []string
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{excl: make(map[string]bool, 4)}
-}}
+// exclPool recycles the per-APK deep-link exclusion set.
+var exclPool = sync.Pool{New: func() any { return make(map[string]bool, 4) }}
 
 // parsedAPK is the per-APK intermediate lint and URL extraction consume:
-// the parsed decompiled sources, the bytecode call graph and the deep-link
-// exclusion set. All are produced by the analysis anyway; retaining them
-// (only when a later stage exists) avoids a second decompile-and-parse
-// pass. It never leaves the goroutine analysing its APK, so the graph's
-// non-concurrency-safe memoisation is fine.
+// the decoded dex, the bytecode call graph and the deep-link exclusion
+// set. All are produced by the analysis anyway; retaining them (only when
+// a later stage exists) avoids decoding the APK again. It never leaves the
+// goroutine analysing its APK, so the graph's non-concurrency-safe
+// memoisation is fine.
 type parsedAPK struct {
-	units []*javaparser.CompilationUnit
+	dex   *dalvik.File
 	graph *callgraph.Graph
 	excl  map[string]bool // deep-link classes excluded from attribution
 }
 
-// AnalyzeAndExtract performs the per-APK static analysis — decompile,
-// parse, call-graph traversal, SDK attribution — against the given index
-// (nil uses the default catalog), then the lint stage and the
+// AnalyzeAndExtract performs the per-APK static analysis — call-graph
+// traversal, custom WebView subclasses, SDK attribution — against the
+// given index (nil uses the default catalog), then the lint stage and the
 // URL-extraction stage, each skipped when its engine is nil, exactly as a
 // pipeline worker does for one image. A structurally broken APK yields
 // Analysis{Broken: true}, not an error.
@@ -705,8 +703,8 @@ func AnalyzeAndExtract(idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urle
 // order: the analysis proper, then lint and URL extraction when their
 // engines are non-nil. Each stage counts its items in m and records its
 // latency and span under pkg; a zero runMetrics records nothing. The
-// image's in-flight bytes are released once it is parsed: the later stages
-// read only the retained sources and call graph. pl is the image's ZIP
+// image's in-flight bytes are released once it is decoded: the later
+// stages read only the retained dex and call graph. pl is the image's ZIP
 // pass (apk.Read), nil when the archive does not read.
 func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlint.Analyzer, ex *urlextract.Extractor, img []byte, pl *apk.Payload) (*Analysis, error) {
 	m.anIn.Inc()
@@ -729,11 +727,13 @@ func analyzeAPK(m *runMetrics, pkg string, idx *sdkindex.Index, lint *webviewlin
 	sp.End()
 	m.anOut.Inc()
 
+	// Lint reads the decompiler's walk of the dex: the compilation units
+	// the paper's decompile-then-parse round trip would produce.
 	if lint != nil {
 		m.lintIn.Inc()
 		sp = tr.Start("lint")
 		tm = m.hub.Timer(pkg, "lint")
-		an.Lint = lint.Analyze(webviewlint.App{Units: parsed.units, Graph: parsed.graph, Index: idx})
+		an.Lint = lint.Analyze(webviewlint.App{Units: decompiler.Parsed(parsed.dex), Graph: parsed.graph, Index: idx})
 		tm.ObserveInto(m.lintLat)
 		sp.SetAttr("findings", strconv.Itoa(len(an.Lint)))
 		sp.End()
@@ -769,68 +769,33 @@ func analyzeImage(idx *sdkindex.Index, pl *apk.Payload, keepParsed bool, tr *tel
 		return nil, nil, err
 	}
 
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	// Decompile-and-parse round trip: custom WebView subclasses are found
-	// from the reconstructed Java source, as the paper does with JADX +
-	// javalang (§3.1.2).
-	var parsed *parsedAPK
-	if keepParsed {
-		parsed = &parsedAPK{units: make([]*javaparser.CompilationUnit, 0, len(a.Dex.Classes))}
-	}
-	dp := tr.Child("analyze", "decompile-parse")
-	subclasses := sc.subclasses[:0]
-	for _, unit := range decompiler.Decompile(a.Dex) {
-		cu, err := javaparser.Parse(unit.Source)
-		if err != nil {
-			// A decompilation the parser cannot read counts as broken.
-			sc.subclasses = subclasses
-			dp.SetAttr("outcome", "broken")
-			dp.End()
-			return &Analysis{Broken: true}, nil, nil
-		}
-		if keepParsed {
-			parsed.units = append(parsed.units, cu)
-		}
-		for _, td := range cu.Types {
-			if td.Extends != "" && cu.Resolve(td.Extends) == android.WebViewClass {
-				subclasses = append(subclasses, intern.String(cu.Resolve(td.Name)))
-			}
-		}
-	}
-	dp.End()
-	sort.Strings(subclasses)
-	sc.subclasses = subclasses
-
 	// Call-graph traversal with deep-link exclusion (§3.1.3).
-	excl := sc.excl
+	excl := exclPool.Get().(map[string]bool)
+	defer exclPool.Put(excl)
 	clear(excl)
 	for _, dl := range a.Manifest.DeepLinkActivities() {
 		excl[dl] = true
 	}
-	if keepParsed && len(excl) > 0 {
-		// The scratch map is pooled; later stages need their own copy.
-		parsed.excl = make(map[string]bool, len(excl))
-		for k := range excl {
-			parsed.excl[k] = true
-		}
-	}
 	cg := tr.Child("analyze", "callgraph")
 	g := callgraph.Build(a.Dex)
-	if keepParsed {
-		parsed.graph = g
-	}
 	usage := g.AnalyzeUsage(excl)
 	cg.End()
+	var parsed *parsedAPK
+	if keepParsed {
+		parsed = &parsedAPK{dex: a.Dex, graph: g}
+		if len(excl) > 0 {
+			// The pooled map is reused; later stages need their own copy.
+			parsed.excl = maps.Clone(excl)
+		}
+	}
 
+	// Custom WebView subclasses (§3.1.2) come from the bytecode hierarchy:
+	// every in-file class whose superclass chain reaches WebView.
 	an := &Analysis{
 		UsesWebView: usage.UsesWebView(),
 		UsesCT:      usage.UsesCT(),
 		Methods:     usage.MethodsCalled(),
-	}
-	if len(subclasses) > 0 {
-		an.Subclasses = append([]string(nil), subclasses...)
+		Subclasses:  usage.WebViewSubclasses,
 	}
 	attributeSDKs(idx, an, usage)
 	return an, parsed, nil

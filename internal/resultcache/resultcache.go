@@ -13,8 +13,10 @@
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -50,9 +52,19 @@ type JSONCodec[V any] struct{}
 // Marshal encodes v as JSON.
 func (JSONCodec[V]) Marshal(v V) ([]byte, error) { return json.Marshal(v) }
 
-// Unmarshal decodes a JSON blob.
+// errNullBlob reports a blob whose top-level value is null.
+var errNullBlob = errors.New("resultcache: blob is null")
+
+// Unmarshal decodes a JSON blob. It refuses a top-level null, which
+// encoding/json would decode as a no-op: the zero value would then be
+// served as a hit. For a struct V, the pipeline's case, a blob decodes
+// only when it is a JSON object; {} still decodes, as the zero value it
+// encodes.
 func (JSONCodec[V]) Unmarshal(blob []byte) (V, error) {
 	var v V
+	if string(bytes.Trim(blob, " \t\r\n")) == "null" {
+		return v, errNullBlob
+	}
 	err := json.Unmarshal(blob, &v)
 	return v, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -205,6 +206,41 @@ func TestCorruptDirStoreBlobIsPurgedAndRecomputed(t *testing.T) {
 	third := NewPersistent[result](8, store, nil)
 	if v, ok := third.Get("k"); !ok || v.Pkg != "com.app" {
 		t.Errorf("recomputed value not durable: %+v, %v", v, ok)
+	}
+}
+
+// TestNullBlobIsPurged: a blob holding JSON null decodes to no value, so
+// it is purged and recomputed like any corrupt blob instead of being
+// served as a zero-value hit. An empty object is a value, the zero one.
+func TestNullBlobIsPurged(t *testing.T) {
+	for _, tc := range []struct {
+		blob string
+		hit  bool
+	}{{"null", false}, {" null\n", false}, {"{}", true}} {
+		store := NewMemStore()
+		store.Store("k", []byte(tc.blob))
+		c := NewPersistent[result](8, store, nil)
+		v, ok := c.Get("k")
+		if ok != tc.hit {
+			t.Fatalf("%q: hit = %v (%+v), want %v", tc.blob, ok, v, tc.hit)
+		}
+		if tc.hit {
+			if !reflect.DeepEqual(v, result{}) {
+				t.Errorf("%q: value = %+v, want the zero value", tc.blob, v)
+			}
+			continue
+		}
+		if st := c.Stats(); st.Hits != 0 || st.Misses != 1 || st.Purged != 1 {
+			t.Errorf("%q: stats = %+v, want one miss and one purge", tc.blob, st)
+		}
+		if _, found, _ := store.Load("k"); found {
+			t.Errorf("%q: blob survived the purge", tc.blob)
+		}
+		want := result{Pkg: "com.app", Methods: []string{"loadUrl"}}
+		c.Put("k", want)
+		if got, ok := NewPersistent[result](8, store, nil).Get("k"); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: round trip after the purge = %+v, %v", tc.blob, got, ok)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Tracer records lightweight spans grouped into traces — one trace per
 // unit of work whose path through the system should be reconstructable
-// (one APK through fetch→decompile→parse→callgraph→lint→cache, one crawl
+// (one APK through download→cache→analyze→lint→urls, one crawl
 // visit through lane→device→pageload→netlog). Spans within a trace are
 // appended in the order the work happened, which the pipeline's hand-off
 // discipline makes sequential per item, so exported traces are

@@ -17,8 +17,10 @@ import (
 // engine (not just the rule registry) can invalidate cached results.
 // Version 2: interprocedural taint propagation moved onto the urlextract
 // engine's bytecode fixpoint (findings unchanged; caches conservatively
-// invalidated).
-const engineVersion = 2
+// invalidated). Version 3: with a call graph, the WebViewClient check is
+// the graph's answer alone; an imported type that shares
+// android.webkit.WebViewClient's simple name no longer passes for it.
+const engineVersion = 3
 
 // Config selects which rules run. A nil Rules slice enables the whole
 // registry; naming an unknown rule is a configuration error surfaced by New.
@@ -68,11 +70,12 @@ func (a *Analyzer) Fingerprint() string { return a.fp }
 // Enabled reports whether the rule runs under this configuration.
 func (a *Analyzer) Enabled(id string) bool { return a.enabled[id] }
 
-// App is one APK's analysis inputs: the parsed decompiled sources, the
-// bytecode call graph (for interprocedural edges and class-hierarchy
-// queries) and the SDK index used for attribution. Graph and Index may be
-// nil — hierarchy checks then fall back to source-level resolution and
-// every finding is attributed first-party.
+// App is one APK's analysis inputs: its compilation units (the pipeline
+// passes decompiler.Parsed, the units javaparser reads from the decompiled
+// source), the bytecode call graph (for interprocedural edges and
+// class-hierarchy queries) and the SDK index used for attribution. Graph
+// and Index may be nil — hierarchy checks then fall back to source-level
+// resolution and every finding is attributed first-party.
 type App struct {
 	Units []*javaparser.CompilationUnit
 	Graph *callgraph.Graph
@@ -206,19 +209,15 @@ func isSSLErrorHandler(method string) bool {
 		strings.HasSuffix(method, "."+android.MethodOnReceivedSslError)
 }
 
-// isWebViewClient reports whether the class is a WebViewClient subclass,
-// preferring the bytecode hierarchy and falling back to source-level import
-// resolution when no graph is available.
+// isWebViewClient reports whether the class is a WebViewClient subclass.
+// With a call graph the bytecode hierarchy decides alone; source-level
+// import resolution, which cannot tell two imported types of the same
+// simple name apart, is the fallback when there is no graph.
 func (a *Analyzer) isWebViewClient(app App, ci *classInfo) bool {
-	if ci.td.Extends == "" {
-		return false
-	}
 	if app.Graph != nil {
-		if app.Graph.IsSubclassOf(fqn(ci.unit, ci.td), android.WebViewClientClass) {
-			return true
-		}
+		return app.Graph.IsSubclassOf(fqn(ci.unit, ci.td), android.WebViewClientClass)
 	}
-	return ci.unit.Resolve(ci.td.Extends) == android.WebViewClientClass
+	return ci.td.Extends != "" && ci.unit.Resolve(ci.td.Extends) == android.WebViewClientClass
 }
 
 // attribute labels a finding first-party or SDK by its class's package.

@@ -192,6 +192,29 @@ class Guard {
 	}
 }
 
+// TestWebViewClientFromTheGraph: a class extending a foreign type that
+// only shares WebViewClient's simple name is a client to source-level
+// import resolution, which picks the first matching import, but not to
+// the call graph, which decides whenever it is given.
+func TestWebViewClientFromTheGraph(t *testing.T) {
+	dex := dalvik.NewBuilder().
+		Class("com.x.app.Handler", "com.other.WebViewClient", dalvik.AccPublic).
+		Method(android.MethodOnReceivedSslError,
+			"(android.webkit.WebView,android.webkit.SslErrorHandler,android.net.http.SslError)void", dalvik.AccPublic,
+			dalvik.InvokeVirtual("android.webkit.SslErrorHandler", "proceed", "()void"),
+			dalvik.Return()).
+		VoidMethod("onClick",
+			dalvik.InvokeVirtual(android.WebViewClientClass, "onPageFinished", "(android.webkit.WebView,String)void")).
+		MustBuild()
+	units := decompiler.Parsed(dex)
+	if got := ruleSet(analyzeAll(t, App{Units: units})); got[RuleSSLErrorProceed] != 1 {
+		t.Errorf("without a graph: %v, want the import-resolution finding", got)
+	}
+	if got := ruleSet(analyzeAll(t, App{Units: units, Graph: callgraph.Build(dex)})); got[RuleSSLErrorProceed] != 0 {
+		t.Errorf("with a graph: %v, want no finding", got)
+	}
+}
+
 func TestTaintIntraMethod(t *testing.T) {
 	src := `package com.example.app;
 class Deep {

@@ -1,7 +1,8 @@
 // Package webviewlint is a configurable, interprocedural static-analysis
 // engine for WebView security misconfigurations, run by the pipeline as a
-// stage after each APK's analysis over its decompiled-and-parsed sources
-// (javaparser.CompilationUnit) and call graph (callgraph.Graph).
+// stage after each APK's analysis over its compilation units
+// (javaparser.CompilationUnit, built by decompiler.Parsed from the
+// decompiler's walk of the dex) and call graph (callgraph.Graph).
 //
 // The paper's static pipeline (§3.1) records which WebView APIs apps call;
 // its security discussion (§5) hinges on how those WebViews are configured
