@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -39,8 +40,13 @@ func main() {
 	fmt.Printf("JS bridges exposed: %v\n\n", row.Bridges)
 
 	fmt.Println("behaviour observations (the app side of the bridges):")
-	for k, v := range row.BehaviorStats {
-		fmt.Printf("  %-18s %v\n", k, v)
+	keys := make([]string, 0, len(row.BehaviorStats))
+	for k := range row.BehaviorStats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf("  %-18s %v\n", k, row.BehaviorStats[k])
 	}
 
 	fmt.Println("\nWeb APIs the injected code exercised (Table 9):")

@@ -344,18 +344,18 @@ func (p *Page) elementPrototype() *jsvm.Object {
 		return jsvm.ObjectValue(p.wrapNode(n.Parent))
 	})
 	op("getAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
-		v := n.Attr(c.Arg(0).StringValue())
-		if v == "" {
+		name := c.Arg(0).StringValue()
+		if !n.HasAttr(name) {
 			return jsvm.Null(), nil
 		}
-		return jsvm.String(v), nil
+		return jsvm.String(n.Attr(name)), nil
 	})
 	op("setAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		n.SetAttr(c.Arg(0).StringValue(), c.Arg(1).StringValue())
 		return jsvm.Undefined(), nil
 	})
 	op("hasAttribute", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
-		return jsvm.Bool(n.Attr(c.Arg(0).StringValue()) != ""), nil
+		return jsvm.Bool(n.HasAttr(c.Arg(0).StringValue())), nil
 	})
 	op("getElementsByTagName", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		tag := strings.ToLower(c.Arg(0).StringValue())

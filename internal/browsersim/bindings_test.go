@@ -88,6 +88,28 @@ had + "|" + attr + "|" + (missing === null) + "|" + gone + "|" + (q !== null) + 
 	}
 }
 
+// TestEmptyAttributesArePresent pins attribute presence as browsers
+// report it: an attribute with an empty value (<html amp>, <video
+// controls>, id="") is present and reads "", an absent one reads null.
+func TestEmptyAttributesArePresent(t *testing.T) {
+	page := NewLocalPage(&Loader{}, "https://local.test/",
+		`<html amp><body><video controls></video><div id=""></div></body></html>`, false)
+	out, err := page.Execute(`
+var html = document.getElementsByTagName("html")[0];
+var video = document.getElementsByTagName("video")[0];
+var div = document.getElementsByTagName("div")[0];
+[html.hasAttribute("amp"), html.getAttribute("amp") === "",
+ video.hasAttribute("controls"), video.getAttribute("controls") === "",
+ div.hasAttribute("id"), div.getAttribute("id") === "",
+ div.hasAttribute("class"), div.getAttribute("class") === null].join(",")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "true,true,true,true,true,true,false,true"; out != want {
+		t.Errorf("presence probes = %s, want %s", out, want)
+	}
+}
+
 func TestDocumentTitleAndURL(t *testing.T) {
 	srv := bindingsSite(t)
 	page := loadB(t, srv, nil)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"strings"
 	"sync"
@@ -34,7 +35,17 @@ type Page struct {
 	VM      *jsvm.VM
 	Console []string
 
-	loader   *Loader
+	loader *Loader
+	// Computed once per page load and shared by every request the page
+	// makes: the parsed page URL (nil when it does not parse), the
+	// request headers (canonical keys, values shared read-only), the
+	// loader's headers as the netlog records them, and each reference
+	// resolved so far.
+	base      *url.URL
+	reqHeader http.Header
+	logHeader map[string]string
+	targets   map[string]target
+
 	mu       sync.Mutex
 	apiCalls []APICall
 	// initiator labels requests triggered by currently-running script.
@@ -91,9 +102,48 @@ func (l *Loader) client() *http.Client {
 // LoadWithScripts is Load with the script-execution flag overridden per
 // visit (WebViews flip it with their JavaScriptEnabled setting).
 func (l *Loader) LoadWithScripts(ctx context.Context, pageURL string, scripts bool) (*Page, error) {
-	shallow := *l
-	shallow.ExecuteScripts = scripts
-	return shallow.Load(ctx, pageURL)
+	return l.load(ctx, pageURL, scripts)
+}
+
+// newPage starts a page at pageURL: it parses the URL and takes the
+// loader's headers once for every request the page will make. The error
+// is the URL's parse error; the page then has no base.
+func (l *Loader) newPage(pageURL string) (*Page, error) {
+	p := &Page{
+		URL:       pageURL,
+		loader:    l,
+		initiator: "page",
+		targets:   make(map[string]target),
+		reqHeader: make(http.Header, len(l.Headers)+1),
+	}
+	var err error
+	p.base, err = url.Parse(pageURL)
+	for k, v := range l.Headers {
+		p.reqHeader[textproto.CanonicalMIMEHeaderKey(k)] = []string{v}
+	}
+	if l.UserAgent != "" {
+		p.reqHeader["User-Agent"] = []string{l.UserAgent}
+	}
+	if l.Log != nil {
+		p.logHeader = make(map[string]string, len(l.Headers))
+		for k, v := range l.Headers {
+			p.logHeader[k] = v
+		}
+	}
+	return p, err
+}
+
+// render gives the page its document and a VM with the host bindings
+// and the loader's globals.
+func (p *Page) render(html string) {
+	p.Doc = dom.Parse(html)
+	p.Doc.URL = p.URL
+	p.VM = jsvm.New()
+	p.nodeWraps = make(map[*dom.Node]*jsvm.Object)
+	p.installBindings()
+	for name, obj := range p.loader.Globals {
+		p.VM.Global.Set(name, jsvm.ObjectValue(obj))
+	}
 }
 
 // NewLocalPage renders in-memory HTML as if it had been fetched from
@@ -101,20 +151,9 @@ func (l *Loader) LoadWithScripts(ctx context.Context, pageURL string, scripts bo
 // made for the document itself; subresources and scripts still resolve
 // against baseURL.
 func NewLocalPage(l *Loader, baseURL, html string, scripts bool) *Page {
-	doc := dom.Parse(html)
-	doc.URL = baseURL
-	page := &Page{
-		URL:       baseURL,
-		Doc:       doc,
-		VM:        jsvm.New(),
-		loader:    l,
-		initiator: "page",
-		nodeWraps: make(map[*dom.Node]*jsvm.Object),
-	}
-	page.installBindings()
-	for name, obj := range l.Globals {
-		page.VM.Global.Set(name, jsvm.ObjectValue(obj))
-	}
+	page, _ := l.newPage(baseURL)
+	page.render(html)
+	doc := page.Doc
 	if scripts {
 		for _, script := range doc.Scripts() {
 			if script.Attr("src") != "" {
@@ -143,59 +182,58 @@ func (p *Page) runPageScript(code string) {
 // ExecuteScripts) runs page scripts. The returned Page stays live:
 // injected scripts can keep mutating it via Execute.
 func (l *Loader) Load(ctx context.Context, pageURL string) (*Page, error) {
-	body, status, err := l.fetch(ctx, pageURL, "page")
+	return l.load(ctx, pageURL, l.ExecuteScripts)
+}
+
+// load is Load with the script-execution flag given.
+func (l *Loader) load(ctx context.Context, pageURL string, scripts bool) (*Page, error) {
+	page, err := l.newPage(pageURL)
+	if err != nil {
+		return nil, fmt.Errorf("browsersim: load %s: %w", pageURL, err)
+	}
+	// The page itself is requested whatever its scheme; only references
+	// must resolve to http(s).
+	body, status, err := page.fetch(ctx, target{url: pageURL, u: page.base}, "page")
 	if err != nil {
 		return nil, fmt.Errorf("browsersim: load %s: %w", pageURL, err)
 	}
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("browsersim: load %s: status %d", pageURL, status)
 	}
-	doc := dom.Parse(string(body))
-	doc.URL = pageURL
-	page := &Page{
-		URL:       pageURL,
-		Doc:       doc,
-		VM:        jsvm.New(),
-		loader:    l,
-		initiator: "page",
-		nodeWraps: make(map[*dom.Node]*jsvm.Object),
-	}
-	page.installBindings()
-	for name, obj := range l.Globals {
-		page.VM.Global.Set(name, jsvm.ObjectValue(obj))
-	}
+	page.render(body)
+	doc := page.Doc
 
 	// Subresources.
 	max := l.MaxSubresources
 	if max == 0 {
 		max = 64
 	}
-	base, _ := url.Parse(pageURL)
 	for i, sub := range doc.SubresourceURLs() {
 		if i >= max {
 			break
 		}
-		abs := resolveRef(base, sub)
-		if abs == "" {
+		t := page.resolve(sub)
+		if t.u == nil {
 			continue
 		}
 		// Best-effort: subresource failures don't fail the page. The body
 		// is drained through a pooled buffer — only the netlog entry
 		// matters, so no per-fetch allocation is kept.
-		l.fetchDiscard(ctx, abs, "subresource")
+		page.fetchDiscard(ctx, t, "subresource")
 	}
 
-	if l.ExecuteScripts {
+	if scripts {
 		for _, script := range doc.Scripts() {
 			src := script.Attr("src")
 			var code string
 			if src != "" {
-				abs := resolveRef(base, src)
-				body, status, err := l.fetch(ctx, abs, "subresource")
+				// A src that does not resolve is still requested, as
+				// the empty URL.
+				body, status, err := page.fetch(ctx, page.resolve(src), "subresource")
 				if err != nil || status != http.StatusOK {
 					continue
 				}
-				code = string(body)
+				code = body
 			} else {
 				code = script.Text()
 			}
@@ -256,115 +294,153 @@ func (p *Page) ExecuteProgram(prog *jsvm.Program) (string, error) {
 // FetchFromScript issues a network request on behalf of running script
 // (XMLHttpRequest/fetch/beacon host bindings call this).
 func (p *Page) FetchFromScript(rawURL string) (string, int) {
-	base, _ := url.Parse(p.URL)
-	abs := resolveRef(base, rawURL)
-	if abs == "" {
+	t := p.resolve(rawURL)
+	if t.u == nil {
 		return "", 0
 	}
 	p.mu.Lock()
 	init := p.initiator
 	p.mu.Unlock()
-	body, status, err := p.loader.fetch(context.Background(), abs, init)
+	body, status, err := p.fetch(context.Background(), t, init)
 	if err != nil {
 		return "", 0
 	}
-	return string(body), status
+	return body, status
 }
 
-// copyBufs pools the scratch buffers subresource drains copy through, so a
+// target is a reference resolved against the page URL: the absolute URL
+// the netlog records and the parsed form requests are built from. u is
+// nil when the reference does not resolve to an http(s) URL.
+type target struct {
+	url string
+	u   *url.URL
+}
+
+// resolve resolves a reference once per page; a page naming the same
+// image a dozen times parses it once.
+func (p *Page) resolve(ref string) target {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t, ok := p.targets[ref]
+	if !ok {
+		t = resolveRef(p.base, ref)
+		p.targets[ref] = t
+	}
+	return t
+}
+
+// copyBufs pools the scratch buffers response bodies copy through, so a
 // crawl visiting thousands of pages reuses a handful of 32 KiB slabs
 // instead of allocating one per fetch.
 var copyBufs = sync.Pool{
 	New: func() any { b := make([]byte, 32<<10); return &b },
 }
 
+// maxBody bounds how much of a response body is read.
+const maxBody = 8 << 20
+
+// do issues the GET for t with the page's headers; a request that fails
+// is logged with status 0.
+func (p *Page) do(ctx context.Context, t target, initiator string) (*http.Response, error) {
+	u := t.u
+	if u == nil {
+		u = new(url.URL) // the empty URL
+	}
+	if strings.HasSuffix(u.Host, ":") { // http.NewRequest drops an empty port
+		c := *u
+		c.Host = strings.TrimSuffix(u.Host, ":")
+		u = &c
+	}
+	h := make(http.Header, len(p.reqHeader))
+	for k, v := range p.reqHeader {
+		h[k] = v
+	}
+	req := &http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
+	}
+	resp, err := p.loader.client().Do(req.WithContext(ctx))
+	if err != nil {
+		p.logEvent(t.url, 0, initiator)
+	}
+	return resp, err
+}
+
 // fetchDiscard issues a request whose body is drained and thrown away:
 // the netlog event is the point, not the bytes. Errors are deliberately
 // swallowed (subresources are best-effort); the event is still logged.
-func (l *Loader) fetchDiscard(ctx context.Context, rawURL, initiator string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
+func (p *Page) fetchDiscard(ctx context.Context, t target, initiator string) {
+	resp, err := p.do(ctx, t, initiator)
 	if err != nil {
-		return
-	}
-	for k, v := range l.Headers {
-		req.Header.Set(k, v)
-	}
-	if l.UserAgent != "" {
-		req.Header.Set("User-Agent", l.UserAgent)
-	}
-	resp, err := l.client().Do(req)
-	if err != nil {
-		l.logEvent(rawURL, 0, initiator)
 		return
 	}
 	defer resp.Body.Close()
 	buf := copyBufs.Get().(*[]byte)
-	lr := io.LimitReader(resp.Body, 8<<20)
+	lr := io.LimitReader(resp.Body, maxBody)
 	for {
 		if _, err := lr.Read(*buf); err != nil {
 			break
 		}
 	}
 	copyBufs.Put(buf)
-	l.logEvent(rawURL, resp.StatusCode, initiator)
+	p.logEvent(t.url, resp.StatusCode, initiator)
 }
 
-func (l *Loader) fetch(ctx context.Context, rawURL, initiator string) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
+// fetch requests t and returns its body, read once through a pooled slab
+// into a string presized from the response's length.
+func (p *Page) fetch(ctx context.Context, t target, initiator string) (string, int, error) {
+	resp, err := p.do(ctx, t, initiator)
 	if err != nil {
-		return nil, 0, err
-	}
-	for k, v := range l.Headers {
-		req.Header.Set(k, v)
-	}
-	if l.UserAgent != "" {
-		req.Header.Set("User-Agent", l.UserAgent)
-	}
-	resp, err := l.client().Do(req)
-	if err != nil {
-		l.logEvent(rawURL, 0, initiator)
-		return nil, 0, err
+		return "", 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	l.logEvent(rawURL, resp.StatusCode, initiator)
-	if err != nil {
-		return nil, resp.StatusCode, err
+	var body strings.Builder
+	if n := resp.ContentLength; n > 0 {
+		body.Grow(int(min(n, maxBody)))
 	}
-	return body, resp.StatusCode, nil
+	buf := copyBufs.Get().(*[]byte)
+	_, err = io.CopyBuffer(&body, io.LimitReader(resp.Body, maxBody), *buf)
+	copyBufs.Put(buf)
+	p.logEvent(t.url, resp.StatusCode, initiator)
+	if err != nil {
+		return "", resp.StatusCode, err
+	}
+	return body.String(), resp.StatusCode, nil
 }
 
-func (l *Loader) logEvent(rawURL string, status int, initiator string) {
+func (p *Page) logEvent(rawURL string, status int, initiator string) {
+	l := p.loader
 	if l.Log == nil {
 		return
-	}
-	hdr := make(map[string]string, len(l.Headers))
-	for k, v := range l.Headers {
-		hdr[k] = v
 	}
 	l.Log.Record(netlog.Event{
 		Context:   l.Context,
 		URL:       rawURL,
 		Method:    http.MethodGet,
 		Status:    status,
-		Header:    hdr,
+		Header:    p.logHeader,
 		Initiator: initiator,
 	})
 }
 
-func resolveRef(base *url.URL, ref string) string {
+func resolveRef(base *url.URL, ref string) target {
 	if strings.HasPrefix(ref, "//") && base != nil {
 		ref = base.Scheme + ":" + ref
 	}
 	u, err := url.Parse(ref)
 	if err != nil {
-		return ""
+		return target{}
 	}
 	if base != nil {
 		u = base.ResolveReference(u)
 	}
 	if u.Scheme != "http" && u.Scheme != "https" {
-		return ""
+		return target{}
 	}
-	return u.String()
+	return target{url: u.String(), u: u}
 }

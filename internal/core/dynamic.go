@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -223,7 +224,7 @@ func (d *DynamicStudy) classifyOne(ctx context.Context, dev *device.Device, spec
 func (d *DynamicStudy) ClassifyTopApps(ctx context.Context, specs []*corpus.Spec) (*Table6, error) {
 	// Make sure the probe target exists on this internet.
 	d.Net.RegisterFunc("example.com", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`<html><head><title>Example Domain</title></head><body><p>Example</p></body></html>`))
+		io.WriteString(w, `<html><head><title>Example Domain</title></head><body><p>Example</p></body></html>`)
 	})
 	d.registerRedirectors(specs)
 

@@ -1,11 +1,16 @@
 package crawler
 
 import (
+	"context"
+	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adb"
+	"repro/internal/android"
 	"repro/internal/corpus"
 	"repro/internal/crux"
 	"repro/internal/device"
@@ -29,6 +34,13 @@ func fleetHarnessHub(tb testing.TB, devices, rateLimit int, waitScale float64, h
 	net := internet.New()
 	sites := crux.TopSites(10)
 	crux.RegisterAll(net, sites)
+	return fleetFarm(tb, net, devices, rateLimit, waitScale, hub), sites
+}
+
+// fleetFarm installs the crawl apps on n devices sharing net and starts
+// their ADB farm.
+func fleetFarm(tb testing.TB, net *internet.Internet, devices, rateLimit int, waitScale float64, hub *telemetry.Hub) *adb.Farm {
+	tb.Helper()
 	fleet := device.NewFleet(net, devices)
 
 	install := func(pkg string, dyn corpus.Dynamic) {
@@ -58,7 +70,7 @@ func fleetHarnessHub(tb testing.TB, devices, rateLimit int, waitScale float64, h
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { farm.Close() })
-	return farm, sites
+	return farm
 }
 
 func crawlConfig(sites []crux.Site, workers int) Config {
@@ -136,5 +148,75 @@ func TestExternalHostsDeduplicated(t *testing.T) {
 				t.Fatalf("%s @ %s: hosts not sorted-unique: %v", v.App, v.Site.Host, v.ExternalHosts)
 			}
 		}
+	}
+}
+
+// laneBarrier serves the crawl sites but holds every request until
+// requests from two different app lanes (told apart by the WebView's
+// X-Requested-With header) are waiting at once. Once the deadline passes
+// it lets everything through uncounted, so a serialised crawl finishes
+// with the barrier shut instead of hanging.
+type laneBarrier struct {
+	mu      sync.Mutex
+	waiting map[string]bool
+	open    chan struct{}
+	expired <-chan struct{}
+}
+
+func (b *laneBarrier) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-b.expired:
+		case <-b.open:
+		default:
+			b.mu.Lock()
+			if app := r.Header.Get(android.XRequestedWithHeader); !b.waiting[app] {
+				b.waiting[app] = true
+				if len(b.waiting) == 2 {
+					close(b.open)
+				}
+			}
+			b.mu.Unlock()
+			select {
+			case <-b.open:
+			case <-b.expired:
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestCrawlLanesRunConcurrently pins that the crawl keeps visits of
+// different app lanes in flight at once: with two workers, every site
+// request blocks until two lanes have one waiting, which only concurrent
+// lanes can reach. A crawl that serialised its lanes fails on the
+// deadline instead of hanging.
+func TestCrawlLanesRunConcurrently(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	b := &laneBarrier{waiting: make(map[string]bool), open: make(chan struct{}), expired: ctx.Done()}
+	net := internet.New()
+	sites := crux.TopSites(4)
+	for _, s := range sites {
+		net.Register(s.Host, b.wrap(crux.Handler(s)))
+	}
+	farm := fleetFarm(t, net, 1, 0, 0, nil)
+	clients, err := farm.LaneClients(len(crawlApps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewFleet(clients, crawlConfig(sites, 2)).Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	select {
+	case <-b.open:
+	default:
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		t.Fatalf("only %d app lane(s) ever had a site request in flight at once: %v", len(b.waiting), b.waiting)
+	}
+	if len(res.Failures) != 0 || len(res.Visits) != len(crawlApps)*len(sites) {
+		t.Errorf("%d visits, failures %v", len(res.Visits), res.Failures)
 	}
 }

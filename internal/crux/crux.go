@@ -10,6 +10,7 @@ package crux
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"strings"
 
@@ -76,26 +77,29 @@ func fnv32(s string) uint32 {
 }
 
 // Handler serves the site's landing page: a deterministic document whose
-// element count tracks the site's richness.
+// element count tracks the site's richness. The page and its assets are
+// built once and written as strings.
 func Handler(s Site) http.Handler {
 	page := buildPage(s)
+	script := "window.__site = '" + s.Host + "';"
+	inner := "<html><head><title>" + s.Host + "</title></head><body><p>inner page</p></body></html>"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/" || r.URL.Path == "":
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			w.Write([]byte(page))
+			io.WriteString(w, page)
 		case strings.HasSuffix(r.URL.Path, ".css"):
 			w.Header().Set("Content-Type", "text/css")
-			w.Write([]byte("body{margin:0}"))
+			io.WriteString(w, "body{margin:0}")
 		case strings.HasSuffix(r.URL.Path, ".js"):
 			w.Header().Set("Content-Type", "application/javascript")
-			w.Write([]byte("window.__site = '" + s.Host + "';"))
+			io.WriteString(w, script)
 		case strings.HasSuffix(r.URL.Path, ".png"):
 			w.Header().Set("Content-Type", "image/png")
-			w.Write([]byte("PNG"))
+			io.WriteString(w, "PNG")
 		default:
 			w.Header().Set("Content-Type", "text/html")
-			fmt.Fprintf(w, "<html><head><title>%s</title></head><body><p>inner page</p></body></html>", s.Host)
+			io.WriteString(w, inner)
 		}
 	})
 }

@@ -23,28 +23,55 @@ const (
 	DocumentNode
 )
 
+// Attribute is one element attribute.
+type Attribute struct {
+	Name  string // lower-case
+	Value string
+}
+
 // Node is one DOM node. Element nodes have a Tag and Attributes; text and
 // comment nodes carry Data.
 type Node struct {
-	Type       NodeType
-	Tag        string // lower-case element name
-	Attributes map[string]string
+	Type NodeType
+	Tag  string // lower-case element name
+	// Attributes are in source order, each name once: a repeated name
+	// keeps its first position and its last value.
+	Attributes []Attribute
 	Data       string // text/comment content
 	Parent     *Node
 	Children   []*Node
 }
 
+// attr returns the index of the named attribute, or -1.
+func (n *Node) attr(name string) int {
+	name = strings.ToLower(name)
+	for i := range n.Attributes {
+		if n.Attributes[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Attr returns an attribute value ("" when absent).
 func (n *Node) Attr(name string) string {
-	return n.Attributes[strings.ToLower(name)]
+	if i := n.attr(name); i >= 0 {
+		return n.Attributes[i].Value
+	}
+	return ""
 }
+
+// HasAttr reports whether the attribute is present, even with an empty
+// value (<video controls>, id="").
+func (n *Node) HasAttr(name string) bool { return n.attr(name) >= 0 }
 
 // SetAttr sets an attribute.
 func (n *Node) SetAttr(name, value string) {
-	if n.Attributes == nil {
-		n.Attributes = make(map[string]string)
+	if i := n.attr(name); i >= 0 {
+		n.Attributes[i].Value = value
+		return
 	}
-	n.Attributes[strings.ToLower(name)] = value
+	n.Attributes = append(n.Attributes, Attribute{strings.ToLower(name), value})
 }
 
 // ID returns the element's id attribute.
@@ -214,7 +241,7 @@ func hasClass(n *Node, class string) bool {
 
 // CreateElement implements document.createElement; the node is detached.
 func (d *Document) CreateElement(tag string) *Node {
-	return &Node{Type: ElementNode, Tag: strings.ToLower(tag), Attributes: map[string]string{}}
+	return &Node{Type: ElementNode, Tag: strings.ToLower(tag)}
 }
 
 // TagCounts returns the frequency dictionary of element tags, the payload
@@ -289,13 +316,10 @@ func writeHTML(sb *strings.Builder, n *Node) {
 	case ElementNode:
 		sb.WriteByte('<')
 		sb.WriteString(n.Tag)
-		keys := make([]string, 0, len(n.Attributes))
-		for k := range n.Attributes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(sb, " %s=%q", k, n.Attributes[k])
+		attrs := append([]Attribute(nil), n.Attributes...)
+		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
+		for _, a := range attrs {
+			fmt.Fprintf(sb, " %s=%q", a.Name, a.Value)
 		}
 		if voidElements[n.Tag] && len(n.Children) == 0 {
 			sb.WriteString("/>")

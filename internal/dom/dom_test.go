@@ -152,7 +152,7 @@ func TestAttributes(t *testing.T) {
 	if in.Attr("type") != "checkbox" || in.Attr("value") != "a b" {
 		t.Errorf("attrs = %+v", in.Attributes)
 	}
-	if _, ok := in.Attributes["checked"]; !ok {
+	if !in.HasAttr("checked") || in.HasAttr("disabled") {
 		t.Error("boolean attribute lost")
 	}
 	in.SetAttr("Data-X", "1")
@@ -220,11 +220,18 @@ func TestRawTextNonASCII(t *testing.T) {
 	}
 }
 
-// FuzzParse asserts Parse never panics and builds at most one node per
-// source byte plus the document root. testdata/fuzz/FuzzParse holds the
-// inputs TestRawTextNonASCII pins.
+// FuzzParse asserts Parse never panics, builds at most one node per
+// source byte plus the document root, and gives every element exactly the
+// attributes the map-based tag parser (oracle_test.go) finds, with the
+// same serialisation. testdata/fuzz/FuzzParse holds the inputs
+// TestRawTextNonASCII pins.
 func FuzzParse(f *testing.F) {
-	for _, s := range []string{page, "<div", "<!-- x", "</p>", "<a href='x>y'>", "<script>never closed"} {
+	for _, s := range []string{
+		page, "<div", "<!-- x", "</p>", "<a href='x>y'>", "<script>never closed",
+		`<a x=1 y=2 x=3 Y="4">`, `<DIV ID="Up" Class=a CLASS=b>`,
+		`<input checked disabled value="" checked=yes>`, `<html amp><video controls id="">`,
+		`<p title="unterminated>text`, `<img alt='half src=x>`, `<a =v b= c="">`,
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -234,5 +241,6 @@ func FuzzParse(f *testing.F) {
 		if nodes > len(src)+1 {
 			t.Errorf("%d nodes from %d bytes", nodes, len(src))
 		}
+		checkAttributesAgainstOracle(t, src, d)
 	})
 }

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -39,19 +40,20 @@ func Parse(src string) *Document {
 		case tokComment:
 			top().AppendChild(&Node{Type: CommentNode, Data: tok.data})
 		case tokOpen:
-			n := &Node{Type: ElementNode, Tag: tok.tag, Attributes: tok.attrs}
+			n := &Node{Type: ElementNode}
+			n.Tag, n.Attributes = p.parseTagBody(tok.data)
 			// Implicit closes: a new <p>/<li>/<tr>/<td> closes an open one.
-			if implicitClose[tok.tag] {
-				for len(stack) > 1 && top().Tag == tok.tag {
+			if implicitClose[n.Tag] {
+				for len(stack) > 1 && top().Tag == n.Tag {
 					stack = stack[:len(stack)-1]
 				}
 			}
 			top().AppendChild(n)
-			if tok.selfClose || voidElements[tok.tag] {
+			if tok.selfClose || voidElements[n.Tag] {
 				break
 			}
-			if rawTextElements[tok.tag] {
-				n.AppendChild(&Node{Type: TextNode, Data: p.rawUntil("</" + tok.tag)})
+			if rawTextElements[n.Tag] {
+				n.AppendChild(&Node{Type: TextNode, Data: p.rawUntil("</" + n.Tag)})
 				break
 			}
 			stack = append(stack, n)
@@ -83,17 +85,20 @@ const (
 	tokComment
 )
 
+// htmlToken is one lexed token. data holds text and comment content, and
+// an open tag's raw body (name and attributes, without the '<', the '>'
+// and a self-closing '/').
 type htmlToken struct {
 	kind      htmlTokKind
-	tag       string
+	tag       string // close tags
 	data      string
-	attrs     map[string]string
 	selfClose bool
 }
 
 type htmlParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	attrs []Attribute // scratch: the tag being parsed
 }
 
 func (p *htmlParser) next() (htmlToken, bool) {
@@ -150,8 +155,7 @@ func (p *htmlParser) next() (htmlToken, bool) {
 	p.pos = end + 1
 	selfClose := strings.HasSuffix(raw, "/")
 	raw = strings.TrimSuffix(raw, "/")
-	tag, attrs := parseTagBody(raw)
-	return htmlToken{kind: tokOpen, tag: tag, attrs: attrs, selfClose: selfClose}, true
+	return htmlToken{kind: tokOpen, data: raw, selfClose: selfClose}, true
 }
 
 // findTagEnd locates the terminating '>' of the tag starting at p.pos,
@@ -209,13 +213,25 @@ func hasPrefixFoldASCII(s, prefix string) bool {
 	return true
 }
 
-func parseTagBody(raw string) (string, map[string]string) {
+// parseTagBody splits an open tag's raw body into its lower-case name and
+// its attributes, in source order with names lower-case and unique (the
+// last value of a repeated name wins).
+func (p *htmlParser) parseTagBody(raw string) (string, []Attribute) {
 	i := 0
 	for i < len(raw) && !isSpace(raw[i]) {
 		i++
 	}
 	tag := strings.ToLower(raw[:i])
-	attrs := make(map[string]string)
+	p.attrs = p.attrs[:0]
+	set := func(name, value string) {
+		for j := range p.attrs {
+			if p.attrs[j].Name == name {
+				p.attrs[j].Value = value
+				return
+			}
+		}
+		p.attrs = append(p.attrs, Attribute{name, value})
+	}
 	for i < len(raw) {
 		for i < len(raw) && isSpace(raw[i]) {
 			i++
@@ -233,7 +249,7 @@ func parseTagBody(raw string) (string, map[string]string) {
 			continue
 		}
 		if i >= len(raw) || raw[i] != '=' {
-			attrs[name] = "" // boolean attribute
+			set(name, "") // boolean attribute
 			continue
 		}
 		i++ // '='
@@ -244,7 +260,7 @@ func parseTagBody(raw string) (string, map[string]string) {
 			for i < len(raw) && raw[i] != q {
 				i++
 			}
-			attrs[name] = raw[vstart:i]
+			set(name, raw[vstart:i])
 			if i < len(raw) {
 				i++
 			}
@@ -253,10 +269,13 @@ func parseTagBody(raw string) (string, map[string]string) {
 			for i < len(raw) && !isSpace(raw[i]) {
 				i++
 			}
-			attrs[name] = raw[vstart:i]
+			set(name, raw[vstart:i])
 		}
 	}
-	return tag, attrs
+	if len(p.attrs) == 0 {
+		return tag, nil
+	}
+	return tag, slices.Clone(p.attrs)
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

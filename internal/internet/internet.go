@@ -8,9 +8,10 @@
 package internet
 
 import (
+	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -76,14 +77,118 @@ func (in *Internet) handler(host string) http.Handler {
 }
 
 // RoundTrip implements http.RoundTripper by serving the request with the
-// registered handler through an in-memory recorder.
+// registered handler and answering with what it wrote. The response's
+// status and headers are those of the handler's first write (or of its
+// return, when it writes nothing); the body is read back from the
+// writer, so a handler writing one prebuilt string with io.WriteString
+// hands it over without a copy.
 func (in *Internet) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	in.handler(req.URL.Host).ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
+	w := &responseWriter{}
+	in.handler(req.URL.Host).ServeHTTP(w, req)
+	w.commit(200)
+	status := w.status
+	return &http.Response{
+		Status:        strconv.Itoa(status) + " " + http.StatusText(status),
+		StatusCode:    status,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        w.header,
+		Body:          w,
+		ContentLength: int64(len(w.str) + len(w.buf)),
+		Request:       req,
+	}, nil
 }
+
+// responseWriter is the http.ResponseWriter RoundTrip serves into, and
+// then the response body reading back what the handler wrote.
+type responseWriter struct {
+	header http.Header // the response headers
+	status int         // 0 until the first write
+	// The body is str while the handler has written exactly one string,
+	// and buf once it has written anything else.
+	str string
+	buf []byte
+	off int // read offset
+}
+
+// Header returns the response headers until the first write fixes them;
+// after it, changes go to a map nobody reads, as net/http's server drops
+// them.
+func (w *responseWriter) Header() http.Header {
+	if w.status != 0 {
+		return http.Header{}
+	}
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	return w.header
+}
+
+// WriteHeader fixes the status and the headers.
+func (w *responseWriter) WriteHeader(code int) {
+	if code < 100 || code > 999 {
+		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
+	}
+	w.commit(code)
+}
+
+func (w *responseWriter) commit(code int) {
+	if w.status != 0 {
+		return
+	}
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	w.status = code
+}
+
+// sniff commits a 200 at the first write, sniffing the Content-Type from
+// the first 512 bytes when the handler set none.
+func sniff[T string | []byte](w *responseWriter, first T) {
+	if w.status != 0 {
+		return
+	}
+	h := w.Header()
+	if _, ok := h["Content-Type"]; !ok && h.Get("Transfer-Encoding") == "" {
+		h.Set("Content-Type", http.DetectContentType([]byte(first[:min(len(first), 512)])))
+	}
+	w.commit(200)
+}
+
+func (w *responseWriter) Write(p []byte) (int, error) {
+	sniff(w, p)
+	w.buf = append(append(w.buf, w.str...), p...)
+	w.str = ""
+	return len(p), nil
+}
+
+func (w *responseWriter) WriteString(s string) (int, error) {
+	sniff(w, s)
+	if w.str == "" && w.buf == nil {
+		w.str = s
+	} else {
+		w.buf = append(append(w.buf, w.str...), s...)
+		w.str = ""
+	}
+	return len(s), nil
+}
+
+func (w *responseWriter) Read(p []byte) (int, error) {
+	var n int
+	if w.buf != nil {
+		n = copy(p, w.buf[w.off:])
+	} else {
+		n = copy(p, w.str[w.off:])
+	}
+	w.off += n
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (w *responseWriter) Close() error { return nil }
 
 // Client returns an http.Client routed through this Internet.
 func (in *Internet) Client() *http.Client {

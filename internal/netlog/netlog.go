@@ -8,6 +8,7 @@ package netlog
 
 import (
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,23 +75,19 @@ func (l *Log) ByContext(ctx string) []Event {
 }
 
 // Hosts returns the distinct hosts contacted (optionally by one context),
-// sorted.
+// sorted. It reads the events in place, under the lock.
 func (l *Log) Hosts(ctx string) []string {
-	set := make(map[string]bool)
-	for _, e := range l.Events() {
-		if ctx != "" && e.Context != ctx {
-			continue
-		}
-		if e.Host != "" {
-			set[e.Host] = true
+	out := []string{}
+	l.mu.Lock()
+	for i := range l.events {
+		e := &l.events[i]
+		if (ctx == "" || e.Context == ctx) && e.Host != "" {
+			out = append(out, e.Host)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
+	l.mu.Unlock()
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Purge clears the log (the crawler purges device logs between visits).
