@@ -227,9 +227,13 @@ func (l *Loader) load(ctx context.Context, pageURL string, scripts bool) (*Page,
 			src := script.Attr("src")
 			var code string
 			if src != "" {
-				// A src that does not resolve is still requested, as
-				// the empty URL.
-				body, status, err := page.fetch(ctx, page.resolve(src), "subresource")
+				// A src that does not resolve to http(s) (data:,
+				// javascript:) is neither requested nor run.
+				t := page.resolve(src)
+				if t.u == nil {
+					continue
+				}
+				body, status, err := page.fetch(ctx, t, "subresource")
 				if err != nil || status != http.StatusOK {
 					continue
 				}
@@ -339,13 +343,10 @@ var copyBufs = sync.Pool{
 // maxBody bounds how much of a response body is read.
 const maxBody = 8 << 20
 
-// do issues the GET for t with the page's headers; a request that fails
-// is logged with status 0.
+// do issues the GET for t, which must have resolved, with the page's
+// headers; a request that fails is logged with status 0.
 func (p *Page) do(ctx context.Context, t target, initiator string) (*http.Response, error) {
 	u := t.u
-	if u == nil {
-		u = new(url.URL) // the empty URL
-	}
 	if strings.HasSuffix(u.Host, ":") { // http.NewRequest drops an empty port
 		c := *u
 		c.Host = strings.TrimSuffix(u.Host, ":")

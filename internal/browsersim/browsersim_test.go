@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/internet"
 	"repro/internal/netlog"
 )
 
@@ -298,6 +299,34 @@ func TestLoadErrors(t *testing.T) {
 	l2 := &Loader{Client: srv404.Client()}
 	if _, err := l2.Load(context.Background(), srv404.URL+"/missing"); err == nil {
 		t.Error("404 page did not fail")
+	}
+}
+
+// TestUnresolvableScriptSrcIsSkipped: a <script src> that does not
+// resolve to http(s) is not requested, logged or run, although the
+// in-process internet's catch-all would answer the empty URL with HTML.
+func TestUnresolvableScriptSrcIsSkipped(t *testing.T) {
+	in := internet.New()
+	in.RegisterFunc("site.test", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`<html><body>
+<script src="data:text/javascript,1"></script>
+<script src="javascript:void(0)"></script>
+<script>window.__ok = 1;</script></body></html>`))
+	})
+	log := netlog.New()
+	l := &Loader{Client: in.Client(), Log: log, ExecuteScripts: true}
+	page, err := l.Load(context.Background(), "http://site.test/")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if events := log.Events(); len(events) != 1 || events[0].URL != "http://site.test/" {
+		t.Errorf("netlog = %+v, want the page request alone", events)
+	}
+	if len(page.Console) != 0 {
+		t.Errorf("console = %q, want no script error", page.Console)
+	}
+	if got := page.VM.Global.Get("__ok").NumberValue(); got != 1 {
+		t.Error("the inline script after the skipped ones did not run")
 	}
 }
 

@@ -1,7 +1,6 @@
 package dalvik
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,35 +18,41 @@ var (
 	ErrCorrupt    = errors.New("dalvik: corrupt file")
 )
 
+// reader decodes the body of an sdex image in place: buf is what is left
+// of it.
 type reader struct {
-	r *bytes.Reader
+	buf []byte
 }
 
 func (d *reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		return 0, errVarint
 	}
+	d.buf = d.buf[n:]
 	return v, nil
 }
 
 func (d *reader) varint() (int64, error) {
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		return 0, errVarint
 	}
+	d.buf = d.buf[n:]
 	return v, nil
 }
 
+// errVarint reports a varint the body ends inside, or one over 64 bits.
+var errVarint = fmt.Errorf("%w: truncated or overlong varint", ErrCorrupt)
+
+// str reads an n-byte string: one copy, straight from the body.
 func (d *reader) str(n uint64) (string, error) {
-	if poolTooLarge(n, d.r.Len()) {
+	if poolTooLarge(n, len(d.buf)) {
 		return "", fmt.Errorf("%w: string length %d exceeds input", ErrCorrupt, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return string(buf), nil
+	s := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return s, nil
 }
 
 // Decode parses an sdex binary image produced by Encode. It verifies the
@@ -72,7 +77,7 @@ func Decode(data []byte) (*File, error) {
 		return nil, ErrChecksum
 	}
 
-	d := &reader{r: bytes.NewReader(body)}
+	d := &reader{buf: body}
 
 	strs, err := d.readStringPool()
 	if err != nil {
@@ -91,7 +96,7 @@ func Decode(data []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if poolTooLarge(nClasses, d.r.Len()+1) {
+	if poolTooLarge(nClasses, len(d.buf)+1) {
 		return nil, fmt.Errorf("%w: class count %d exceeds input", ErrCorrupt, nClasses)
 	}
 	f := &File{Version: version, Classes: make([]Class, 0, nClasses)}
@@ -108,8 +113,8 @@ func Decode(data []byte) (*File, error) {
 		}
 		f.Classes = append(f.Classes, c)
 	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.r.Len())
+	if len(d.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
 	return f, nil
 }
@@ -119,7 +124,7 @@ func (d *reader) readStringPool() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if poolTooLarge(n, d.r.Len()+1) {
+	if poolTooLarge(n, len(d.buf)+1) {
 		return nil, fmt.Errorf("%w: string pool size %d", ErrCorrupt, n)
 	}
 	pool := make([]string, 0, n)
@@ -142,7 +147,7 @@ func (d *reader) readTypePool(strs []string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if poolTooLarge(n, d.r.Len()+1) {
+	if poolTooLarge(n, len(d.buf)+1) {
 		return nil, fmt.Errorf("%w: type pool size %d", ErrCorrupt, n)
 	}
 	pool := make([]string, 0, n)
@@ -164,7 +169,7 @@ func (d *reader) readMethodPool(strs, types []string) ([]MethodRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	if poolTooLarge(n, d.r.Len()+1) {
+	if poolTooLarge(n, len(d.buf)+1) {
 		return nil, fmt.Errorf("%w: method pool size %d", ErrCorrupt, n)
 	}
 	pool := make([]MethodRef, 0, n)
@@ -215,8 +220,11 @@ func (d *reader) readClass(strs, types []string, methods []MethodRef) (Class, er
 	if err != nil {
 		return c, err
 	}
-	if poolTooLarge(nIfaces, d.r.Len()+1) {
+	if poolTooLarge(nIfaces, len(d.buf)+1) {
 		return c, fmt.Errorf("%w: interface count %d", ErrCorrupt, nIfaces)
+	}
+	if nIfaces > 0 {
+		c.Interfaces = make([]string, 0, nIfaces)
 	}
 	for i := uint64(0); i < nIfaces; i++ {
 		ti, err := d.uvarint()
@@ -250,8 +258,11 @@ func (d *reader) readClass(strs, types []string, methods []MethodRef) (Class, er
 	if err != nil {
 		return c, err
 	}
-	if poolTooLarge(nFields, d.r.Len()+1) {
+	if poolTooLarge(nFields, len(d.buf)+1) {
 		return c, fmt.Errorf("%w: field count %d", ErrCorrupt, nFields)
+	}
+	if nFields > 0 {
+		c.Fields = make([]Field, 0, nFields)
 	}
 	for i := uint64(0); i < nFields; i++ {
 		ni, err := d.uvarint()
@@ -276,8 +287,11 @@ func (d *reader) readClass(strs, types []string, methods []MethodRef) (Class, er
 	if err != nil {
 		return c, err
 	}
-	if poolTooLarge(nMethods, d.r.Len()+1) {
+	if poolTooLarge(nMethods, len(d.buf)+1) {
 		return c, fmt.Errorf("%w: method count %d", ErrCorrupt, nMethods)
+	}
+	if nMethods > 0 {
+		c.Methods = make([]Method, 0, nMethods)
 	}
 	for i := uint64(0); i < nMethods; i++ {
 		m, err := d.readMethod(strs, types, methods)
@@ -312,7 +326,7 @@ func (d *reader) readMethod(strs, types []string, methods []MethodRef) (Method, 
 	if err != nil {
 		return m, err
 	}
-	if poolTooLarge(nInsns, d.r.Len()+1) {
+	if poolTooLarge(nInsns, len(d.buf)+1) {
 		return m, fmt.Errorf("%w: instruction count %d", ErrCorrupt, nInsns)
 	}
 	m.Code = make([]Instruction, 0, nInsns)
@@ -328,10 +342,11 @@ func (d *reader) readMethod(strs, types []string, methods []MethodRef) (Method, 
 
 func (d *reader) readInsn(strs, types []string, methods []MethodRef) (Instruction, error) {
 	var ins Instruction
-	opByte, err := d.r.ReadByte()
-	if err != nil {
-		return ins, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if len(d.buf) == 0 {
+		return ins, fmt.Errorf("%w: %v", ErrCorrupt, io.EOF)
 	}
+	opByte := d.buf[0]
+	d.buf = d.buf[1:]
 	ins.Op = Opcode(opByte)
 	if ins.Op >= opMax {
 		return ins, fmt.Errorf("%w: unknown opcode %d", ErrCorrupt, opByte)

@@ -113,7 +113,10 @@ func TestContentKeyRawFallback(t *testing.T) {
 		}
 		return b
 	})
-	for name, data := range map[string][]byte{"non-ZIP input": []byte("not a zip at all"), "missing dex": noDex} {
+	// archive/zip reads a prefixed archive by shifting its offsets; the
+	// walk refuses it, so it must take the raw key too.
+	prefixed := append([]byte("#!/bin/sh\n"), img...)
+	for name, data := range map[string][]byte{"non-ZIP input": []byte("not a zip at all"), "missing dex": noDex, "prefixed archive": prefixed} {
 		sum := sha256.Sum256(data)
 		if got, want := keyOf(p, data), "raw-"+hex.EncodeToString(sum[:])+"@"+p.key; got != want {
 			t.Errorf("%s: key %s, want %s", name, got, want)

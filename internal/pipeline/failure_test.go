@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"archive/zip"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apk"
 	"repro/internal/corpus"
 	"repro/internal/playstore"
 	"repro/internal/resultcache"
@@ -230,5 +233,69 @@ func TestDownloadInCountsQuarantinedDownloads(t *testing.T) {
 	if cold.Download.Out == 0 || resumed.JournalSkips == 0 || warm.CacheHits == 0 {
 		t.Errorf("a run missed its path: cold out=%d, resumed journal skips=%d, warm cache hits=%d",
 			cold.Download.Out, resumed.JournalSkips, warm.CacheHits)
+	}
+}
+
+// bombRepo serves one package's image as an inflation bomb.
+type bombRepo struct {
+	*flakyRepo
+	victim string
+	bomb   []byte
+}
+
+func (r *bombRepo) Download(ctx context.Context, pkg string) ([]byte, error) {
+	if pkg == r.victim {
+		return r.bomb, nil
+	}
+	return r.flakyRepo.Download(ctx, pkg)
+}
+
+// TestInflationBombCountsBroken: a selected APK carrying a deflated asset
+// that inflates past apk.MaxInflated is counted as broken, and the run
+// analyses every other APK.
+func TestInflationBombCountsBroken(t *testing.T) {
+	c := failureCorpus(t)
+	var victim *corpus.Spec
+	for _, s := range c.Apps {
+		if s.OnPlayStore && s.Downloads >= corpus.MinDownloads && s.LastUpdated.After(corpus.UpdateCutoff) && !s.Broken {
+			victim = s
+			break
+		}
+	}
+	img, err := corpus.BuildAPK(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := zip.NewReader(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		if err := zw.Copy(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := zw.CreateHeader(&zip.FileHeader{Name: "assets/zeros", Method: zip.Deflate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for range apk.MaxInflated >> 20 {
+		w.Write(zeros)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := New(&bombRepo{flakyRepo: &flakyRepo{c: c}, victim: victim.Package, bomb: buf.Bytes()}, &memMeta{c: c},
+		Config{MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff}).Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Funnel.Broken != c.Counts.Broken+1 || res.Funnel.Analyzed != c.Counts.Analyzed-1 || len(res.Quarantined) != 0 {
+		t.Errorf("funnel %+v, quarantined %v; want %d broken and %d analysed",
+			res.Funnel, res.Quarantined, c.Counts.Broken+1, c.Counts.Analyzed-1)
 	}
 }

@@ -442,7 +442,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						md, err := p.meta.Metadata(ctx, pkg)
 						if err != nil && errors.Is(err, playstore.ErrNotFound) {
 							// Absence is a fact, not a fault: never retried.
-							return md, retry.Permanent(err)
+							return md, playstore.ErrNotFoundPermanent
 						}
 						return md, err
 					})
@@ -657,7 +657,8 @@ func (p *Pipeline) journalKey() string {
 // DIGEST entry cannot poison another APK's slot) plus the analysis version
 // and the SDK-index fingerprint, so changing the analysis code or the
 // catalog invalidates all cached attributions. Images too broken to
-// digest (a nil payload) fall back to a hash of the raw bytes — still
+// digest (a nil payload: apk.Read failed, on damage or on a form it
+// refuses in any entry) fall back to a hash of the raw bytes — still
 // content-addressed, so even broken APKs hit the cache on a warm run. With
 // linting enabled the rule-config fingerprint is appended too: cached
 // entries then include lint findings, and editing the rule set (or

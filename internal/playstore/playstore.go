@@ -32,6 +32,13 @@ type Metadata struct {
 // ErrNotFound reports that an app is not listed on the store.
 var ErrNotFound = errors.New("playstore: app not found")
 
+// ErrNotFoundPermanent is ErrNotFound marked permanent for retry, since an
+// app's absence is an answer, not a fault. It is the one error a not-found
+// lookup returns, from the client and from any caller that classifies
+// another metadata source's not-found for retry: most lookups are
+// not-founds, and none of their callers reads which package was missing.
+var ErrNotFoundPermanent = retry.Permanent(ErrNotFound)
+
 // Server serves store metadata for a corpus.
 type Server struct {
 	src corpus.Source
@@ -132,7 +139,7 @@ func (c *Client) metadata(ctx context.Context, pkg string) (Metadata, error) {
 		}
 		return md, nil
 	case resp.StatusCode == http.StatusNotFound:
-		return md, retry.Permanent(fmt.Errorf("%w: %s", ErrNotFound, pkg))
+		return md, ErrNotFoundPermanent
 	case resp.StatusCode >= 500:
 		return md, retry.Transient(fmt.Errorf("playstore: %s: unexpected status %s", pkg, resp.Status))
 	default:
