@@ -358,6 +358,12 @@ func run(out *os.File, o options) error {
 	}
 
 	printStaticReport(out, o, res)
+	return writeJSONReports(out, o, res)
+}
+
+// writeJSONReports writes the -lint-json and -urls-json documents that
+// were asked for — shared by the sequential and the merged sharded paths.
+func writeJSONReports(out *os.File, o options, res *core.StaticResult) error {
 	if o.lintJSON != "" {
 		if err := writeJSON(out, o.lintJSON, buildLintReport(o, res)); err != nil {
 			return err

@@ -222,9 +222,10 @@ func staticResult(res *pipeline.Result) *core.StaticResult {
 
 // runCoordinator is the -coordinator entry point: lease so.shards
 // partitions of the served corpus to spawned or joining workers, wait for
-// the merge, then print the standard report. The fleet's federated rollup
-// and stitched trace become the run's -metrics-out and -trace-out, so both
-// carry the sequential run's bytes.
+// the merge, then print the standard report and write -lint-json and
+// -urls-json. The fleet's federated rollup and stitched trace become the
+// run's -metrics-out and -trace-out, so all of them carry the sequential
+// run's bytes.
 func runCoordinator(out *os.File, o options, so shardOptions, telem *telemetry.Flags) error {
 	if so.shards < 1 {
 		return fmt.Errorf("-coordinator needs -shards >= 1")
@@ -283,8 +284,9 @@ func runCoordinator(out *os.File, o options, so shardOptions, telem *telemetry.F
 	fmt.Fprintf(os.Stderr, "merged %d shards in %v (merge itself %v)\n", so.shards, wall, coord.MergeLatency())
 	fmt.Fprintf(os.Stderr, "throughput: %d APKs in %v = %.1f APKs/s\n",
 		res.Funnel.Filtered, wall, float64(res.Funnel.Filtered)/wall.Seconds())
-	printStaticReport(out, o, staticResult(res))
-	return nil
+	sr := staticResult(res)
+	printStaticReport(out, o, sr)
+	return writeJSONReports(out, o, sr)
 }
 
 // printStaticReport renders the standard static-study tables for a

@@ -26,13 +26,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runOutputs is what one staticscan run writes: stdout, -metrics-out and
-// -trace-out.
-type runOutputs struct{ stdout, metrics, trace []byte }
+// runOutputs is what one staticscan run writes: stdout, -metrics-out,
+// -trace-out, -lint-json and -urls-json.
+type runOutputs struct{ stdout, metrics, trace, lint, urls []byte }
 
-// captureRun runs one staticscan entry point with stdout, -metrics-out
-// and -trace-out going to files, the way main wires the telemetry flags,
-// and returns the three files.
+// captureRun runs one staticscan entry point with stdout, -metrics-out,
+// -trace-out, -lint-json and -urls-json going to files, the way main
+// wires the flags, and returns the five files.
 func captureRun(t *testing.T, o options, entry func(out *os.File, o options, telem *telemetry.Flags) error) runOutputs {
 	t.Helper()
 	dir := t.TempDir()
@@ -46,6 +46,8 @@ func captureRun(t *testing.T, o options, entry func(out *os.File, o options, tel
 		TraceOut:   filepath.Join(dir, "trace.jsonl"),
 	}
 	o.telemetry = telem.Hub(o.seed)
+	o.lintJSON = filepath.Join(dir, "lint.json")
+	o.urlsJSON = filepath.Join(dir, "urls.json")
 	if err := entry(out, o, telem); err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +61,14 @@ func captureRun(t *testing.T, o options, entry func(out *os.File, o options, tel
 		}
 		return b
 	}
-	return runOutputs{read(out.Name()), read(telem.MetricsOut), read(telem.TraceOut)}
+	return runOutputs{read(out.Name()), read(telem.MetricsOut), read(telem.TraceOut), read(o.lintJSON), read(o.urlsJSON)}
 }
 
 // TestCoordinatorSpawnsWorkerProcesses is the plane's contract at the CLI
 // surface: a coordinator over four shards with two spawned worker OS
 // processes writes the sequential run's stdout (lint and urlextract tables
-// included), -metrics-out and -trace-out byte for byte.
+// included), -metrics-out, -trace-out, -lint-json and -urls-json byte for
+// byte.
 func TestCoordinatorSpawnsWorkerProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes; skipped in -short")
@@ -84,6 +87,9 @@ func TestCoordinatorSpawnsWorkerProcesses(t *testing.T) {
 	if !bytes.Contains(want.stdout, []byte("Table 3")) || !bytes.Contains(want.trace, []byte(`"trace":"apk:`)) {
 		t.Fatalf("sequential run is missing its tables or per-APK spans:\n%.400s\n%.400s", want.stdout, want.trace)
 	}
+	if !bytes.Contains(want.lint, []byte(`"findings"`)) || !bytes.Contains(want.urls, []byte(`"endpoints"`)) {
+		t.Fatalf("sequential run's JSON documents are missing findings or endpoints:\n%.400s\n%.400s", want.lint, want.urls)
+	}
 	for _, out := range []struct {
 		name      string
 		got, want []byte
@@ -91,6 +97,8 @@ func TestCoordinatorSpawnsWorkerProcesses(t *testing.T) {
 		{"stdout", got.stdout, want.stdout},
 		{"-metrics-out", got.metrics, want.metrics},
 		{"-trace-out", got.trace, want.trace},
+		{"-lint-json", got.lint, want.lint},
+		{"-urls-json", got.urls, want.urls},
 	} {
 		if !bytes.Equal(out.got, out.want) {
 			t.Errorf("coordinator %s diverged from the sequential run (%d vs %d bytes):\n--- coordinator ---\n%.800s\n--- sequential ---\n%.800s",

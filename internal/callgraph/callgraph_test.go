@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -320,5 +321,88 @@ func TestNoEntryPointsNoUsage(t *testing.T) {
 	u := g.AnalyzeUsage(nil)
 	if u.UsesWebView() {
 		t.Error("usage recorded with no entry points")
+	}
+}
+
+// TestHugeClassResolvesFast builds the graph of one class of 50,000
+// methods, each of which invokes the last. Every resolve looks the target
+// up in that class, so scanning its methods would take 50,000² / 2 string
+// comparisons; the class's sorted index keeps Build well inside the
+// deadline, under the race detector too.
+func TestHugeClassResolvesFast(t *testing.T) {
+	const n = 50000
+	ms := make([]dalvik.Method, n)
+	for i := range ms {
+		ms[i] = dalvik.Method{
+			Name:      fmt.Sprintf("m%05d", i),
+			Signature: "()void",
+			Code:      []dalvik.Instruction{dalvik.InvokeVirtual("a.Huge", fmt.Sprintf("m%05d", n-1), "()void")},
+		}
+	}
+	ms[0].Name = "onClick"
+	f := &dalvik.File{Classes: []dalvik.Class{{Name: "a.Huge", SuperName: android.ObjectClass, Methods: ms}}}
+	const deadline = 5 * time.Second
+	done := make(chan *Graph, 1)
+	go func() { done <- Build(f) }()
+	select {
+	case g := <-done:
+		for i := int32(0); i < n; i++ {
+			if got := g.Targets(i); len(got) != 1 || got[0] != n-1 {
+				t.Fatalf("Targets(%d) = %v, want [%d]", i, got, n-1)
+			}
+		}
+		if !g.Reachable(n-1) || g.Reachable(1) {
+			t.Error("reachability from onClick wrong")
+		}
+	case <-time.After(deadline):
+		t.Fatalf("Build of a %d-method class took over %v", n, deadline)
+	}
+}
+
+// TestRepeatedDefinitionsFirstWins builds a hand-built file that defines
+// a class twice and, in a class large enough to be indexed and in a small
+// one, a method twice. Decode and Validate reject such files; Build
+// numbers the first definition of each and resolves calls to it.
+func TestRepeatedDefinitionsFirstWins(t *testing.T) {
+	big := []dalvik.Method{{Name: "onClick", Signature: "()void", Code: []dalvik.Instruction{
+		dalvik.InvokeVirtual("a.Big", "dup", "()void"),
+		dalvik.InvokeVirtual("a.Small", "dup", "()void"),
+		dalvik.InvokeVirtual("a.Twice", "only", "()void"),
+	}}}
+	for i := 0; i < 20; i++ {
+		big = append(big, dalvik.Method{Name: fmt.Sprintf("m%02d", i), Signature: "()void"})
+		if i == 5 || i == 15 {
+			big = append(big, dalvik.Method{Name: "dup", Signature: "()void"})
+		}
+	}
+	f := &dalvik.File{Classes: []dalvik.Class{
+		{Name: "a.Twice", Methods: []dalvik.Method{{Name: "only", Signature: "()void"}}},
+		{Name: "a.Small", Methods: []dalvik.Method{
+			{Name: "dup", Signature: "()void"}, {Name: "dup", Signature: "()void"}, {Name: "after", Signature: "()void"},
+		}},
+		{Name: "a.Big", Methods: big},
+		{Name: "a.Twice", Methods: []dalvik.Method{{Name: "only", Signature: "()void"}, {Name: "second", Signature: "()void"}}},
+	}}
+	g := Build(f)
+	var refs []string
+	for i := int32(0); i < int32(g.NumMethods()); i++ {
+		refs = append(refs, g.Ref(i).Class+"."+g.Ref(i).Name)
+	}
+	want := []string{"a.Twice.only", "a.Small.dup", "a.Small.after", "a.Big.onClick"}
+	for i := 0; i < 20; i++ {
+		want = append(want, fmt.Sprintf("a.Big.m%02d", i))
+		if i == 5 {
+			want = append(want, "a.Big.dup")
+		}
+	}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("numbered %v, want %v", refs, want)
+	}
+	onClick := number(t, g, "a.Big", "onClick")
+	if got, want := g.Targets(onClick), []int32{10, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Targets(onClick) = %v, want %v", got, want)
+	}
+	if got := number(t, g, "a.Small", "after"); got != 2 {
+		t.Errorf("a.Small.after numbered %d, want 2", got)
 	}
 }

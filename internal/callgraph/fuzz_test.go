@@ -132,7 +132,7 @@ func (o *oracle) reachable(roots []dalvik.MethodRef) map[dalvik.MethodRef]bool {
 		stack = stack[:len(stack)-1]
 		for _, ins := range o.defined[cur].Code {
 			if ins.Op.IsInvoke() {
-				push(ins.Target)
+				push(*ins.Target)
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func checkOracle(t *testing.T, dex *dalvik.File, g *callgraph.Graph) {
 		for pc, ins := range code {
 			res, ok := dalvik.MethodRef{}, false
 			if ins.Op.IsInvoke() {
-				res, ok = o.resolve(ins.Target)
+				res, ok = o.resolve(*ins.Target)
 			}
 			switch got := targets[pc]; {
 			case !ok && got != -1:

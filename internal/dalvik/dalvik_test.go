@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleFile(t testing.TB) *File {
@@ -234,16 +235,63 @@ func TestDecodeRejectsRepeatedDefinitions(t *testing.T) {
 }
 
 func TestValidateEmptyInvokeTarget(t *testing.T) {
-	f := &File{Classes: []Class{{
-		Name: "a.B",
-		Methods: []Method{{
-			Name:      "m",
-			Signature: "()void",
-			Code:      []Instruction{{Op: OpInvokeVirtual}},
-		}},
-	}}}
-	if err := f.Validate(); err == nil {
-		t.Error("Validate accepted invoke with empty target")
+	for _, target := range []*MethodRef{nil, {}, {Class: "a.B"}} {
+		f := &File{Classes: []Class{{
+			Name: "a.B",
+			Methods: []Method{{
+				Name:      "m",
+				Signature: "()void",
+				Code:      []Instruction{{Op: OpInvokeVirtual, Target: target}},
+			}},
+		}}}
+		if err := f.Validate(); err == nil {
+			t.Errorf("Validate accepted invoke with target %v", target)
+		}
+		if _, err := Encode(f); err == nil {
+			t.Errorf("Encode accepted invoke with target %v", target)
+		}
+	}
+}
+
+// TestInstructionSize pins the decoded instruction at 40 bytes at most:
+// every method body of every decoded APK is a slice of them.
+func TestInstructionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instruction{}); n > 40 {
+		t.Errorf("Instruction is %d bytes, want at most 40", n)
+	}
+}
+
+// TestDecodeSharesTargets checks that Decode points every invoke of one
+// method-pool entry at that entry, and the invoke constructors give each
+// instruction a target of its own.
+func TestDecodeSharesTargets(t *testing.T) {
+	b := NewBuilder()
+	b.Class("a.A", "java.lang.Object", AccPublic).
+		VoidMethod("one", InvokeStatic("a.B", "f", "()void"), InvokeStatic("a.B", "g", "()void")).
+		VoidMethod("two", InvokeStatic("a.B", "f", "()void"))
+	b.Class("a.B", "java.lang.Object", AccPublic).
+		VoidMethod("three", InvokeStatic("a.B", "f", "()void"))
+	built := b.MustBuild()
+	if built.Classes[0].Methods[0].Code[0].Target == built.Classes[0].Methods[1].Code[0].Target {
+		t.Error("two constructed invokes share a target")
+	}
+	enc, err := Encode(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1 := f.Classes[0].Methods[0].Code[0].Target
+	g := f.Classes[0].Methods[0].Code[1].Target
+	for _, other := range []*MethodRef{f.Classes[0].Methods[1].Code[0].Target, f.Classes[1].Methods[0].Code[0].Target} {
+		if other != f1 {
+			t.Error("two decoded invokes of a.B.f do not share their target")
+		}
+	}
+	if g == f1 || *g != (MethodRef{Class: "a.B", Name: "g", Signature: "()void"}) {
+		t.Errorf("a.B.g decoded as %v", *g)
 	}
 }
 

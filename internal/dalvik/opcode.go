@@ -61,24 +61,26 @@ func (o Opcode) IsInvoke() bool {
 	return false
 }
 
-// Instruction is a single decoded sdex instruction. Exactly which operand
-// fields are meaningful depends on the opcode:
+// Instruction is a single decoded sdex instruction, 40 bytes on 64-bit
+// platforms. Exactly which operand fields are meaningful depends on the
+// opcode:
 //
-//	OpConstString           Str
+//	OpConstString           Str (the literal)
 //	OpConstInt              Int
-//	OpNewInstance           Type
+//	OpNewInstance           Str (the type)
 //	OpInvoke*               Target
 //	OpIfZ, OpGoto           Int (relative branch offset in instructions)
 //
 // Keeping operands symbolic (strings and MethodRefs rather than pool
 // indices) makes the in-memory form independent of any particular encoding;
-// the writer interns them into pools.
+// the writer interns them into pools. Target is shared: Decode points every
+// invoke of one method-pool entry at that entry, so a consumer reads
+// through it and never writes.
 type Instruction struct {
 	Op     Opcode
 	Str    string
 	Int    int64
-	Type   string
-	Target MethodRef
+	Target *MethodRef
 }
 
 func (ins Instruction) validate() error {
@@ -88,11 +90,14 @@ func (ins Instruction) validate() error {
 	case OpConstString, OpConstInt, OpIfZ, OpGoto:
 		return nil
 	case OpNewInstance:
-		if ins.Type == "" {
+		if ins.Str == "" {
 			return fmt.Errorf("new-instance with empty type")
 		}
 		return nil
 	case OpInvokeVirtual, OpInvokeStatic, OpInvokeDirect, OpInvokeInterface:
+		if ins.Target == nil {
+			return fmt.Errorf("%s without a target", ins.Op)
+		}
 		if ins.Target.Class == "" || ins.Target.Name == "" {
 			return fmt.Errorf("%s with incomplete target %q", ins.Op, ins.Target)
 		}
@@ -110,7 +115,7 @@ func (ins Instruction) String() string {
 	case OpConstInt, OpIfZ, OpGoto:
 		return fmt.Sprintf("%s %d", ins.Op, ins.Int)
 	case OpNewInstance:
-		return fmt.Sprintf("%s %s", ins.Op, ins.Type)
+		return fmt.Sprintf("%s %s", ins.Op, ins.Str)
 	case OpInvokeVirtual, OpInvokeStatic, OpInvokeDirect, OpInvokeInterface:
 		return fmt.Sprintf("%s %s", ins.Op, ins.Target)
 	default:
@@ -118,7 +123,8 @@ func (ins Instruction) String() string {
 	}
 }
 
-// Convenience constructors keep corpus-generation code terse.
+// Convenience constructors keep corpus-generation code terse. Each invoke
+// constructor allocates its own Target.
 
 // ConstString builds an OpConstString instruction.
 func ConstString(s string) Instruction { return Instruction{Op: OpConstString, Str: s} }
@@ -127,26 +133,26 @@ func ConstString(s string) Instruction { return Instruction{Op: OpConstString, S
 func ConstInt(v int64) Instruction { return Instruction{Op: OpConstInt, Int: v} }
 
 // NewInstance builds an OpNewInstance instruction.
-func NewInstance(typ string) Instruction { return Instruction{Op: OpNewInstance, Type: typ} }
+func NewInstance(typ string) Instruction { return Instruction{Op: OpNewInstance, Str: typ} }
 
 // InvokeVirtual builds an OpInvokeVirtual instruction.
 func InvokeVirtual(class, name, sig string) Instruction {
-	return Instruction{Op: OpInvokeVirtual, Target: MethodRef{Class: class, Name: name, Signature: sig}}
+	return Instruction{Op: OpInvokeVirtual, Target: &MethodRef{Class: class, Name: name, Signature: sig}}
 }
 
 // InvokeStatic builds an OpInvokeStatic instruction.
 func InvokeStatic(class, name, sig string) Instruction {
-	return Instruction{Op: OpInvokeStatic, Target: MethodRef{Class: class, Name: name, Signature: sig}}
+	return Instruction{Op: OpInvokeStatic, Target: &MethodRef{Class: class, Name: name, Signature: sig}}
 }
 
 // InvokeDirect builds an OpInvokeDirect instruction.
 func InvokeDirect(class, name, sig string) Instruction {
-	return Instruction{Op: OpInvokeDirect, Target: MethodRef{Class: class, Name: name, Signature: sig}}
+	return Instruction{Op: OpInvokeDirect, Target: &MethodRef{Class: class, Name: name, Signature: sig}}
 }
 
 // InvokeInterface builds an OpInvokeInterface instruction.
 func InvokeInterface(class, name, sig string) Instruction {
-	return Instruction{Op: OpInvokeInterface, Target: MethodRef{Class: class, Name: name, Signature: sig}}
+	return Instruction{Op: OpInvokeInterface, Target: &MethodRef{Class: class, Name: name, Signature: sig}}
 }
 
 // Return builds an OpReturnVoid instruction.

@@ -60,6 +60,10 @@ func (d *reader) str(n uint64) (string, error) {
 // rejected early and deterministically. Like Validate, it rejects a class
 // or a method within a class defined twice: Encode writes classes in
 // strictly ascending name order, so a class out of that order is corrupt.
+//
+// The method pool is decoded once, and every invoke of one pool entry
+// points its Target at that entry: the decoded file's Targets are shared
+// and read-only.
 func Decode(data []byte) (*File, error) {
 	if len(data) < 10 {
 		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrCorrupt, len(data))
@@ -375,7 +379,7 @@ func (d *reader) readInsn(strs, types []string, methods []MethodRef) (Instructio
 		if ti >= uint64(len(types)) {
 			return ins, fmt.Errorf("%w: new-instance index %d", ErrCorrupt, ti)
 		}
-		ins.Type = types[ti]
+		ins.Str = types[ti]
 	case OpInvokeVirtual, OpInvokeStatic, OpInvokeDirect, OpInvokeInterface:
 		mi, err := d.uvarint()
 		if err != nil {
@@ -384,7 +388,7 @@ func (d *reader) readInsn(strs, types []string, methods []MethodRef) (Instructio
 		if mi >= uint64(len(methods)) {
 			return ins, fmt.Errorf("%w: invoke index %d", ErrCorrupt, mi)
 		}
-		ins.Target = methods[mi]
+		ins.Target = &methods[mi]
 	}
 	return ins, nil
 }

@@ -171,9 +171,9 @@ func internClass(p *pools, c *Class) {
 			case OpConstString:
 				p.internString(ins.Str)
 			case OpNewInstance:
-				p.internType(ins.Type)
+				p.internType(ins.Str)
 			case OpInvokeVirtual, OpInvokeStatic, OpInvokeDirect, OpInvokeInterface:
-				p.internMethod(ins.Target)
+				p.internMethod(*ins.Target)
 			}
 		}
 	}
@@ -231,9 +231,9 @@ func encodeInsn(w *bytes.Buffer, p *pools, ins Instruction) error {
 	case OpConstInt, OpIfZ, OpGoto:
 		writeVarint(w, ins.Int)
 	case OpNewInstance:
-		writeUvarint(w, p.typeIdx[ins.Type])
+		writeUvarint(w, p.typeIdx[ins.Str])
 	case OpInvokeVirtual, OpInvokeStatic, OpInvokeDirect, OpInvokeInterface:
-		writeUvarint(w, p.methodIdx[ins.Target])
+		writeUvarint(w, p.methodIdx[*ins.Target])
 	}
 	return nil
 }

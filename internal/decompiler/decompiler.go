@@ -174,7 +174,7 @@ func collectImports(c *dalvik.Class, pkg string) []string {
 		for _, ins := range c.Methods[i].Code {
 			switch {
 			case ins.Op == dalvik.OpNewInstance:
-				add(ins.Type)
+				add(ins.Str)
 			case ins.Op.IsInvoke():
 				add(ins.Target.Class)
 			}

@@ -157,7 +157,7 @@ func plain(c *dalvik.Class) bool {
 		for _, ins := range m.Code {
 			switch {
 			case ins.Op == dalvik.OpNewInstance:
-				names = append(names, ins.Type)
+				names = append(names, ins.Str)
 			case ins.Op.IsInvoke():
 				if !plainMethodName(ins.Target.Name) {
 					return false

@@ -202,7 +202,7 @@ func (w *walk) body(code []dalvik.Instruction) {
 			w.put(line{kind: lineConstInt, indent: indent, n: varN, num: ins.Int})
 			w.ops = append(w.ops, operand{kind: operandInt, num: ins.Int})
 		case dalvik.OpNewInstance:
-			pendingNew = ins.Type
+			pendingNew = ins.Str
 		case dalvik.OpInvokeDirect:
 			if pendingNew == ins.Target.Class && ins.Target.Name == "<init>" {
 				varN++
@@ -215,11 +215,11 @@ func (w *walk) body(code []dalvik.Instruction) {
 				pendingNew = ""
 				continue
 			}
-			i = call(i, lastVar, &ins.Target)
+			i = call(i, lastVar, ins.Target)
 		case dalvik.OpInvokeVirtual, dalvik.OpInvokeInterface:
-			i = call(i, lastVar, &ins.Target)
+			i = call(i, lastVar, ins.Target)
 		case dalvik.OpInvokeStatic:
-			i = call(i, simpleName(ins.Target.Class), &ins.Target)
+			i = call(i, simpleName(ins.Target.Class), ins.Target)
 		case dalvik.OpMoveResult:
 			// Not directly after an invoke (corrupt or hand-built streams):
 			// a placeholder result.

@@ -109,9 +109,10 @@ func TargetFor(c Category) CategoryTarget {
 
 // Index is a package-prefix lookup table over the catalog.
 type Index struct {
-	sdks     []SDK
-	prefixes []string // sorted for deterministic longest-prefix search
-	byPrefix map[string]int
+	sdks       []SDK
+	prefixes   []string // sorted for deterministic longest-prefix search
+	byPrefix   map[string]int
+	byCategory map[Category][]SDK
 
 	fpOnce sync.Once
 	fp     string
@@ -119,12 +120,17 @@ type Index struct {
 
 // NewIndex builds an index over the given catalog entries.
 func NewIndex(sdks []SDK) *Index {
-	idx := &Index{sdks: sdks, byPrefix: make(map[string]int, len(sdks))}
+	idx := &Index{sdks: sdks, byPrefix: make(map[string]int, len(sdks)), byCategory: make(map[Category][]SDK)}
 	for i := range sdks {
 		idx.byPrefix[sdks[i].Package] = i
 		idx.prefixes = append(idx.prefixes, sdks[i].Package)
+		c := sdks[i].Category
+		idx.byCategory[c] = append(idx.byCategory[c], sdks[i])
 	}
 	sort.Strings(idx.prefixes)
+	for c, l := range idx.byCategory {
+		idx.byCategory[c] = l[:len(l):len(l)] // an append copies
+	}
 	return idx
 }
 
@@ -179,16 +185,10 @@ func (x *Index) Fingerprint() string {
 	return x.fp
 }
 
-// ByCategory returns the catalog entries of one category, in catalog order.
-func (x *Index) ByCategory(c Category) []SDK {
-	var out []SDK
-	for _, s := range x.sdks {
-		if s.Category == c {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// ByCategory returns the catalog entries of one category, in catalog
+// order. NewIndex builds the lists once; every call returns the same
+// slice, which callers must treat as read-only.
+func (x *Index) ByCategory(c Category) []SDK { return x.byCategory[c] }
 
 // Counts tallies the Table 3 matrix over the catalog: per category, how
 // many SDKs use WebViews, CTs and both. Excluded entries are skipped.

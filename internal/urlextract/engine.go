@@ -109,7 +109,7 @@ var (
 // when t is not a sink. postUrl's URL is nominally slot 0, but the corpus
 // builder pushes the constant immediately before the call, which lands it
 // in the trailing slot — check both.
-func sinkSlots(g *callgraph.Graph, t dalvik.MethodRef) []int {
+func sinkSlots(g *callgraph.Graph, t *dalvik.MethodRef) []int {
 	switch t.Name {
 	case android.MethodLoadURL:
 		if isWebViewReceiver(g, t.Class) {
@@ -139,7 +139,7 @@ func isWebViewReceiver(g *callgraph.Graph, name string) bool {
 	return name == android.WebViewClass || g.IsWebViewClass(name)
 }
 
-func apiName(t dalvik.MethodRef) string {
+func apiName(t *dalvik.MethodRef) string {
 	cls := t.Class
 	if i := strings.LastIndexByte(cls, '.'); i >= 0 {
 		cls = cls[i+1:]
@@ -533,7 +533,7 @@ func (m *mach) exec(st absState, pc int, emitting bool) (absState, int, int) {
 	case dalvik.OpConstInt:
 		m.push(&st, Const(strconv.FormatInt(ins.Int, 10)))
 	case dalvik.OpNewInstance:
-		st.pendingNew = ins.Type
+		st.pendingNew = ins.Str
 	case dalvik.OpInvokeVirtual, dalvik.OpInvokeStatic, dalvik.OpInvokeDirect, dalvik.OpInvokeInterface:
 		wasInvoke = m.invoke(&st, ins, m.targets[pc], emitting)
 	case dalvik.OpMoveResult:
@@ -672,7 +672,7 @@ func substitute(v Value, args []Value) Value {
 // emitSink classifies the URL argument of a sink call: exact constants
 // and dynamic values become endpoints immediately, parameter-dependent
 // values become summary templates for callers to ground.
-func (m *mach) emitSink(t dalvik.MethodRef, args []Value) {
+func (m *mach) emitSink(t *dalvik.MethodRef, args []Value) {
 	slots := sinkSlots(m.r.g, t)
 	var v Value
 	chosen := false

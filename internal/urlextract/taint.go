@@ -65,7 +65,7 @@ func taintWalk(g *callgraph.Graph, id int32, taint [][]bool, cfg TaintConfig, pu
 		case dalvik.OpConstString, dalvik.OpConstInt:
 			stack = append(stack, false)
 		case dalvik.OpNewInstance:
-			pendingNew = ins.Type
+			pendingNew = ins.Str
 		case dalvik.OpInvokeVirtual, dalvik.OpInvokeStatic, dalvik.OpInvokeDirect, dalvik.OpInvokeInterface:
 			wasInvoke = true
 			t := ins.Target
