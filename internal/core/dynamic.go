@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/device"
@@ -17,8 +16,6 @@ import (
 	"repro/internal/iab"
 	"repro/internal/internet"
 	"repro/internal/measure"
-	"repro/internal/retry"
-	"repro/internal/serving"
 	"repro/internal/webview"
 )
 
@@ -100,18 +97,6 @@ func (d *DynamicStudy) forEachSpec(specs []*corpus.Spec, fn func(i int, spec *co
 		}(i, spec)
 	}
 	wg.Wait()
-}
-
-// reportPolicy is the client-side policy for beacon uploads to the
-// measurement collector: a few fast retries honoring any server-advised
-// Retry-After, with delays capped so a probe never stalls visibly.
-func (d *DynamicStudy) reportPolicy() *retry.Policy {
-	return &retry.Policy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Seed:        1,
-	}
 }
 
 // pinned returns the device probe i runs on.
@@ -299,25 +284,12 @@ const measureHost = "measure.controlled.test"
 // ProbeIABs performs the §3.2.2 instrumented visit for each WebView-IAB
 // app: hooks the WebView, navigates it to the controlled page, lets the
 // app inject, and gathers the App-WebView interactions, the Web-API
-// traces from the measurement server, and the network log.
-//
-// The collector sits behind the hardened serving plane: beacons pass
-// admission control, body caps and the bounded ingest queue before the
-// drain workers deliver them to the measure sink. The limits are sized so
-// the probe fleet never sheds; the retry policy on the upload path covers
-// the rest. The plane is drained (all accepted beacons flushed) before
-// the rows are returned.
+// traces from the measurement server, and the network log. The server
+// counts each beacon before answering it, so a probe's traces are all
+// recorded once its page visit and upload return.
 func (d *DynamicStudy) ProbeIABs(ctx context.Context, specs []*corpus.Spec) ([]Table8Row, *measure.Server, error) {
 	srv := measure.NewServer()
-	svc := serving.NewService(serving.Config{
-		Sink:          srv,
-		Pages:         srv.Handler(),
-		QueueDepth:    4096,
-		Workers:       2,
-		MaxConcurrent: 256,
-	})
-	defer svc.Close()
-	d.Net.Register(measureHost, svc.Handler())
+	d.Net.Register(measureHost, srv.Handler())
 	d.registerRedirectors(specs)
 
 	var iabSpecs []*corpus.Spec
@@ -333,14 +305,9 @@ func (d *DynamicStudy) ProbeIABs(ctx context.Context, specs []*corpus.Spec) ([]T
 	}
 	outcomes := make([]probeOutcome, len(iabSpecs))
 	d.forEachSpec(iabSpecs, func(i int, spec *corpus.Spec) {
-		row, err := d.probeOne(ctx, d.pinned(i), spec, srv, svc)
+		row, err := d.probeOne(ctx, d.pinned(i), spec, srv)
 		outcomes[i] = probeOutcome{row: row, err: err}
 	})
-	// Graceful drain: every beacon accepted during the probes is flushed
-	// into the sink before anyone reads the tables.
-	if err := svc.Drain(ctx); err != nil {
-		return nil, nil, err
-	}
 
 	var rows []Table8Row
 	for _, o := range outcomes {
@@ -360,7 +327,7 @@ func (d *DynamicStudy) ProbeIABs(ctx context.Context, specs []*corpus.Spec) ([]T
 	return rows, srv, nil
 }
 
-func (d *DynamicStudy) probeOne(ctx context.Context, dev *device.Device, spec *corpus.Spec, srv *measure.Server, svc *serving.Service) (*Table8Row, error) {
+func (d *DynamicStudy) probeOne(ctx context.Context, dev *device.Device, spec *corpus.Spec, srv *measure.Server) (*Table8Row, error) {
 	app, err := dev.App(spec.Package)
 	if err != nil {
 		if app, err = dev.Install(spec); err != nil {
@@ -389,15 +356,10 @@ func (d *DynamicStudy) probeOne(ctx context.Context, dev *device.Device, spec *c
 
 	// Upload the element-level API calls the page runtime recorded, as
 	// the controlled page's batch channel.
-	if err := measure.ReportAPICalls(ctx, d.Net.Client(), d.reportPolicy(), "https://"+measureHost+"/collect",
+	if err := measure.ReportAPICalls(ctx, d.Net.Client(), "https://"+measureHost+"/collect",
 		spec.Package, res.WebView.Page().APICalls()); err != nil {
 		return nil, err
 	}
-
-	// Read-your-writes barrier: the serving plane's queue is asynchronous,
-	// so wait for everything accepted so far to reach the sink before
-	// building this app's Table 9 row from it.
-	svc.Flush()
 
 	htmlIntent, bridgeIntent := iab.InferIntent(res.Behavior)
 	row := &Table8Row{

@@ -16,7 +16,6 @@ import (
 	"repro/internal/crux"
 	"repro/internal/internet"
 	"repro/internal/measure"
-	"repro/internal/serving"
 )
 
 // recorderTransport is the reference transport: each request is served
@@ -34,8 +33,7 @@ func (t recorderTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 
 // studyInternet registers every handler the studies serve: the crawl's top
 // sites, core's click redirectors and example.com page, and the
-// controlled measurement page behind the serving plane, wired as
-// core.ProbeIABs wires it.
+// controlled measurement page, wired as core.ProbeIABs wires it.
 func studyInternet(t *testing.T) *internet.Internet {
 	t.Helper()
 	study := core.NewDynamicStudy()
@@ -46,10 +44,7 @@ func studyInternet(t *testing.T) *internet.Internet {
 	}
 	in := study.Net
 	crux.RegisterAll(in, crux.TopSites(3))
-	srv := measure.NewServer()
-	svc := serving.NewService(serving.Config{Sink: srv, Pages: srv.Handler(), QueueDepth: 64, Workers: 1, MaxConcurrent: 8})
-	t.Cleanup(func() { svc.Close() })
-	in.Register("measure.controlled.test", svc.Handler())
+	in.Register("measure.controlled.test", measure.NewServer().Handler())
 	return in
 }
 

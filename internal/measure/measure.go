@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/browsersim"
-	"repro/internal/retry"
 )
 
 // MaxCollectBody caps the size of one POST /collect batch. Larger bodies
@@ -39,10 +38,9 @@ type Trace struct {
 
 // Server hosts the controlled page and collects traces. It folds beacons
 // into per-(app, interface, method) counts as they arrive, so resident
-// memory is O(distinct triples) however many beacons pass through — the
-// property that lets one collector absorb a million-user replay. Counting
-// is commutative, so a concurrent drain yields the same counts as a
-// sequential one.
+// memory is O(distinct triples) however many beacons pass through.
+// Counting is commutative, so concurrent posts yield the same counts as
+// sequential ones.
 type Server struct {
 	mu      sync.Mutex
 	counts  map[Trace]int64
@@ -58,6 +56,11 @@ func NewServer() *Server { return &Server{counts: make(map[Trace]int64)} }
 //	GET /trace.js    the Web-API interception script
 //	GET /collect     one interception report (query: iface, method)
 //	POST /collect    batched reports (JSON array of Trace)
+//
+// /collect is synchronous: a beacon is counted before its 204, so a
+// caller may read ForApp as soon as its upload returns. A malformed batch
+// or an empty beacon answers 400, a body over MaxCollectBody 413, and any
+// other method 405; none of them records anything.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
@@ -68,31 +71,27 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/javascript")
 		io.WriteString(w, TraceJS)
 	})
-	mux.HandleFunc("GET /collect", func(w http.ResponseWriter, r *http.Request) {
-		batch, err := DecodeCollect(w, r)
-		if err != nil {
-			WriteCollectError(w, err)
-			return
-		}
-		if err := s.Accept(r.Header.Get(android.XRequestedWithHeader), batch); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("POST /collect", func(w http.ResponseWriter, r *http.Request) {
-		batch, err := DecodeCollect(w, r)
-		if err != nil {
-			WriteCollectError(w, err)
-			return
-		}
-		if err := s.Accept(r.Header.Get(android.XRequestedWithHeader), batch); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
+	// The mux answers 405 to the methods neither pattern names.
+	mux.HandleFunc("GET /collect", s.collect)
+	mux.HandleFunc("POST /collect", s.collect)
 	return mux
+}
+
+func (s *Server) collect(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodHead { // the GET pattern matches HEAD too
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	batch, err := DecodeCollect(w, r)
+	if err != nil {
+		WriteCollectError(w, err)
+		return
+	}
+	if err := s.Accept(r.Header.Get(android.XRequestedWithHeader), batch); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // DecodeCollect extracts the beacon batch from a /collect request — the
@@ -141,8 +140,7 @@ func WriteCollectError(w http.ResponseWriter, err error) {
 // Accept records a batch attributed to app (beacons carrying their own App
 // keep it). A beacon with neither interface nor method fails the whole
 // batch with ErrEmptyTrace and records nothing — the caller answers 400
-// instead of silently dropping. Accept is the sink the serving plane
-// drains into; it is safe for concurrent use.
+// instead of silently dropping. Accept is safe for concurrent use.
 func (s *Server) Accept(app string, batch []Trace) error {
 	for _, tr := range batch {
 		if tr.Interface == "" && tr.Method == "" {
@@ -197,23 +195,11 @@ func (s *Server) ForApp(app string) []Trace {
 	return out
 }
 
-// Reset clears collected traces between experiments.
-func (s *Server) Reset() {
-	s.mu.Lock()
-	s.counts = make(map[Trace]int64)
-	s.beacons = 0
-	s.mu.Unlock()
-}
-
 // ReportAPICalls uploads the Element-level API calls the page runtime
 // recorded natively (the parts Trace.js cannot wrap because element
-// wrappers are created per node) as a batch.
-//
-// The upload runs through policy (nil = one attempt): a 429/503 from an
-// overloaded collector classifies as transient with the server-advised
-// Retry-After delay, a 4xx as permanent, so the client backs off exactly
-// as the serving plane asks instead of hammering it.
-func ReportAPICalls(ctx context.Context, client *http.Client, policy *retry.Policy, collectURL, app string, calls []browsersim.APICall) error {
+// wrappers are created per node) as one batch. Any answer but 204 is an
+// error.
+func ReportAPICalls(ctx context.Context, client *http.Client, collectURL, app string, calls []browsersim.APICall) error {
 	if len(calls) == 0 {
 		return nil
 	}
@@ -225,22 +211,19 @@ func ReportAPICalls(ctx context.Context, client *http.Client, policy *retry.Poli
 	if err != nil {
 		return fmt.Errorf("measure: %w", err)
 	}
-	_, err = retry.Do(ctx, policy, func(ctx context.Context) (struct{}, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, collectURL, newReader(body))
-		if err != nil {
-			return struct{}{}, retry.Permanent(fmt.Errorf("measure: %w", err))
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(android.XRequestedWithHeader, app)
-		resp, err := client.Do(req)
-		if err != nil {
-			return struct{}{}, retry.Transient(fmt.Errorf("measure: %w", err))
-		}
-		resp.Body.Close()
-		return struct{}{}, retry.ClassifyHTTPResponse(resp)
-	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, collectURL, newReader(body))
 	if err != nil {
 		return fmt.Errorf("measure: report %s: %w", app, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(android.XRequestedWithHeader, app)
+	resp, err := client.Do(req)
+	if err != nil {
+		return fmt.Errorf("measure: report %s: %w", app, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		return fmt.Errorf("measure: report %s: http status %d", app, resp.StatusCode)
 	}
 	return nil
 }

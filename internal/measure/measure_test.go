@@ -2,15 +2,16 @@ package measure
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/browsersim"
-	"repro/internal/retry"
+	"repro/internal/android"
 	"repro/internal/webview"
 )
 
@@ -97,7 +98,7 @@ metas[0].getAttribute("charset");`, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Upload the runtime-recorded element-level calls.
-	if err := ReportAPICalls(context.Background(), hs.Client(), nil, hs.URL+"/collect", "com.facebook.katana", wv.Page().APICalls()); err != nil {
+	if err := ReportAPICalls(context.Background(), hs.Client(), hs.URL+"/collect", "com.facebook.katana", wv.Page().APICalls()); err != nil {
 		t.Fatalf("ReportAPICalls: %v", err)
 	}
 	var sawElementCall bool
@@ -120,21 +121,6 @@ func TestNoInjectionNoTraces(t *testing.T) {
 	// Snapchat/Twitter/Reddit show empty Table 9 rows.
 	if got := srv.ForApp("com.facebook.katana"); len(got) != 0 {
 		t.Errorf("traces without injection: %+v", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	srv, hs, wv := setup(t)
-	if err := wv.LoadURL(context.Background(), hs.URL+"/"); err != nil {
-		t.Fatal(err)
-	}
-	_ = wv.EvaluateJavascript(`document.createElement("div")`, nil)
-	if srv.Beacons() == 0 {
-		t.Fatal("no traces to reset")
-	}
-	srv.Reset()
-	if srv.Beacons() != 0 || len(srv.Counts()) != 0 {
-		t.Error("Reset left traces")
 	}
 }
 
@@ -215,28 +201,56 @@ func TestCollectGetRejectsEmptyBeacon(t *testing.T) {
 	}
 }
 
-func TestReportAPICallsRetriesOn429(t *testing.T) {
+func TestCollectRefusesOtherMethods(t *testing.T) {
 	srv := NewServer()
-	var rejected atomic.Int64
-	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if rejected.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "throttled", http.StatusTooManyRequests)
-			return
+	h := srv.Handler()
+	for _, method := range []string{http.MethodHead, http.MethodPut, http.MethodDelete, http.MethodPatch} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, "/collect?iface=I&method=m", strings.NewReader(`[{"interface":"I","method":"m"}]`))
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s /collect = %d, want 405", method, rec.Code)
 		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	defer gate.Close()
-	p := &retry.Policy{MaxAttempts: 5, Seed: 1, Sleep: func(context.Context, time.Duration) error { return nil }}
-	err := ReportAPICalls(context.Background(), gate.Client(), p, gate.URL+"/collect", "com.x",
-		[]browsersim.APICall{{Interface: "HTMLMetaElement", Method: "getAttribute"}})
-	if err != nil {
-		t.Fatalf("ReportAPICalls with retry: %v", err)
 	}
-	if got := rejected.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 2 rejects + 1 success", got)
+	if got := srv.Beacons(); got != 0 {
+		t.Errorf("refused methods recorded %d beacons", got)
 	}
-	if got := len(srv.ForApp("com.x")); got != 1 {
-		t.Errorf("traces = %d, want 1", got)
+}
+
+// TestConcurrentAggregationMatchesSequential posts the same seeded beacons
+// through the handler from one client and from four at once: counting is
+// commutative, so both must give the same Counts.
+func TestConcurrentAggregationMatchesSequential(t *testing.T) {
+	post := func(h http.Handler, c int) {
+		rng := rand.New(rand.NewSource(int64(c) + 7))
+		for i := 0; i < 50; i++ {
+			body := fmt.Sprintf(`[{"interface":"Iface%d","method":"m%d"}]`, rng.Intn(3), rng.Intn(5))
+			req := httptest.NewRequest(http.MethodPost, "/collect", strings.NewReader(body))
+			req.Header.Set(android.XRequestedWithHeader, fmt.Sprintf("com.app%d", rng.Intn(4)))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusNoContent {
+				t.Errorf("POST %s = %d", body, rec.Code)
+			}
+		}
+	}
+	const clients = 4
+	seq := NewServer()
+	for c := 0; c < clients; c++ {
+		post(seq.Handler(), c)
+	}
+	conc := NewServer()
+	h := conc.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			post(h, c)
+		}(c)
+	}
+	wg.Wait()
+	if conc.Beacons() != clients*50 || !reflect.DeepEqual(seq.Counts(), conc.Counts()) {
+		t.Errorf("concurrent counts diverged from sequential:\nseq  %+v\nconc %+v", seq.Counts(), conc.Counts())
 	}
 }

@@ -150,31 +150,13 @@ func Do[T any](ctx context.Context, p *Policy, fn func(context.Context) (T, erro
 			return zero, err
 		}
 		p.Metrics.retried()
-		delay := p.backoff(i)
-		if advised, ok := AdvisedDelay(err); ok {
-			// The server told us when to come back (Retry-After on a 429 or
-			// 503): obey it instead of the jittered schedule, clamped to the
-			// policy's MaxDelay so a hostile header cannot park us for hours.
-			delay = advised
-			if maxd := p.maxDelay(); delay > maxd {
-				delay = maxd
-			}
-		}
-		if serr := p.sleep(ctx, delay); serr != nil {
+		if serr := p.sleep(ctx, p.backoff(i)); serr != nil {
 			// The wait was cut short by the context; the operation's own
 			// error is the informative one.
 			p.Metrics.failed()
 			return zero, err
 		}
 	}
-}
-
-// maxDelay returns the policy's delay ceiling, defaulted.
-func (p *Policy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return DefaultMaxDelay
 }
 
 // backoff returns the jittered delay before retry number i (0-based):
@@ -184,7 +166,10 @@ func (p *Policy) backoff(i int) time.Duration {
 	if base <= 0 {
 		base = DefaultBaseDelay
 	}
-	maxd := p.maxDelay()
+	maxd := p.MaxDelay
+	if maxd <= 0 {
+		maxd = DefaultMaxDelay
+	}
 	mult := p.Multiplier
 	if mult <= 1 {
 		mult = DefaultMultiplier
@@ -226,13 +211,10 @@ func (p *Policy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// classified wraps an error with an explicit retryability verdict and,
-// optionally, a server-advised retry delay.
+// classified wraps an error with an explicit retryability verdict.
 type classified struct {
 	err       error
 	retryable bool
-	advised   time.Duration
-	hasDelay  bool
 }
 
 func (c *classified) Error() string { return c.err.Error() }
@@ -254,31 +236,6 @@ func Permanent(err error) error {
 		return nil
 	}
 	return &classified{err: err, retryable: false}
-}
-
-// TransientAfter marks err as retryable with a server-advised delay: the
-// class a 429 or 503 carrying a Retry-After header maps to. Do obeys the
-// advised delay (clamped to the policy's MaxDelay) instead of its own
-// jittered backoff. A negative delay is treated as zero. Returns nil for
-// nil.
-func TransientAfter(err error, delay time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	return &classified{err: err, retryable: true, advised: delay, hasDelay: true}
-}
-
-// AdvisedDelay reports the server-advised retry delay attached to err by
-// TransientAfter, walking wrapped errors.
-func AdvisedDelay(err error) (time.Duration, bool) {
-	var c *classified
-	if errors.As(err, &c) && c.hasDelay {
-		return c.advised, true
-	}
-	return 0, false
 }
 
 // IsRetryable is the default classifier: context errors and errors marked

@@ -1,3 +1,8 @@
+// Package serving is the hardened listener every HTTP surface of the
+// binaries runs on: the shard coordinator's control plane, the loopback
+// AndroZoo and Play Store servers, and the telemetry debug endpoint. It
+// bounds header, read, write and idle time and the header size, and it
+// surfaces the accept loop's error instead of dropping it in a goroutine.
 package serving
 
 import (
@@ -13,12 +18,15 @@ import (
 // NewHTTPServer wraps h in a production-shaped http.Server: header, read,
 // write and idle timeouts plus a header-size cap, so a slow-loris or
 // hostile client cannot wedge the accept loop or hold goroutines hostage.
+// The write timeout is 30 s for the debug endpoint's /debug/pprof/profile:
+// on the Go 1.22 toolchain go.mod names, net/http/pprof refuses a profile
+// whose seconds reach the server's write timeout.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      15 * time.Second,
+		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       60 * time.Second,
 		MaxHeaderBytes:    16 << 10,
 	}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -166,8 +168,40 @@ type LeaseGrant struct {
 type leaseRequest struct {
 	Worker string `json:"worker"`
 	// MetricsURL announces the worker's live /metrics.json endpoint for
-	// coordinator pulls ("" = not scrapeable).
+	// coordinator pulls ("" = not scrapeable). The coordinator keeps it
+	// only in the form scrapeURL accepts.
 	MetricsURL string `json:"metricsUrl,omitempty"`
+}
+
+// scrapeURL returns announced when it is http://<ip>:<port>/metrics.json
+// with <ip> the address the lease request came from, and "" otherwise.
+// Every /fleet/status fetches the registered URLs, so a lease may name
+// only its own host's metrics endpoint: no other host, path, userinfo,
+// query or fragment.
+func scrapeURL(announced, remoteAddr string) string {
+	hostPort, ok := strings.CutPrefix(announced, "http://")
+	if !ok {
+		return ""
+	}
+	if hostPort, ok = strings.CutSuffix(hostPort, "/metrics.json"); !ok {
+		return ""
+	}
+	host, port, err := net.SplitHostPort(hostPort)
+	if err != nil {
+		return ""
+	}
+	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+		return ""
+	}
+	remote, _, err := net.SplitHostPort(remoteAddr)
+	if err != nil {
+		return ""
+	}
+	ip := net.ParseIP(host)
+	if ip == nil || !ip.Equal(net.ParseIP(remote)) {
+		return ""
+	}
+	return announced
 }
 
 // partitionSpan names the coordinator's per-partition span in the fleet
@@ -179,7 +213,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	c.fed.RegisterWorker(req.Worker, req.MetricsURL)
+	c.fed.RegisterWorker(req.Worker, scrapeURL(req.MetricsURL, r.RemoteAddr))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweep()

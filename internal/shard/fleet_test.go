@@ -373,6 +373,48 @@ func TestFleetStatusIsTheOnlyScrapingView(t *testing.T) {
 	}
 }
 
+// TestLeaseCannotAimTheScraper announces loopback URLs that are not
+// http://<the lease's own IP>:<port>/metrics.json: the leases are still
+// answered, but /fleet/status must fetch none of them.
+func TestLeaseCannotAimTheScraper(t *testing.T) {
+	var requests atomic.Int64
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+	}))
+	defer target.Close()
+	_, srv := startCoordinator(t, shard.CoordinatorConfig{
+		Spec: shard.RunSpec{Shards: 2, LeaseTTL: time.Minute},
+	})
+	port := strings.TrimPrefix(target.URL, "http://127.0.0.1:")
+	announced := []string{
+		target.URL + "/internal/admin?x=0",
+		target.URL + "/internal/admin?x=1",
+		target.URL + "/metrics.json?x=2",
+		target.URL + "/metrics.json#x=3",
+		"http://user@127.0.0.1:" + port + "/metrics.json",
+		"http://localhost:" + port + "/metrics.json",
+	}
+	for i, u := range announced {
+		g := decodeGrant(t, postJSON(t, srv.URL+"/v1/lease", map[string]string{
+			"worker": fmt.Sprintf("w%d", i), "metricsUrl": u}))
+		if i < 2 && g.Partition != i {
+			t.Fatalf("lease %d: granted partition %d, want %d", i, g.Partition, i)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/fleet/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /fleet/status: status %d", resp.StatusCode)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("/fleet/status fetched the announced URLs %d times, want 0", n)
+	}
+}
+
 // TestFleetRefusesBadSnapshotKeepsReport pins the decoder boundary on
 // POST /v1/result and /v1/snapshot: a delta that fails to decode, or
 // that conflicts with an accepted one, is refused and counted as

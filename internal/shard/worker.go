@@ -18,6 +18,7 @@ import (
 	"repro/internal/playstore"
 	"repro/internal/resultcache"
 	"repro/internal/retry"
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 	"repro/internal/urlextract"
 	"repro/internal/webviewlint"
@@ -127,8 +128,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.hub = telemetry.New(telemetry.Options{Timing: timing, Tracing: true})
 	}
 	if w.cfg.MetricsAddr != "" {
-		srv, err := telemetry.ServeOpts(w.cfg.MetricsAddr, w.hub,
-			telemetry.HandlerOptions{FleetTraceURL: w.base + "/fleet/trace"})
+		srv, err := serving.Listen(w.cfg.MetricsAddr, telemetry.NewHandler(w.hub,
+			telemetry.HandlerOptions{FleetTraceURL: w.base + "/fleet/trace"}))
 		if err != nil {
 			return fmt.Errorf("shard: worker metrics endpoint: %w", err)
 		}

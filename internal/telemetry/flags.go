@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/serving"
 )
 
 // Flags wires the shared telemetry command-line surface into a binary:
@@ -33,7 +35,7 @@ type Flags struct {
 	FleetTraceURL string
 
 	hub    *Hub
-	server *Server
+	server *serving.Endpoint
 	// metrics and trace are what Finish writes -metrics-out and -trace-out
 	// from: the hub's registry and tracer unless Report replaced them.
 	metrics func() *Snapshot
@@ -80,9 +82,9 @@ func (f *Flags) Start() error {
 	if f.Addr == "" || f.hub == nil {
 		return nil
 	}
-	srv, err := ServeOpts(f.Addr, f.hub, HandlerOptions{FleetTraceURL: f.FleetTraceURL})
+	srv, err := serving.Listen(f.Addr, NewHandler(f.hub, HandlerOptions{FleetTraceURL: f.FleetTraceURL}))
 	if err != nil {
-		return err
+		return fmt.Errorf("telemetry: %w", err)
 	}
 	f.server = srv
 	fmt.Fprintf(os.Stderr, "telemetry: serving /metrics /metrics.json /healthz /trace /debug/pprof on http://%s\n", srv.Addr)

@@ -1,14 +1,9 @@
 package telemetry
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"time"
 )
 
 // HandlerOptions adjusts how the debug mux is assembled.
@@ -65,90 +60,4 @@ func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// Server is a running debug endpoint.
-type Server struct {
-	Addr string // the bound address (useful with ":0")
-	srv  *http.Server
-	ln   net.Listener
-
-	mu       sync.Mutex
-	serveErr error
-	done     chan struct{}
-}
-
-// drainTimeout bounds how long Close waits for in-flight debug requests
-// (a /debug/pprof/profile scrape can run for seconds) before cutting them.
-const drainTimeout = 5 * time.Second
-
-// Serve starts the debug server on addr (e.g. "127.0.0.1:9090" or
-// "127.0.0.1:0") and returns immediately; the listener runs until Close.
-// The server carries header/write/idle timeouts and a header-size cap so a
-// slow or hostile scraper cannot wedge a measurement run.
-func Serve(addr string, h *Hub) (*Server, error) {
-	return ServeOpts(addr, h, HandlerOptions{})
-}
-
-// ServeOpts is Serve with handler options.
-func ServeOpts(addr string, h *Hub, opts HandlerOptions) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	s := &Server{
-		Addr: ln.Addr().String(),
-		ln:   ln,
-		srv: &http.Server{
-			Handler:           NewHandler(h, opts),
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       15 * time.Second,
-			WriteTimeout:      30 * time.Second,
-			IdleTimeout:       60 * time.Second,
-			MaxHeaderBytes:    16 << 10,
-		},
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(s.done)
-		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.mu.Lock()
-			s.serveErr = err
-			s.mu.Unlock()
-		}
-	}()
-	return s, nil
-}
-
-// Err reports the serve-loop error, if any: non-nil when the accept loop
-// died for a reason other than an orderly Close (e.g. the listener was
-// yanked). Nil while the server is healthy.
-func (s *Server) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.serveErr
-}
-
-// Close gracefully drains the server: it stops accepting, waits (bounded)
-// for in-flight requests, then closes, and returns the first error the
-// serve loop or the shutdown hit.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	shutErr := s.srv.Shutdown(ctx)
-	if shutErr != nil {
-		// Past the drain budget: cut the stragglers.
-		s.srv.Close()
-	}
-	<-s.done
-	if err := s.Err(); err != nil {
-		return err
-	}
-	return shutErr
 }

@@ -8,7 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/serving"
 )
 
 func fetch(t *testing.T, url string) (int, string, string) {
@@ -30,7 +31,7 @@ func TestServerEndpoints(t *testing.T) {
 	h.Counter("ops_total", "ops", "kind", "x").Add(2)
 	h.Trace("t1").Start("step").End()
 
-	srv, err := Serve("127.0.0.1:0", h)
+	srv, err := serving.Listen("127.0.0.1:0", Handler(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,19 +178,17 @@ func TestFlagsDisabled(t *testing.T) {
 	}
 }
 
+// TestServerHardening pins that the debug endpoint Flags starts runs on
+// the hardened listener: a request with an oversized header block is
+// rejected, not served.
 func TestServerHardening(t *testing.T) {
-	h := New(Options{Timing: SeededTiming{Seed: 4}})
-	srv, err := Serve("127.0.0.1:0", h)
-	if err != nil {
+	f := Flags{Addr: "127.0.0.1:0"}
+	f.Hub(4)
+	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.WriteTimeout <= 0 ||
-		srv.srv.IdleTimeout <= 0 || srv.srv.MaxHeaderBytes <= 0 {
-		t.Errorf("debug server missing hardening: %+v", srv.srv)
-	}
-	// A request with an oversized header block is rejected, not served.
-	req, _ := http.NewRequest("GET", "http://"+srv.Addr+"/healthz", nil)
+	defer f.Finish()
+	req, _ := http.NewRequest("GET", "http://"+f.server.Addr+"/healthz", nil)
 	req.Header.Set("X-Padding", strings.Repeat("a", 64<<10))
 	resp, err := http.DefaultClient.Do(req)
 	if err == nil {
@@ -200,30 +199,9 @@ func TestServerHardening(t *testing.T) {
 	}
 }
 
-func TestServerSurfacesServeError(t *testing.T) {
-	h := New(Options{Timing: SeededTiming{Seed: 4}})
-	srv, err := Serve("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Yank the listener out from under the serve loop: the error must be
-	// observable, not swallowed in a bare goroutine.
-	srv.ln.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.Err() == nil {
-		t.Fatal("serve-loop death after listener close was swallowed")
-	}
-	if err := srv.Close(); err == nil {
-		t.Error("Close returned nil after the serve loop died")
-	}
-}
-
 func TestServerCloseIsGraceful(t *testing.T) {
 	h := New(Options{Timing: SeededTiming{Seed: 4}})
-	srv, err := Serve("127.0.0.1:0", h)
+	srv, err := serving.Listen("127.0.0.1:0", Handler(h))
 	if err != nil {
 		t.Fatal(err)
 	}
