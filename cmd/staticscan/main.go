@@ -11,12 +11,11 @@
 //	           [-lint] [-lint-rules LIST] [-lint-json FILE]
 //	           [-urls] [-urls-json FILE]
 //	           [-retries N] [-max-failure-frac F] [-faults SPEC]
-//	           [-journal FILE] [-resume]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-telemetry-addr ADDR] [-metrics-out FILE] [-trace-out FILE]
 //	           [-telemetry-wallclock]
 //	staticscan -coordinator ADDR -shards N [-shard-spawn N] [-shard-ttl D]
-//	           [-journal-dir DIR] [-dl-latency D]
+//	           [-dl-latency D]
 //	staticscan -worker -join URL
 //	staticscan -fleet-status URL
 //
@@ -28,8 +27,9 @@
 // digest: a re-run over an unchanged corpus downloads each APK but skips
 // its call-graph, lint and URL work entirely (the stats line reports the
 // hit rate). Edit the SDK catalog or the corpus and the affected entries
-// miss and recompute. -stats prints the per-stage pipeline summary to
-// stderr.
+// miss and recompute. This is also how an interrupted run resumes: rerun
+// it with the same -cachedir, and every package it completed is a hit.
+// -stats prints the per-stage pipeline summary to stderr.
 //
 // -lint adds the WebView misconfiguration lint stage and prints the
 // per-rule prevalence table. -lint-rules runs only the named
@@ -48,9 +48,7 @@
 // Fault tolerance: -retries N retries each network operation up to N
 // extra times with exponential backoff; -max-failure-frac F lets up to
 // that fraction of the snapshot be quarantined (after retries) without
-// aborting the run, with casualties summarised on stderr. -journal FILE
-// checkpoints completed packages as JSONL; re-running with -resume skips
-// them, so an interrupted corpus run picks up where it died. -faults
+// aborting the run, with casualties summarised on stderr. -faults
 // injects deterministic failures for testing the above, e.g.
 // "seed=7,err=0.1,lat=1ms,latrate=0.05,trunc=0.02,corrupt=0.02":
 // err/latrate perturb the repository and metadata interfaces, trunc and
@@ -113,8 +111,6 @@ func main() {
 	retries := flag.Int("retries", 3, "extra attempts per failed network operation (0 = no retry)")
 	maxFailureFrac := flag.Float64("max-failure-frac", 0, "fraction of packages that may fail without aborting the run")
 	faultsSpec := flag.String("faults", "", "inject deterministic faults, e.g. \"seed=7,err=0.1,lat=1ms\" (testing)")
-	journalPath := flag.String("journal", "", "checkpoint completed packages to this JSONL file")
-	resume := flag.Bool("resume", false, "resume from an existing -journal file instead of refusing to overwrite it")
 	coordinator := flag.String("coordinator", "", "run as scan-plane coordinator on this listen address (\":0\" for ephemeral)")
 	shards := flag.Int("shards", 0, "partition count for -coordinator mode")
 	shardSpawn := flag.Int("shard-spawn", -1, "worker processes the coordinator spawns (-1 = one per shard, 0 = external workers)")
@@ -122,7 +118,6 @@ func main() {
 	join := flag.String("join", "", "coordinator URL to join in -worker mode")
 	shardTTL := flag.Duration("shard-ttl", 0, "work-lease TTL (0 = coordinator default)")
 	dlLatency := flag.Duration("dl-latency", 0, "modeled per-APK repository transfer time in shard modes")
-	journalDir := flag.String("journal-dir", "", "per-partition journal directory in shard modes")
 	fleetStatus := flag.String("fleet-status", "", "render a running coordinator's /fleet/status and exit (coordinator URL)")
 	var prof profiling.Flags
 	prof.Register(nil)
@@ -154,8 +149,7 @@ func main() {
 		lintJSON: *lintJSON,
 		urls:     *urls || *urlsJSON != "",
 		urlsJSON: *urlsJSON,
-		retries:  *retries, maxFailureFrac: *maxFailureFrac,
-		faults: *faultsSpec, journal: *journalPath, resume: *resume,
+		retries:  *retries, maxFailureFrac: *maxFailureFrac, faults: *faultsSpec,
 		telemetry: hub, wallclock: telem.Wallclock,
 	}
 	if *lintRules != "" {
@@ -164,7 +158,7 @@ func main() {
 	sopts := shardOptions{
 		coordinator: *coordinator, shards: *shards, spawn: *shardSpawn,
 		worker: *workerMode, join: *join,
-		ttl: *shardTTL, dlLatency: *dlLatency, journalDir: *journalDir,
+		ttl: *shardTTL, dlLatency: *dlLatency,
 	}
 	var err error
 	switch {
@@ -199,8 +193,6 @@ type options struct {
 	retries        int
 	maxFailureFrac float64
 	faults         string
-	journal        string
-	resume         bool
 	telemetry      *telemetry.Hub
 	wallclock      bool
 }
@@ -281,22 +273,6 @@ func run(out *os.File, o options) error {
 			})
 		}
 		cfg.Cache = resultcache.NewPersistent[pipeline.Analysis](0, blobs, nil)
-	}
-	if o.journal != "" {
-		if !o.resume {
-			if _, err := os.Stat(o.journal); err == nil {
-				return fmt.Errorf("journal %s exists; pass -resume to continue it or remove it first", o.journal)
-			}
-		}
-		j, err := pipeline.OpenJournal(o.journal)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		if n := j.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d packages already journaled\n", n)
-		}
-		cfg.Journal = j
 	}
 
 	// Payload damage (truncation, corruption) rides beneath the APK

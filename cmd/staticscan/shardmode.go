@@ -45,7 +45,6 @@ type shardOptions struct {
 	join        string        // -join coordinator URL
 	ttl         time.Duration // -shard-ttl lease TTL
 	dlLatency   time.Duration // -dl-latency modeled APK transfer time
-	journalDir  string        // -journal-dir per-partition journals
 }
 
 // workerName builds a unique lease identity for this process.
@@ -148,7 +147,6 @@ func buildSpec(o options, so shardOptions, plane *corpusPlane) (shard.RunSpec, e
 		URLs:            o.urls,
 		MaxFailureFrac:  o.maxFailureFrac,
 		CacheDir:        o.cachedir,
-		JournalDir:      so.journalDir,
 		DownloadLatency: so.dlLatency,
 		LeaseTTL:        so.ttl,
 		ConfigKey:       key,
@@ -229,11 +227,6 @@ func staticResult(res *pipeline.Result) *core.StaticResult {
 func runCoordinator(out *os.File, o options, so shardOptions, telem *telemetry.Flags) error {
 	if so.shards < 1 {
 		return fmt.Errorf("-coordinator needs -shards >= 1")
-	}
-	if so.journalDir != "" {
-		if err := os.MkdirAll(so.journalDir, 0o755); err != nil {
-			return err
-		}
 	}
 	plane, err := startCorpusPlane(o)
 	if err != nil {

@@ -77,10 +77,7 @@ func TestCoordinatorSpawnsWorkerProcesses(t *testing.T) {
 	want := captureRun(t, o, func(out *os.File, o options, _ *telemetry.Flags) error {
 		return run(out, o)
 	})
-	so := shardOptions{
-		coordinator: "127.0.0.1:0", shards: 4, spawn: 2,
-		ttl: time.Minute, journalDir: t.TempDir(),
-	}
+	so := shardOptions{coordinator: "127.0.0.1:0", shards: 4, spawn: 2, ttl: time.Minute}
 	got := captureRun(t, o, func(out *os.File, o options, telem *telemetry.Flags) error {
 		return runCoordinator(out, o, so, telem)
 	})

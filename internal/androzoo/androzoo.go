@@ -4,9 +4,11 @@
 // so repeated downloads are byte-identical) and served with their digest,
 // the way AndroZoo indexes APKs by hash.
 //
-// The client verifies every download against the server-sent payload
-// digest and Content-Length, surfacing truncated or corrupted bodies as
-// retryable errors, and can wrap all its requests in a retry policy
+// The client fails closed. It verifies every download against the
+// server-sent payload digest and Content-Length, surfacing truncated,
+// corrupted or unverifiable bodies as retryable errors; it refuses a
+// listing line that is not a package name, and never puts such a name into
+// a request path. It can wrap all its requests in a retry policy
 // (WithRetry) with backoff.
 package androzoo
 
@@ -142,9 +144,15 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" {
-			pkgs = append(pkgs, line)
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
 		}
+		if !isPackageName(line) {
+			// A damaged line, most likely: the listing is fetched again.
+			return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: %.64q is not a package name", line))
+		}
+		pkgs = append(pkgs, line)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: %w", err))
@@ -153,9 +161,13 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 }
 
 // Download fetches one APK image, verifying it against the server-sent
-// Content-Length and payload digest: a truncated or corrupted body is a
-// retryable error, never a silently corrupt image.
+// Content-Length and payload digest: a truncated or corrupted body, or one
+// without a digest, is a retryable error, never a silently corrupt image.
+// A pkg that is not a package name is refused without a request.
 func (c *Client) Download(ctx context.Context, pkg string) ([]byte, error) {
+	if !isPackageName(pkg) {
+		return nil, retry.Permanent(fmt.Errorf("androzoo: %.64q is not a package name", pkg))
+	}
 	return retry.Do(ctx, c.retry, func(ctx context.Context) ([]byte, error) {
 		return c.download(ctx, pkg)
 	})
@@ -181,13 +193,38 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 	if cl := resp.ContentLength; cl >= 0 && int64(len(img)) != cl {
 		return nil, retry.Transient(fmt.Errorf("androzoo: %s: truncated body: got %d of %d bytes", pkg, len(img), cl))
 	}
-	if want := resp.Header.Get(DigestHeader); want != "" {
-		sum := sha256.Sum256(img)
-		if got := hex.EncodeToString(sum[:]); got != want {
-			return nil, retry.Transient(fmt.Errorf("androzoo: %s: payload digest mismatch: got %s, want %s", pkg, got, want))
-		}
+	want := resp.Header.Get(DigestHeader)
+	if want == "" {
+		return nil, retry.Transient(fmt.Errorf("androzoo: %s: no %s header to verify the payload against", pkg, DigestHeader))
+	}
+	sum := sha256.Sum256(img)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		return nil, retry.Transient(fmt.Errorf("androzoo: %s: payload digest mismatch: got %s, want %s", pkg, got, want))
 	}
 	return img, nil
+}
+
+// isPackageName reports whether s is a package name: dot-separated
+// segments, each a letter followed by letters, digits or underscores.
+// Nothing else may reach a request path.
+func isPackageName(s string) bool {
+	start := true // at the first byte of a segment
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
+		case start:
+			return false
+		case c >= '0' && c <= '9', c == '_':
+		case c == '.':
+			start = true
+			continue
+		default:
+			return false
+		}
+		start = false
+	}
+	return !start
 }
 
 // drainClose reads what is left of a response body, up to 4 KB, before

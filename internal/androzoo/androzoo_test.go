@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -244,7 +245,7 @@ type flakyAPKHandler struct {
 	failures map[string]int
 	n        int
 	payload  []byte
-	mode     string // "truncate", "corrupt" or "status"
+	mode     string // "truncate", "corrupt", "nodigest" or "status"
 }
 
 func (h *flakyAPKHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -257,7 +258,9 @@ func (h *flakyAPKHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		return
 	}
-	w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
+	if !misbehave || h.mode != "nodigest" {
+		w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
+	}
 	w.Header().Set("Content-Length", fmt.Sprint(len(h.payload)))
 	switch {
 	case misbehave && h.mode == "truncate":
@@ -338,5 +341,93 @@ func TestDownloadTruncationWithoutRetryIsRetryableError(t *testing.T) {
 	}
 	if !retry.IsRetryable(err) {
 		t.Error("digest mismatch not classified retryable")
+	}
+}
+
+// --- failing closed -------------------------------------------------------
+
+// TestDownloadRefusesPathEscape: "../snapshot" would resolve to the
+// listing, which a client that skipped verification once returned as an
+// APK image. A name that is not a package name is refused before any
+// request is made, and the refusal is permanent.
+func TestDownloadRefusesPathEscape(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int64
+	h := NewServer(c).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL, srv.Client())
+	for _, pkg := range []string{"../snapshot", "..", "", "com.x/../../snapshot", "%2e%2e/snapshot",
+		"com.x?y=1", "com.x#frag", "com..x", ".com.x", "com.x.", "com.1x", "com._x", "com.x y", "com.café"} {
+		img, err := client.Download(context.Background(), pkg)
+		if err == nil {
+			t.Errorf("Download(%q) returned %d bytes and no error", pkg, len(img))
+			continue
+		}
+		if retry.IsRetryable(err) {
+			t.Errorf("Download(%q): refusal %v is retryable", pkg, err)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("refused names made %d requests, want 0", n)
+	}
+}
+
+func TestDownloadWithoutDigestRefused(t *testing.T) {
+	h := &flakyAPKHandler{failures: make(map[string]int), n: 1000, payload: bytes.Repeat([]byte("apk!"), 1024), mode: "nodigest"}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	_, err := NewClient(srv.URL, srv.Client()).Download(context.Background(), "com.x")
+	if err == nil {
+		t.Fatal("a download without a payload digest succeeded")
+	}
+	if !strings.Contains(err.Error(), DigestHeader) || !retry.IsRetryable(err) {
+		t.Errorf("err = %v, want a retryable error naming %s", err, DigestHeader)
+	}
+}
+
+// listingClient answers /snapshot with body and every other request with
+// a 404, counting those in *apkRequests.
+func listingClient(body []byte) (client *Client, apkRequests *int) {
+	apkRequests = new(int)
+	client = NewClient("http://androzoo.test", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == "/snapshot" {
+			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)), Request: r}, nil
+		}
+		*apkRequests++
+		return &http.Response{StatusCode: http.StatusNotFound, Body: http.NoBody, Request: r}, nil
+	})})
+	return client, apkRequests
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+func TestListRefusesLineThatIsNotAPackageName(t *testing.T) {
+	client, _ := listingClient([]byte("com.facebook.katana\n  kik.android \r\n\na\nA_1.b_\n"))
+	pkgs, err := client.List(context.Background())
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	if want := []string{"com.facebook.katana", "kik.android", "a", "A_1.b_"}; !reflect.DeepEqual(pkgs, want) {
+		t.Errorf("List = %q, want %q", pkgs, want)
+	}
+	for _, bad := range []string{"../snapshot", "com.x/y", "com..x", "com.1x", "com.x\xffy", "com.a com.b"} {
+		client, _ := listingClient([]byte("com.facebook.katana\n" + bad + "\nkik.android\n"))
+		pkgs, err := client.List(context.Background())
+		if err == nil {
+			t.Errorf("a listing with %q returned %q and no error", bad, pkgs)
+			continue
+		}
+		if !retry.IsRetryable(err) {
+			t.Errorf("listing with %q: %v is not retryable", bad, err)
+		}
 	}
 }

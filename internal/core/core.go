@@ -54,11 +54,8 @@ type StaticConfig struct {
 	// that may be quarantined after retries before the run aborts (0 =
 	// abort on the first unrecovered failure).
 	MaxFailureFrac float64
-	// Journal, when non-nil, checkpoints completed packages so an
-	// interrupted run can resume without repeating finished work.
-	Journal *pipeline.Journal
 	// Telemetry, when non-nil, receives the pipeline's per-stage counters,
-	// latency histograms, cache/retry/journal events and — if the hub has
+	// latency histograms, cache/retry events and — if the hub has
 	// tracing enabled — one trace per APK.
 	Telemetry *telemetry.Hub
 }
@@ -112,7 +109,6 @@ func NewStaticStudy(repo pipeline.Repository, meta pipeline.MetadataSource, cfg 
 			URLs:           urls,
 			Retry:          cfg.Retry,
 			MaxFailureFrac: cfg.MaxFailureFrac,
-			Journal:        cfg.Journal,
 			Telemetry:      cfg.Telemetry,
 		}),
 	}, nil

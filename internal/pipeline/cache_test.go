@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -84,6 +85,98 @@ func TestWarmCachePersistentTier(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.Apps, warm.Apps) {
 		t.Error("store-warm apps differ from cold run (JSON round trip not faithful)")
+	}
+}
+
+// hitStore is a persistent cache tier that records the keys it serves.
+type hitStore struct {
+	*resultcache.MemStore
+	mu   sync.Mutex
+	hits map[string]bool
+}
+
+func (s *hitStore) Load(key string) ([]byte, bool, error) {
+	b, ok, err := s.MemStore.Load(key)
+	if ok {
+		s.mu.Lock()
+		s.hits[key] = true
+		s.mu.Unlock()
+	}
+	return b, ok, err
+}
+
+// TestForeignCorpusCacheServesOnlyEqualBytes fills a cache from one corpus
+// and runs another corpus of the same scale over it. Many package names
+// recur across the two, with other bytes: a cache keyed by package name
+// would replay the first corpus's analyses. The content key hits exactly
+// the packages whose payload digest is the same in both corpora, and the
+// run's Result is a fresh run's.
+func TestForeignCorpusCacheServesOnlyEqualBytes(t *testing.T) {
+	gen := func(seed int64) *corpus.Corpus {
+		c, err := corpus.Generate(corpus.Config{Seed: seed, Scale: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c1, c2 := gen(1), gen(2)
+	cfg := Config{MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff, Workers: 4}
+	run := func(c *corpus.Corpus, cache *resultcache.Cache[Analysis]) *Result {
+		t.Helper()
+		cfg := cfg
+		cfg.Cache = cache
+		res, err := New(&flakyRepo{c: c}, &memMeta{c: c}, cfg).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	store := &hitStore{MemStore: resultcache.NewMemStore(), hits: make(map[string]bool)}
+	run(c1, resultcache.NewPersistent[Analysis](0, store, nil))
+	got := run(c2, resultcache.NewPersistent[Analysis](0, store, nil))
+	want := run(c2, nil)
+	if got.Funnel != want.Funnel || !reflect.DeepEqual(got.Apps, want.Apps) ||
+		!reflect.DeepEqual(got.Quarantined, want.Quarantined) {
+		t.Fatal("a run over another corpus's cache diverged from a fresh run")
+	}
+
+	// The packages both corpora ship with the same bytes, by cache key.
+	p := New(nil, nil, cfg)
+	keys := func(c *corpus.Corpus) map[string]string {
+		out := make(map[string]string)
+		for _, s := range c.Filtered() {
+			img, err := corpus.BuildAPK(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[keyOf(p, img)] = s.Package
+		}
+		return out
+	}
+	k1, k2 := keys(c1), keys(c2)
+	names1 := make(map[string]bool, len(k1))
+	for _, pkg := range k1 {
+		names1[pkg] = true
+	}
+	shared, recurring := make(map[string]bool), 0
+	for key, pkg := range k2 {
+		if _, ok := k1[key]; ok {
+			shared[key] = true
+		}
+		if names1[pkg] {
+			recurring++
+		}
+	}
+	if len(shared) == 0 || recurring <= len(shared) {
+		t.Fatalf("corpora share %d payloads among %d recurring package names: nothing to tell apart", len(shared), recurring)
+	}
+	if !reflect.DeepEqual(store.hits, shared) {
+		t.Errorf("run served %d cached analyses, want the %d whose payload is in both corpora", len(store.hits), len(shared))
+	}
+	if got.Stats.CacheHits != len(shared) || got.Stats.Analyze.In != got.Stats.CacheMisses {
+		t.Errorf("hits=%d misses=%d analysed=%d, want %d hits and every miss analysed",
+			got.Stats.CacheHits, got.Stats.CacheMisses, got.Stats.Analyze.In, len(shared))
 	}
 }
 

@@ -8,8 +8,6 @@ package pipeline_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -262,166 +260,111 @@ func TestChaosBudgetExceededAborts(t *testing.T) {
 	}
 }
 
-// killRepo cancels the run once the journal holds at least K completed
-// packages, simulating a crash at a deterministic point of progress.
+// keyStore is a shared persistent cache tier that records the keys stored
+// into it, so a test can tell which packages a run analysed.
+type keyStore struct {
+	*resultcache.MemStore
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func newKeyStore() *keyStore {
+	return &keyStore{MemStore: resultcache.NewMemStore(), keys: make(map[string]bool)}
+}
+
+func (s *keyStore) Store(key string, blob []byte) error {
+	s.mu.Lock()
+	s.keys[key] = true
+	s.mu.Unlock()
+	return s.MemStore.Store(key, blob)
+}
+
+// stored returns the keys stored so far and forgets them.
+func (s *keyStore) stored() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.keys
+	s.keys = make(map[string]bool)
+	return out
+}
+
+// killRepo cancels the run once the cache store holds at least K analyses,
+// simulating a crash at a deterministic point of progress.
 type killRepo struct {
 	*chaosRepo
-	j      *pipeline.Journal
+	store  *keyStore
 	k      int
 	cancel context.CancelFunc
 }
 
 func (r *killRepo) Download(ctx context.Context, pkg string) ([]byte, error) {
-	if r.j.Len() >= r.k {
+	if r.store.Len() >= r.k {
 		r.cancel()
 		return nil, ctx.Err()
 	}
 	return r.chaosRepo.Download(ctx, pkg)
 }
 
-// TestChaosJournalKillAndResume kills a journaled run mid-flight, resumes
-// it, and checks the resumed run re-downloads zero completed packages
-// while producing the same apps as an uninterrupted run.
+// TestChaosJournalKillAndResume kills a cached run mid-flight and reruns
+// it over the same cache store: every package stored before the kill is a
+// cache hit on the rerun and is never analysed again, the rerun analyses
+// exactly its misses, and its results are an uninterrupted run's.
 func TestChaosJournalKillAndResume(t *testing.T) {
 	c := chaosCorpus(t)
 	want := cleanRun(t, c)
-	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := pipeline.Config{MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff}
-
-	// Phase 1: run until ~12 packages are journaled, then die.
-	j1, err := pipeline.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	store := newKeyStore()
+	run := func(ctx context.Context, repo pipeline.Repository) (*pipeline.Result, error) {
+		return pipeline.New(repo, &chaosMeta{c: c}, pipeline.Config{
+			MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
+			Cache: resultcache.NewPersistent[pipeline.Analysis](0, store, nil),
+		}).Run(ctx)
 	}
+
+	// Phase 1: run until ~12 packages are stored, then die.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	kr := &killRepo{chaosRepo: newChaosRepo(c), j: j1, k: 12, cancel: cancel}
-	cfg1 := cfg
-	cfg1.Journal = j1
-	if _, err := pipeline.New(kr, &chaosMeta{c: c}, cfg1).Run(ctx); err == nil {
+	if _, err := run(ctx, &killRepo{chaosRepo: newChaosRepo(c), store: store, k: 12, cancel: cancel}); err == nil {
 		t.Fatal("killed run reported success")
 	}
-	j1.Close()
-	completed := j1.Len()
-	if completed < 12 {
-		t.Fatalf("only %d packages journaled before the kill", completed)
+	before := store.stored()
+	if len(before) < 12 || len(before) >= want.Funnel.Filtered {
+		t.Fatalf("%d packages stored before the kill, want 12 to %d", len(before), want.Funnel.Filtered-1)
 	}
 
-	// Phase 2: resume over the same journal file.
-	j2, err := pipeline.OpenJournal(path)
+	// Phase 2: rerun over the same store, with a fresh in-memory tier.
+	repo := newChaosRepo(c)
+	res, err := run(context.Background(), repo)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rerun: %v", err)
 	}
-	defer j2.Close()
-	if j2.Len() != completed {
-		t.Fatalf("reloaded journal holds %d packages, expected %d", j2.Len(), completed)
+	st := res.Stats
+	if st.CacheHits != len(before) {
+		t.Errorf("rerun cache hits = %d, want the %d analyses stored before the kill", st.CacheHits, len(before))
 	}
-	journaled := make(map[string]bool, completed)
-	for _, pkg := range j2.Packages() {
-		journaled[pkg] = true
+	if st.Analyze.In != st.CacheMisses {
+		t.Errorf("rerun analysed %d packages, want its %d misses", st.Analyze.In, st.CacheMisses)
 	}
-	repo2 := newChaosRepo(c)
-	cfg2 := cfg
-	cfg2.Journal = j2
-	res, err := pipeline.New(repo2, &chaosMeta{c: c}, cfg2).Run(context.Background())
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-
-	for pkg := range repo2.downloaded() {
-		if journaled[pkg] {
-			t.Errorf("resumed run re-downloaded journaled package %s", pkg)
+	// A cache write follows every analysis, so the rerun's writes are the
+	// packages it analysed: none of them was stored before the kill.
+	after := store.stored()
+	for key := range after {
+		if before[key] {
+			t.Errorf("rerun analysed %s again", key)
 		}
 	}
-	if res.Stats.JournalSkips != completed {
-		t.Errorf("JournalSkips = %d, want %d", res.Stats.JournalSkips, completed)
+	if got := len(before) + len(after); got != want.Funnel.Filtered {
+		t.Errorf("the two runs analysed %d packages, want each of the %d filtered once", got, want.Funnel.Filtered)
 	}
-	if got, wantN := len(repo2.downloaded()), res.Funnel.Filtered-completed; got != wantN {
-		t.Errorf("resumed run downloaded %d packages, want %d (filtered %d - journaled %d)",
-			got, wantN, res.Funnel.Filtered, completed)
+	if got := len(repo.downloaded()); got != want.Funnel.Filtered {
+		t.Errorf("rerun downloaded %d packages, want all %d filtered", got, want.Funnel.Filtered)
 	}
 	if res.Funnel != want.Funnel {
-		t.Errorf("resumed funnel = %+v, want %+v", res.Funnel, want.Funnel)
+		t.Errorf("rerun funnel = %+v, want %+v", res.Funnel, want.Funnel)
 	}
 	if !reflect.DeepEqual(res.Apps, want.Apps) {
-		t.Error("resumed run's apps differ from an uninterrupted run's")
+		t.Error("rerun's apps differ from an uninterrupted run's")
 	}
-}
-
-// TestChaosJournalRefusesForeignConfig: a journal written under one
-// configuration must not be replayed under another.
-func TestChaosJournalRefusesForeignConfig(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	if err := os.WriteFile(path,
-		[]byte(`{"v":1,"key":"someone-elses-fingerprint"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := pipeline.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	c := chaosCorpus(t)
-	cfg := pipeline.Config{
-		MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff, Journal: j,
-	}
-	if _, err := pipeline.New(newChaosRepo(c), &chaosMeta{c: c}, cfg).Run(context.Background()); err == nil {
-		t.Fatal("run accepted a journal from a different configuration")
-	}
-}
-
-// TestChaosJournalRefusesForeignPartition: in a sharded run the journal is
-// bound to the shard partition spec too, so a worker must refuse to resume
-// a journal written by a different shard — even under an identical
-// analysis configuration — and a sharded run must refuse an unsharded
-// journal (and vice versa).
-func TestChaosJournalRefusesForeignPartition(t *testing.T) {
-	c := chaosCorpus(t)
-	run := func(journal *pipeline.Journal, partition string) error {
-		cfg := pipeline.Config{
-			MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
-			Journal: journal, Partition: partition,
-		}
-		_, err := pipeline.New(newChaosRepo(c), &chaosMeta{c: c}, cfg).Run(context.Background())
-		return err
-	}
-
-	// Write a journal as shard 0 of 4.
-	path := filepath.Join(t.TempDir(), "shard.journal")
-	j, err := pipeline.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(j, "0/4@deadbeef"); err != nil {
-		t.Fatalf("shard 0/4 run: %v", err)
-	}
-	j.Close()
-
-	cases := map[string]string{
-		"different shard index":  "1/4@deadbeef",
-		"different shard count":  "0/8@deadbeef",
-		"different partition fn": "0/4@0ddba11",
-		"unsharded run":          "",
-	}
-	for name, partition := range cases {
-		j, err := pipeline.OpenJournal(path)
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", name, err)
-		}
-		err = run(j, partition)
-		j.Close()
-		if err == nil {
-			t.Fatalf("%s: run accepted another shard's journal", name)
-		}
-	}
-
-	// Sanity: the owning shard itself still resumes cleanly.
-	j2, err := pipeline.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if err := run(j2, "0/4@deadbeef"); err != nil {
-		t.Fatalf("owning shard failed to resume its own journal: %v", err)
+	if !reflect.DeepEqual(res.Quarantined, want.Quarantined) {
+		t.Errorf("rerun quarantined %+v, want %+v", res.Quarantined, want.Quarantined)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -182,9 +181,8 @@ func TestPipelineDeterministicUnderConcurrency(t *testing.T) {
 // counters when a download is quarantined: every package that reaches the
 // stage counts in In, and leaves as Out (a cache miss on to analysis), a
 // cache hit or a quarantine; every package the metadata stage passes on
-// either reaches the download stage or is replayed from the journal. A cold
-// run, a journal resume and a warm-cache run each quarantine the same
-// package.
+// reaches the download stage. A cold run and a warm-cache run each
+// quarantine the same package.
 func TestDownloadInCountsQuarantinedDownloads(t *testing.T) {
 	c := failureCorpus(t)
 	var victim string
@@ -195,19 +193,10 @@ func TestDownloadInCountsQuarantinedDownloads(t *testing.T) {
 		}
 	}
 	cache := resultcache.New[Analysis](0)
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	run := func(name string, cache *resultcache.Cache[Analysis], journal bool) Stats {
+	run := func(name string) Stats {
 		t.Helper()
 		cfg := Config{MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
 			Workers: 3, MaxFailureFrac: 0.5, Cache: cache}
-		if journal {
-			j, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			cfg.Journal = j
-		}
 		res, err := New(&flakyRepo{c: c, failPkg: victim}, &memMeta{c: c}, cfg).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -221,18 +210,15 @@ func TestDownloadInCountsQuarantinedDownloads(t *testing.T) {
 			t.Errorf("%s: download in=%d, want out %d + cache hits %d + quarantined %d",
 				name, dl.In, dl.Out, st.CacheHits, dl.Quarantined)
 		}
-		if st.Metadata.Out != dl.In+st.JournalSkips {
-			t.Errorf("%s: metadata out=%d, want download in %d + journal skips %d",
-				name, st.Metadata.Out, dl.In, st.JournalSkips)
+		if st.Metadata.Out != dl.In {
+			t.Errorf("%s: metadata out=%d, want download in %d", name, st.Metadata.Out, dl.In)
 		}
 		return st
 	}
-	cold := run("cold", cache, true)
-	resumed := run("resumed", nil, true)
-	warm := run("warm", cache, false)
-	if cold.Download.Out == 0 || resumed.JournalSkips == 0 || warm.CacheHits == 0 {
-		t.Errorf("a run missed its path: cold out=%d, resumed journal skips=%d, warm cache hits=%d",
-			cold.Download.Out, resumed.JournalSkips, warm.CacheHits)
+	cold := run("cold")
+	warm := run("warm")
+	if cold.Download.Out == 0 || warm.CacheHits == 0 {
+		t.Errorf("a run missed its path: cold out=%d, warm cache hits=%d", cold.Download.Out, warm.CacheHits)
 	}
 }
 

@@ -21,18 +21,20 @@
 // An optional content-addressed result cache (internal/resultcache), keyed
 // by the APK payload digest plus the SDK-index fingerprint, lets a warm
 // re-run over an unchanged snapshot skip the analysis stage entirely and
-// an incremental snapshot re-analyse only changed APKs. Run instruments
-// itself via Stats (per-stage wall time, cache traffic, peak in-flight
-// bytes) threaded into the Result.
+// an incremental snapshot re-analyse only changed APKs. It is also how an
+// interrupted run resumes: rerun it over the same cache, and every package
+// it completed is downloaded again but served from the cache, never
+// analysed twice. Because the key is the content, not the package name, a
+// cache filled from another snapshot serves only the APKs whose bytes are
+// the same. Run instruments itself via Stats (per-stage wall time, cache
+// traffic, peak in-flight bytes) threaded into the Result.
 //
 // At corpus scale transient failures are the norm, so the pipeline
 // degrades gracefully instead of dying on the first error: network edges
 // are wrapped in retries with backoff (Config.Retry), a package whose
 // retries are exhausted is quarantined into Result.Quarantined while the
 // run continues, and an error budget (Config.MaxFailureFrac) bounds how
-// much degradation is acceptable before the run hard-aborts. An optional
-// JSONL journal (Config.Journal) checkpoints completed packages so an
-// interrupted run resumes without re-downloading finished work.
+// much degradation is acceptable before the run hard-aborts.
 package pipeline
 
 import (
@@ -112,21 +114,10 @@ type Config struct {
 	// might set 0.01 to tolerate up to 1% casualties and still produce a
 	// complete, quantified result.
 	MaxFailureFrac float64
-	// Journal, when non-nil, checkpoints each completed package to a JSONL
-	// file; a resumed run over the same journal skips their download and
-	// analysis entirely. The journal is bound to the index/lint
-	// fingerprint at Run start and refuses to resume across config changes.
-	Journal *Journal
-	// Partition, when non-empty, names the shard partition this run scans
-	// (e.g. "2/4@<partition-hash>" from the sharded scan plane). It is
-	// mixed into the journal binding — never the content-addressed cache
-	// key — so a worker refuses to resume another shard's journal while
-	// all shards still share one blob-tier cache.
-	Partition string
 	// Telemetry, when non-nil, receives the run's metrics (per-stage item
-	// and latency families, cache and journal traffic, in-flight bytes) and,
-	// if the hub has tracing enabled, one trace per downloaded APK
-	// reconstructing its download→analyze→lint path. When nil the stages
+	// and latency families, cache traffic, in-flight bytes) and, if the hub
+	// has tracing enabled, one trace per downloaded APK reconstructing its
+	// download→analyze→lint path. When nil the stages
 	// still update counters — against a private hub — and Stats is derived
 	// from them, so instrumented and uninstrumented runs take the same code
 	// path. The run also mirrors Cache and Retry.Metrics traffic into the
@@ -297,11 +288,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if p.cfg.Journal != nil {
-		if err := p.cfg.Journal.Bind(p.journalKey()); err != nil {
-			return nil, err
-		}
-	}
 	m := newRunMetrics(p.cfg.Telemetry)
 	if p.cfg.Telemetry != nil {
 		p.instrumentShared(p.cfg.Telemetry)
@@ -367,16 +353,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		if n > budget {
 			fail(stage, fmt.Errorf("error budget exceeded (%d quarantined > budget %d of %d packages): %w",
 				n, budget, res.Funnel.Snapshot, qerr))
-		}
-	}
-
-	// record checkpoints one completed package into the journal.
-	record := func(pkg string, an *Analysis) {
-		if p.cfg.Journal == nil {
-			return
-		}
-		if err := p.cfg.Journal.Record(pkg, *an); err != nil {
-			m.journalErrors.Inc()
 		}
 	}
 
@@ -479,11 +455,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		}()
 	}
 
-	// Stages 3-8, one worker per package: journal lookup, download, cache
-	// lookup and, on a miss, analysis, lint and URL extraction, then the
-	// cache write and journal checkpoint. The pool size is the memory
-	// bound: at most Workers APK images, and at most Workers packages'
-	// decoded dex files, are alive at once, whatever the corpus size.
+	// Stages 3-8, one worker per package: download, cache lookup and, on a
+	// miss, analysis, lint and URL extraction, then the cache write. The
+	// pool size is the memory bound: at most Workers APK images, and at
+	// most Workers packages' decoded dex files, are alive at once, whatever
+	// the corpus size.
 	var apkWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		apkWG.Add(1)
@@ -493,16 +469,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				// A cancelled run takes no further packages.
 				if runCtx.Err() != nil {
 					return
-				}
-				// A journaled package already completed in an earlier
-				// (interrupted) run: replay its analysis without spending a
-				// download or an analysis on it.
-				if p.cfg.Journal != nil {
-					if an, ok := p.cfg.Journal.Lookup(sel.pkg); ok {
-						m.journalSkips.Inc()
-						add(sel.md, &an)
-						continue
-					}
 				}
 				m.dlIn.Inc()
 				tr := m.trace(sel.pkg)
@@ -538,7 +504,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						m.addInFlight(-int64(len(img)))
 						tr.Start("cache", "result", "hit").End()
 						add(sel.md, &an)
-						record(sel.pkg, &an)
 						continue
 					}
 					m.cacheMisses.Inc()
@@ -556,7 +521,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				if p.cfg.Cache != nil {
 					p.cfg.Cache.Put(key, *an)
 				}
-				record(sel.md.Package, an)
 				add(sel.md, an)
 			}
 		}()
@@ -612,16 +576,14 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // fingerprint covers: the APK reader (apk.Read and Payload.Open), the
 // manifest decoder, callgraph, attributeSDKs and the decompiler's walk
 // (decompiler.Parsed), which the lint stage reads. Bump it on any change
-// to what they produce, so cached analyses and journals from an older
-// binary are not served; TestAnalysisVersionPinsOutput fails on a change
-// without a bump.
+// to what they produce, so cached analyses from an older binary are not
+// served; TestAnalysisVersionPinsOutput fails on a change without a bump.
 const analysisVersion = 3
 
 // configKey fingerprints the analysis code and configuration (the
 // analysis version, the SDK index and, when enabled, the lint rule set and
 // URL extractor) — the part of the cache key that does not depend on APK
-// content. The journal binds to it so resumed entries are only replayed
-// under the configuration that produced them.
+// content.
 func configKey(cfg Config) string {
 	key := cfg.Index.Fingerprint() + "@analysis:" + strconv.Itoa(analysisVersion)
 	if cfg.Lint != nil {
@@ -637,20 +599,6 @@ func configKey(cfg Config) string {
 // coordinator can assert every worker runs the same configuration before
 // accepting its results into a merged report.
 func (p *Pipeline) ConfigKey() string { return p.key }
-
-// journalKey binds the journal to both the analysis configuration and, for
-// sharded runs, the shard partition spec. The partition is deliberately
-// absent from contentKey: the cache stays content-addressed and shared
-// across shards (and across different shard counts), while the journal —
-// which records which packages of *this* partition are complete — refuses
-// to resume under a foreign partition.
-func (p *Pipeline) journalKey() string {
-	key := p.key
-	if p.cfg.Partition != "" {
-		key += "@shard:" + p.cfg.Partition
-	}
-	return key
-}
 
 // contentKey derives the cache key for an APK image from its ZIP pass
 // (apk.Read): the payload digest (recomputed from content, so a tampered

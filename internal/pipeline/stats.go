@@ -32,9 +32,10 @@ type Stats struct {
 	// Metadata covers store-metadata fetch + selection filtering.
 	Metadata StageStats
 	// Download covers APK fetch and cache lookup. In counts every package
-	// that reaches the stage (Metadata.Out minus JournalSkips); each leaves
-	// as Out (an image handed to analysis, i.e. a cache miss), a cache hit
-	// (which skips the Analyze stage) or a quarantine.
+	// that reaches the stage, which is every package the metadata stage
+	// passes on (Metadata.Out); each leaves as Out (an image handed to
+	// analysis, i.e. a cache miss), a cache hit (which skips the Analyze
+	// stage) or a quarantine.
 	Download StageStats
 	// Analyze covers decompile → parse → call graph → attribution. In is
 	// the number of cache misses analysed; Out excludes broken APKs.
@@ -65,11 +66,6 @@ type Stats struct {
 	// configured retry policy (zero when Config.Retry or its Metrics are
 	// unset).
 	Retries int64
-	// JournalSkips counts packages replayed from the checkpoint journal
-	// instead of being downloaded and analysed; JournalErrors counts
-	// best-effort journal appends that failed (the run continues).
-	JournalSkips  int
-	JournalErrors int
 
 	// PeakInFlightBytes is the high-water mark of APK image bytes held at
 	// once, each image counted from its download until it is parsed or
@@ -117,9 +113,8 @@ func (s *Stats) String() string {
 	}
 	fmt.Fprintf(&sb, "  cache    hits=%d misses=%d rate=%.1f%%\n",
 		s.CacheHits, s.CacheMisses, 100*s.CacheHitRate())
-	if s.Retries > 0 || s.QuarantinedTotal() > 0 || s.JournalSkips > 0 || s.JournalErrors > 0 {
-		fmt.Fprintf(&sb, "  faults   retries=%d quarantined=%d journal-skips=%d journal-errors=%d\n",
-			s.Retries, s.QuarantinedTotal(), s.JournalSkips, s.JournalErrors)
+	if s.Retries > 0 || s.QuarantinedTotal() > 0 {
+		fmt.Fprintf(&sb, "  faults   retries=%d quarantined=%d\n", s.Retries, s.QuarantinedTotal())
 	}
 	fmt.Fprintf(&sb, "  memory   peak in-flight APK bytes=%d\n", s.PeakInFlightBytes)
 	return sb.String()

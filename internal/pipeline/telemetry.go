@@ -20,7 +20,6 @@ const (
 	famAPKBytes     = "pipeline_apk_bytes"
 	famInFlight     = "pipeline_inflight_bytes"
 	famCache        = "pipeline_cache_total"
-	famJournal      = "pipeline_journal_total"
 	famLintFindings = "pipeline_lint_findings_total"
 	famURLEndpoints = "pipeline_url_endpoints_total"
 )
@@ -39,10 +38,9 @@ type runMetrics struct {
 
 	quarMeta, quarDL, quarAn *telemetry.Counter
 
-	cacheHits, cacheMisses      *telemetry.Counter
-	journalSkips, journalErrors *telemetry.Counter
-	lintFindings                *telemetry.Counter
-	urlEndpoints                *telemetry.Counter
+	cacheHits, cacheMisses *telemetry.Counter
+	lintFindings           *telemetry.Counter
+	urlEndpoints           *telemetry.Counter
 
 	metaLat, dlLat, anLat, lintLat, urlsLat *telemetry.Histogram
 	apkBytes                                *telemetry.Histogram
@@ -63,7 +61,6 @@ type statsBase struct {
 	urlsIn, urlsOut                                            int64
 	quarMeta, quarDL, quarAn                                   int64
 	cacheHits, cacheMisses                                     int64
-	journalSkips, journalErrors                                int64
 	lintFindings                                               int64
 	urlEndpoints                                               int64
 }
@@ -87,9 +84,6 @@ func newRunMetrics(hub *telemetry.Hub) *runMetrics {
 	cache := func(result string) *telemetry.Counter {
 		return hub.Counter(famCache, "content-addressed result-cache lookups by outcome", "result", result)
 	}
-	journal := func(event string) *telemetry.Counter {
-		return hub.Counter(famJournal, "checkpoint-journal events (skip = package replayed, error = append failed)", "event", event)
-	}
 	m := &runMetrics{
 		hub:     hub,
 		metaIn:  items("metadata", "in"),
@@ -107,12 +101,10 @@ func newRunMetrics(hub *telemetry.Hub) *runMetrics {
 		quarDL:   quar("download"),
 		quarAn:   quar("analyze"),
 
-		cacheHits:     cache("hit"),
-		cacheMisses:   cache("miss"),
-		journalSkips:  journal("skip"),
-		journalErrors: journal("error"),
-		lintFindings:  hub.Counter(famLintFindings, "lint findings produced this run (cache hits excluded)"),
-		urlEndpoints:  hub.Counter(famURLEndpoints, "URL endpoints extracted this run (cache hits excluded)"),
+		cacheHits:    cache("hit"),
+		cacheMisses:  cache("miss"),
+		lintFindings: hub.Counter(famLintFindings, "lint findings produced this run (cache hits excluded)"),
+		urlEndpoints: hub.Counter(famURLEndpoints, "URL endpoints extracted this run (cache hits excluded)"),
 
 		metaLat:  lat("metadata"),
 		dlLat:    lat("download"),
@@ -136,7 +128,6 @@ func (m *runMetrics) base() statsBase {
 		urlsIn: m.urlsIn.Value(), urlsOut: m.urlsOut.Value(),
 		quarMeta: m.quarMeta.Value(), quarDL: m.quarDL.Value(), quarAn: m.quarAn.Value(),
 		cacheHits: m.cacheHits.Value(), cacheMisses: m.cacheMisses.Value(),
-		journalSkips: m.journalSkips.Value(), journalErrors: m.journalErrors.Value(),
 		lintFindings: m.lintFindings.Value(),
 		urlEndpoints: m.urlEndpoints.Value(),
 	}
@@ -192,8 +183,6 @@ func (m *runMetrics) fill(s *Stats) {
 	s.URLEndpoints = int(end.urlEndpoints - start.urlEndpoints)
 	s.CacheHits = int(end.cacheHits - start.cacheHits)
 	s.CacheMisses = int(end.cacheMisses - start.cacheMisses)
-	s.JournalSkips = int(end.journalSkips - start.journalSkips)
-	s.JournalErrors = int(end.journalErrors - start.journalErrors)
 	s.PeakInFlightBytes = m.peak.Load()
 }
 

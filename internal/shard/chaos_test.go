@@ -1,13 +1,15 @@
 // Chaos test for the scan plane: a worker killed mid-lease must not cost
-// the run anything but the lease TTL — the re-issued partition resumes the
-// dead worker's journal, re-downloads zero journaled packages, and the
-// final merged report is byte-identical to an uninterrupted run.
+// the run anything but the lease TTL and some downloads — the peer that
+// takes over the re-issued partition finds every analysis the dead worker
+// stored in the shared cache, analyses none of them again, and the final
+// merged report is byte-identical to an uninterrupted run.
 package shard_test
 
 import (
 	"context"
-	"path/filepath"
+	"os"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,31 +36,25 @@ func TestChaosKilledWorkerPartitionResumes(t *testing.T) {
 	}
 	killAfter := part0 - 3
 
-	// Uninterrupted reference: the plain sequential pipeline.
-	ref, err := pipeline.New(newTestRepo(c), &testMeta{c: c}, pipeline.Config{
-		MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
-	}).Run(context.Background())
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
+	ref := plainRun(t, c)
 
 	clock := newFakeClock()
 	ttl := time.Hour // renewal tickers (TTL/3) never fire inside the test
-	dir := t.TempDir()
+	cacheDir := t.TempDir()
 	coord, srv := startCoordinator(t, shard.CoordinatorConfig{
 		Spec: shard.RunSpec{
 			Shards:       shards,
 			MinDownloads: corpus.MinDownloads,
 			UpdatedAfter: corpus.UpdateCutoff,
-			JournalDir:   dir,
-			CacheDir:     filepath.Join(dir, "cache"),
+			CacheDir:     cacheDir,
 			LeaseTTL:     ttl,
 		},
 		Now: clock.Now,
 	})
 
 	// Worker A: its context is cut after killAfter downloads — an OS kill
-	// as the pipeline sees one, mid-lease with the journal partly written.
+	// as the pipeline sees one, mid-lease with part of its partition in
+	// the cache.
 	repo := newTestRepo(c)
 	ctxA, killA := context.WithCancel(context.Background())
 	defer killA()
@@ -85,26 +81,17 @@ func TestChaosKilledWorkerPartitionResumes(t *testing.T) {
 	}
 	repo.setOnDownload(nil)
 
-	// The dead worker's journal holds its checkpointed packages.
-	journalPath := filepath.Join(dir, "shard-0-of-4.journal")
-	j, err := pipeline.OpenJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journaled := j.Packages()
-	j.Close()
-	if len(journaled) == 0 {
-		t.Fatal("killed worker journaled nothing; kill landed too early to test resume")
-	}
-	if len(journaled) >= part0 {
-		t.Fatalf("killed worker journaled all %d packages; kill landed too late", part0)
+	// The dead worker's analyses are in the shared cache.
+	stored := blobCount(t, cacheDir)
+	if stored == 0 || stored >= part0 {
+		t.Fatalf("kill landed outside mid-partition: %d of %d stored", stored, part0)
 	}
 
 	// Partition 0 is still leased to the corpse. Let the lease expire.
 	clock.Advance(ttl + time.Second)
 
-	// Worker B finishes the run: partition 0 resumed from the journal,
-	// then the untouched partitions.
+	// Worker B finishes the run: partition 0 over the dead worker's cache
+	// entries, then the untouched partitions.
 	wB, err := shard.NewWorker(shard.WorkerConfig{
 		Coordinator: srv.URL,
 		Name:        "survivor",
@@ -128,20 +115,57 @@ func TestChaosKilledWorkerPartitionResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-download-zero: every journaled package was downloaded exactly
-	// once — by the dead worker. The resume replayed it from the journal.
-	dl := repo.downloads()
-	for _, pkg := range journaled {
-		if dl[pkg] != 1 {
-			t.Fatalf("journaled package %s downloaded %d times, want 1", pkg, dl[pkg])
+	assertSurvivorResumedFromCache(t, coord, merged, ref, stored)
+}
+
+// plainRun is the uninterrupted reference of the chaos tests: the plain
+// sequential pipeline, lint and URL stages off.
+func plainRun(t *testing.T, c *corpus.Corpus) *pipeline.Result {
+	t.Helper()
+	ref, err := pipeline.New(newTestRepo(c), &testMeta{c: c}, pipeline.Config{
+		MinDownloads: corpus.MinDownloads, UpdatedAfter: corpus.UpdateCutoff,
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	return ref
+}
+
+// blobCount counts the analyses stored in a cache directory.
+func blobCount(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".blob") {
+			n++
 		}
 	}
-	// The resume skipped exactly the journaled packages.
-	if merged.Stats.JournalSkips != len(journaled) {
-		t.Fatalf("journal skips = %d, want %d", merged.Stats.JournalSkips, len(journaled))
-	}
+	return n
+}
 
-	// And the interrupted run's report is the uninterrupted run's report.
+// assertSurvivorResumedFromCache checks a run whose first worker died
+// after storing stored analyses in the shared cache and whose survivor
+// completed every partition: the survivor's cache hits are exactly those
+// analyses, it analysed only its misses, the rollup counts each filtered
+// package into the download stage once, since the dead worker's partial
+// delta never federates, and the merged report is the uninterrupted ref's.
+func assertSurvivorResumedFromCache(t *testing.T, coord *shard.Coordinator, merged, ref *pipeline.Result, stored int) {
+	t.Helper()
+	st := merged.Stats
+	if st.CacheHits != stored {
+		t.Errorf("survivor cache hits = %d, want the %d analyses the dead worker stored", st.CacheHits, stored)
+	}
+	if st.Analyze.In != st.CacheMisses {
+		t.Errorf("survivor analysed %d packages, want its %d misses", st.Analyze.In, st.CacheMisses)
+	}
+	dlIn := sampleOf(coord.Fleet().Rollup(), "pipeline_stage_items_total", "stage", "download", "dir", "in")
+	if int(dlIn) != merged.Funnel.Filtered {
+		t.Errorf("rollup download in = %d, want filtered %d", dlIn, merged.Funnel.Filtered)
+	}
 	if merged.Funnel != ref.Funnel {
 		t.Fatalf("funnel diverged:\n  interrupted   %+v\n  uninterrupted %+v", merged.Funnel, ref.Funnel)
 	}

@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -231,11 +230,10 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 	clock := newFakeClock()
 	hub := telemetry.New(telemetry.Options{})
 	ttl := time.Hour
-	dir := t.TempDir()
+	cacheDir := t.TempDir()
 	spec := fleetSpec(shards, seed)
 	spec.Lint, spec.URLs = false, false
-	spec.JournalDir = dir
-	spec.CacheDir = filepath.Join(dir, "cache")
+	spec.CacheDir = cacheDir
 	spec.LeaseTTL = ttl
 	coord, srv := startCoordinator(t, shard.CoordinatorConfig{
 		Spec:      spec,
@@ -277,9 +275,9 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 		t.Fatalf("rollup counted %d APKs from an unaccepted partition", got)
 	}
 
-	journaled := journalLen(t, filepath.Join(dir, "shard-0-of-4.journal"))
-	if journaled == 0 || journaled >= part0 {
-		t.Fatalf("kill landed outside mid-partition: %d of %d journaled", journaled, part0)
+	stored := blobCount(t, cacheDir)
+	if stored == 0 || stored >= part0 {
+		t.Fatalf("kill landed outside mid-partition: %d of %d stored", stored, part0)
 	}
 
 	clock.Advance(ttl + time.Second)
@@ -303,19 +301,10 @@ func TestFleetChaosPartialSnapshotNeverDoubleCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exactly-once fleet accounting: every filtered package was either
-	// downloaded by an accepted partition run or replayed from the dead
-	// worker's journal — never both, never twice.
-	rollup := fed.Rollup()
-	dlOut := sampleOf(rollup, "pipeline_stage_items_total", "stage", "download", "dir", "out")
-	skips := sampleOf(rollup, "pipeline_journal_total", "event", "skip")
-	if int(skips) != journaled {
-		t.Fatalf("rollup journal skips = %v, journaled = %d", skips, journaled)
-	}
-	if int(dlOut)+journaled != merged.Funnel.Filtered {
-		t.Fatalf("double-count: rollup downloads %v + journal replays %d != filtered %d",
-			dlOut, journaled, merged.Funnel.Filtered)
-	}
+	// Exactly-once fleet accounting: the rollup counts every filtered
+	// package into the download stage once, the survivor's, and the
+	// survivor analysed none of the dead worker's stored packages again.
+	assertSurvivorResumedFromCache(t, coord, merged, plainRun(t, c), stored)
 
 	// The snapshot ledger: two final flushes (the doomed worker on its way
 	// down, the survivor on clean exit) and four accepted result deltas
@@ -486,16 +475,6 @@ func startFleetServer(t *testing.T, coord *shard.Coordinator) string {
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
 	return srv.URL
-}
-
-func journalLen(t *testing.T, path string) int {
-	t.Helper()
-	j, err := pipeline.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	return j.Len()
 }
 
 // sampleOf reads one counter series from a snapshot (0 when absent).

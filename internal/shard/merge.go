@@ -60,8 +60,6 @@ func mergeStats(dst, src *pipeline.Stats) {
 	dst.CacheHits += src.CacheHits
 	dst.CacheMisses += src.CacheMisses
 	dst.Retries += src.Retries
-	dst.JournalSkips += src.JournalSkips
-	dst.JournalErrors += src.JournalErrors
 	// Shards are separate processes: their in-flight high-water marks add
 	// up to the plane's worst-case memory footprint.
 	dst.PeakInFlightBytes += src.PeakInFlightBytes

@@ -91,16 +91,6 @@ func (r *testRepo) setOnDownload(fn func(pkg string, nth int)) {
 	r.mu.Unlock()
 }
 
-func (r *testRepo) downloads() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.dl))
-	for k, v := range r.dl {
-		out[k] = v
-	}
-	return out
-}
-
 // testMeta serves metadata straight from corpus specs.
 type testMeta struct{ c *corpus.Corpus }
 
@@ -212,6 +202,9 @@ func TestPartitionTagDistinguishesSpecs(t *testing.T) {
 	}
 	if shard.PartitionTag(0, 4) != shard.PartitionTag(0, 4) {
 		t.Fatal("PartitionTag not deterministic")
+	}
+	if got := shard.PartitionTag(2, 4); got != "2/4" {
+		t.Fatalf("PartitionTag(2, 4) = %q, want \"2/4\"", got)
 	}
 }
 

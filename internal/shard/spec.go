@@ -6,13 +6,11 @@
 // payloads, and merges them into a report byte-identical to a
 // single-process run.
 //
-// Exactly-once, re-download-zero semantics across worker crashes come from
-// the layers below, not from the control plane: each partition's JSONL
-// journal (bound to the partition spec, see pipeline.Config.Partition)
-// replays completed packages without re-downloading them, and the
-// content-addressed resultcache is shared by every shard as a common blob
-// tier, so even a package that was downloaded but not yet journaled costs
-// only the download on re-scan, never the analysis.
+// A worker crash costs no analysis: the content-addressed resultcache
+// (RunSpec.CacheDir) is shared by every shard as a common blob tier, so
+// the peer that takes over a dead worker's partition downloads the
+// packages the dead worker completed again, finds each under its payload
+// digest and analyses none of them twice.
 package shard
 
 import (
@@ -20,12 +18,6 @@ import (
 	"hash/fnv"
 	"time"
 )
-
-// partitionFn names the partition function baked into this build. It is
-// fingerprinted into every partition tag, so changing the function (or its
-// version) orphans old journals instead of resuming them against a
-// different package→shard mapping.
-const partitionFn = "fnv1a-64/v1"
 
 // PartitionOf maps a package name to its shard partition: FNV-1a 64 of the
 // package modulo the shard count. Every layer — coordinator, workers,
@@ -40,15 +32,10 @@ func PartitionOf(pkg string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
-// PartitionTag renders the journal-binding partition spec for one shard:
-// "index/shards@hash", where the hash fingerprints the partition function
-// and shard count. A journal written under any other tag — different
-// index, different shard count, different partition function — is foreign
-// and must not be resumed.
+// PartitionTag names one shard's partition, "index/shards", in control
+// spans and /fleet/status rows.
 func PartitionTag(index, shards int) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", partitionFn, shards)
-	return fmt.Sprintf("%d/%d@%x", index, shards, h.Sum64())
+	return fmt.Sprintf("%d/%d", index, shards)
 }
 
 // RunSpec is the scan configuration the coordinator serves to joining
@@ -87,11 +74,6 @@ type RunSpec struct {
 	// an APK analysed by any shard (or a previous run) is never analysed
 	// again anywhere.
 	CacheDir string `json:"cacheDir,omitempty"`
-
-	// JournalDir, when non-empty, holds one journal per partition
-	// (shard-<i>-of-<n>.journal). A worker re-leasing a partition resumes
-	// its journal and re-downloads zero journaled packages.
-	JournalDir string `json:"journalDir,omitempty"`
 
 	// DownloadLatency models the repository's per-APK transfer time (the
 	// real AndroZoo is network-bound, the in-process simulator is not).

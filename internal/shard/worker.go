@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -62,8 +61,8 @@ type WorkerConfig struct {
 
 // Worker executes partitions leased from a coordinator until the run is
 // done. Workers are stateless between leases: everything durable lives in
-// the shared cache directory and the per-partition journals, which is what
-// lets a re-issued partition resume on any peer.
+// the shared cache directory, which is what lets a re-issued partition
+// resume on any peer.
 type Worker struct {
 	cfg  WorkerConfig
 	hc   *http.Client
@@ -228,7 +227,6 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 		// plane's.
 		Retry:     w.cfg.Retry.WithMetrics(&retry.Metrics{}),
 		Telemetry: hub,
-		Partition: grant.Tag,
 	}
 	if cfg.MinDownloads == 0 {
 		cfg.MinDownloads = corpus.MinDownloads
@@ -254,15 +252,6 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 			entries = 4096
 		}
 		cfg.Cache = resultcache.NewPersistent[pipeline.Analysis](entries, store, resultcache.JSONCodec[pipeline.Analysis]{})
-	}
-	if spec.JournalDir != "" {
-		j, err := pipeline.OpenJournal(filepath.Join(spec.JournalDir,
-			fmt.Sprintf("shard-%d-of-%d.journal", grant.Partition, spec.Shards)))
-		if err != nil {
-			return fmt.Errorf("shard: partition %d journal: %w", grant.Partition, err)
-		}
-		defer j.Close()
-		cfg.Journal = j
 	}
 
 	pipe := pipeline.New(repo, meta, cfg)
