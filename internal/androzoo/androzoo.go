@@ -5,7 +5,8 @@
 // the way AndroZoo indexes APKs by hash.
 //
 // The client fails closed. It verifies every download against the
-// server-sent payload digest and Content-Length, surfacing truncated,
+// server-sent payload digest and Content-Length, and the streamed listing
+// against the digest trailer that follows it, surfacing truncated,
 // corrupted or unverifiable bodies as retryable errors; it refuses a
 // listing line that is not a package name, and never puts such a name into
 // a request path. It can wrap all its requests in a retry policy
@@ -30,7 +31,8 @@ import (
 // DigestHeader carries the hex SHA-256 of the response payload, the
 // repository's equivalent of AndroZoo's per-APK hash index. Clients use
 // it to detect corrupted downloads without trusting the APK's own
-// internal digest entry.
+// internal digest entry. The streamed listing sends it as a trailer,
+// after the body it covers.
 const DigestHeader = "X-Payload-Sha256"
 
 // Server serves a corpus as an APK repository.
@@ -56,7 +58,8 @@ func NewServerFrom(src corpus.Source) *Server {
 
 // Handler returns the repository API:
 //
-//	GET /snapshot          newline-separated package list
+//	GET /snapshot          newline-separated package list (digest in the
+//	                       X-Payload-Sha256 trailer)
 //	GET /apk/{package}     the APK image (digest in X-Payload-Sha256)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -65,15 +68,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleSnapshot streams the listing, so a bounded-memory source serves
+// paper-scale listings; the digest of what was sent follows the body as a
+// trailer.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bw := bufio.NewWriter(w)
+	w.Header().Set("Trailer", DigestHeader)
+	h := sha256.New()
+	bw := bufio.NewWriter(io.MultiWriter(w, h))
 	s.src.Each(func(app *corpus.Spec) error {
 		bw.WriteString(app.Package)
 		bw.WriteByte('\n')
 		return nil
 	})
 	bw.Flush()
+	w.Header().Set(DigestHeader, hex.EncodeToString(h.Sum(nil)))
 }
 
 func (s *Server) handleAPK(w http.ResponseWriter, r *http.Request) {
@@ -120,7 +129,9 @@ func (c *Client) WithRetry(p *retry.Policy) *Client {
 	return c
 }
 
-// List streams the snapshot package list.
+// List streams the snapshot package list. A listing cut short or
+// damaged on the wire, or one without its digest trailer, is a retryable
+// error.
 func (c *Client) List(ctx context.Context) ([]string, error) {
 	return retry.Do(ctx, c.retry, c.list)
 }
@@ -141,7 +152,8 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("androzoo: snapshot: unexpected status %s", resp.Status))
 	}
 	var pkgs []string
-	sc := bufio.NewScanner(resp.Body)
+	h := sha256.New()
+	sc := bufio.NewScanner(io.TeeReader(resp.Body, h))
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -156,6 +168,16 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: %w", err))
+	}
+	// A cut that ends on a line break leaves whole package names, so only
+	// the digest tells a short listing from the full one. The trailer is
+	// readable now that the body has been read to its end.
+	want := resp.Trailer.Get(DigestHeader)
+	if want == "" {
+		return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: no %s trailer to verify the listing against", DigestHeader))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: listing digest mismatch: got %s, want %s", got, want))
 	}
 	return pkgs, nil
 }

@@ -52,6 +52,43 @@ func TestListReturnsWholeSnapshot(t *testing.T) {
 	}
 }
 
+// TestListRefusesListingCutShort serves the listing through a transport
+// that cuts the body after a whole line, the cut no line check can see:
+// the digest trailer must refuse it, retryably, and a retry over an
+// intact body must return the whole snapshot.
+func TestListRefusesListingCutShort(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(c).Handler())
+	t.Cleanup(srv.Close)
+	var cuts atomic.Int32
+	cut := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := srv.Client().Transport.RoundTrip(r)
+		if err != nil || cuts.Add(1) > 1 {
+			return resp, err
+		}
+		body, err := io.ReadAll(resp.Body) // to its end, so the trailer arrives
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		body = body[:bytes.LastIndexByte(body[:len(body)/2], '\n')+1]
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		return resp, nil
+	})
+	client := NewClient(srv.URL, &http.Client{Transport: cut})
+	pkgs, err := client.List(context.Background())
+	if err == nil || !retry.IsRetryable(err) || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("List over a cut listing = %d packages, %v; want a retryable digest mismatch", len(pkgs), err)
+	}
+	pkgs, err = client.WithRetry(&retry.Policy{MaxAttempts: 2}).List(context.Background())
+	if err != nil || len(pkgs) != len(c.Apps) {
+		t.Fatalf("List after a retry = %d packages, %v; want %d", len(pkgs), err, len(c.Apps))
+	}
+}
+
 func TestDownloadParsesAsAPK(t *testing.T) {
 	client, c := testSetup(t)
 	var target *corpus.Spec
@@ -392,13 +429,20 @@ func TestDownloadWithoutDigestRefused(t *testing.T) {
 	}
 }
 
-// listingClient answers /snapshot with body and every other request with
-// a 404, counting those in *apkRequests.
+// listingClient answers /snapshot with body and its true digest trailer,
+// and every other request with a 404, counting those in *apkRequests.
 func listingClient(body []byte) (client *Client, apkRequests *int) {
+	sum := sha256.Sum256(body)
+	return listingClientTrailer(body, http.Header{DigestHeader: {hex.EncodeToString(sum[:])}})
+}
+
+// listingClientTrailer is listingClient with the /snapshot trailer given.
+func listingClientTrailer(body []byte, trailer http.Header) (client *Client, apkRequests *int) {
 	apkRequests = new(int)
 	client = NewClient("http://androzoo.test", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		if r.URL.Path == "/snapshot" {
-			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)), Request: r}, nil
+			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)),
+				Trailer: trailer, Request: r}, nil
 		}
 		*apkRequests++
 		return &http.Response{StatusCode: http.StatusNotFound, Body: http.NoBody, Request: r}, nil

@@ -2,22 +2,45 @@ package androzoo
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"net/http"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/retry"
 )
 
 // packageName is the oracle for isPackageName.
 var packageName = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_]*(\.[A-Za-z][A-Za-z0-9_]*)*$`)
 
-// FuzzList serves an arbitrary /snapshot body to Client.List. List must
-// return an error or the body's non-blank lines, trimmed, in body order,
-// each a package name by the oracle; it errs only on a line that is not
-// one (or a line too long to scan). Each line is then handed to Download,
-// which must refuse every non-name without making a request.
+// FuzzList serves an arbitrary /snapshot body to Client.List. With the
+// body's true digest trailer, List must return an error or the body's
+// non-blank lines, trimmed, in body order, each a package name by the
+// oracle; it errs only on a line that is not one (or a line too long to
+// scan). Each line is then handed to Download, which must refuse every
+// non-name without making a request. The same body with a wrong trailer,
+// or with none, must be a retryable error.
 func FuzzList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		wrong := sum
+		wrong[0] ^= 1
+		for _, trailer := range []http.Header{
+			{DigestHeader: {hex.EncodeToString(wrong[:])}},
+			nil,
+		} {
+			client, apkRequests := listingClientTrailer(body, trailer)
+			if names, err := client.List(context.Background()); err == nil || !retry.IsRetryable(err) {
+				t.Fatalf("List with trailer %v = %q, %v; want a retryable error", trailer, names, err)
+			}
+			if *apkRequests != 0 {
+				t.Fatalf("List made %d APK requests", *apkRequests)
+			}
+		}
+
 		client, apkRequests := listingClient(body)
 
 		var lines []string

@@ -7,18 +7,54 @@ import (
 	"repro/internal/jsvm"
 )
 
-// installBindings exposes document, window, console, navigator and network
-// primitives to page scripts. Every DOM method records an APICall, exactly
-// as the controlled page's Trace.js wraps the Web APIs (§3.2.2).
-func (p *Page) installBindings() {
-	g := p.VM.Global
-	// Interface prototypes, built per page so no object is shared
-	// between VMs.
-	p.elementProto = p.elementPrototype()
-	p.htmlCollectionProto = p.listPrototype("HTMLCollection")
-	p.nodeListProto = p.listPrototype("NodeList")
-	p.xhrProto = p.xhrPrototype()
+// pageRealm is the host API every page's VM starts from: the standard
+// library plus document, window, console, navigator and the network and
+// probe primitives below. Each binding is built the first time a script
+// needs it (see jsvm.Realm), finding its page through the VM's Host slot.
+// Every DOM method records an APICall, exactly as the controlled page's
+// Trace.js wraps the Web APIs (§3.2.2); building a binding records
+// nothing.
+var pageRealm = jsvm.NewRealm(jsvm.Builtins(),
+	pageBinding("console", (*Page).consoleObject),
+	pageBinding("document", (*Page).documentObject),
+	pageBinding("location", (*Page).locationObject),
+	// window IS the global object, as in browsers: window.x = 1 creates a
+	// global, and bare globals are readable as window properties.
+	pageBinding("window", func(p *Page) *jsvm.Object { return p.VM.Global }),
+	pageBinding("addEventListener", func(p *Page) *jsvm.Object {
+		return jsvm.NewHostFunc("addEventListener", func(c jsvm.Call) (jsvm.Value, error) {
+			p.recordAPI("Window", "addEventListener")
+			return jsvm.Undefined(), nil
+		})
+	}),
+	// Timers run synchronously: the harness has no event loop and the
+	// measured scripts only use them to defer work.
+	pageBinding("setTimeout", func(*Page) *jsvm.Object {
+		return jsvm.NewHostFunc("setTimeout", func(c jsvm.Call) (jsvm.Value, error) {
+			if fn := c.Arg(0); fn.Object() != nil && fn.Object().IsCallable() {
+				if _, err := c.VM.CallFunction(fn, jsvm.Undefined()); err != nil {
+					return jsvm.Undefined(), err
+				}
+			}
+			return jsvm.Number(1), nil
+		})
+	}),
+	pageBinding("navigator", (*Page).navigatorObject),
+	pageBinding("localStorage", (*Page).localStorageObject),
+	pageBinding("DeviceMotionEvent", (*Page).deviceMotionEvent),
+	pageBinding("XMLHttpRequest", (*Page).xhrConstructor),
+	pageBinding("fetch", (*Page).fetchFunc),
+	pageBinding("performance", (*Page).performanceObject),
+)
 
+// pageBinding binds name to an object build makes for the VM's page.
+func pageBinding(name string, build func(p *Page) *jsvm.Object) jsvm.Binding {
+	return jsvm.Binding{Name: name, Build: func(vm *jsvm.VM) jsvm.Value {
+		return jsvm.ObjectValue(build(vm.Host.(*Page)))
+	}}
+}
+
+func (p *Page) consoleObject() *jsvm.Object {
 	console := jsvm.NewObject()
 	console.SetFunc("log", func(c jsvm.Call) (jsvm.Value, error) {
 		parts := make([]string, len(c.Args))
@@ -33,13 +69,10 @@ func (p *Page) installBindings() {
 	console.Set("error", console.Get("log"))
 	console.Set("warn", console.Get("log"))
 	console.Set("info", console.Get("log"))
-	g.Set("console", jsvm.ObjectValue(console))
+	return console
+}
 
-	g.Set("document", jsvm.ObjectValue(p.documentObject()))
-
-	// window IS the global object, as in browsers: window.x = 1 creates a
-	// global, and bare globals are readable as window properties.
-	window := g
+func (p *Page) locationObject() *jsvm.Object {
 	location := jsvm.NewObject()
 	location.Set("href", jsvm.String(p.URL))
 	if i := strings.Index(p.URL, "://"); i > 0 {
@@ -51,23 +84,12 @@ func (p *Page) installBindings() {
 		location.Set("host", jsvm.String(host))
 		location.Set("hostname", jsvm.String(host))
 	}
-	window.Set("location", jsvm.ObjectValue(location))
-	window.Set("window", jsvm.ObjectValue(window))
-	window.SetFunc("addEventListener", func(c jsvm.Call) (jsvm.Value, error) {
-		p.recordAPI("Window", "addEventListener")
-		return jsvm.Undefined(), nil
-	})
-	// Timers run synchronously: the harness has no event loop and the
-	// measured scripts only use them to defer work.
-	window.SetFunc("setTimeout", func(c jsvm.Call) (jsvm.Value, error) {
-		if fn := c.Arg(0); fn.Object() != nil && fn.Object().IsCallable() {
-			if _, err := c.VM.CallFunction(fn, jsvm.Undefined()); err != nil {
-				return jsvm.Undefined(), err
-			}
-		}
-		return jsvm.Number(1), nil
-	})
+	return location
+}
 
+// navigatorObject builds navigator, with the clipboard the IAB test page
+// probes: async read/write stubs over one deterministic in-page buffer.
+func (p *Page) navigatorObject() *jsvm.Object {
 	navigator := jsvm.NewObject()
 	ua := p.loader.UserAgent
 	if ua == "" {
@@ -79,26 +101,42 @@ func (p *Page) installBindings() {
 		p.FetchFromScript(c.Arg(0).StringValue())
 		return jsvm.Bool(true), nil
 	})
-	g.Set("navigator", jsvm.ObjectValue(navigator))
 
-	p.installProbeAPIs(g, navigator)
+	var clipText string
+	clip := jsvm.NewObject()
+	clip.SetFunc("writeText", func(c jsvm.Call) (jsvm.Value, error) {
+		p.recordAPI("Clipboard", "writeText")
+		clipText = c.Arg(0).StringValue()
+		return jsvm.ObjectValue(p.resolvedPromise(jsvm.Undefined())), nil
+	})
+	clip.SetFunc("readText", func(c jsvm.Call) (jsvm.Value, error) {
+		p.recordAPI("Clipboard", "readText")
+		return jsvm.ObjectValue(p.resolvedPromise(jsvm.String(clipText))), nil
+	})
+	navigator.Set("clipboard", jsvm.ObjectValue(clip))
+	return navigator
+}
 
-	// XMLHttpRequest: synchronous single-shot GET, enough for beacons and
-	// measurement pings. The constructor only links the instance to the
-	// page's XMLHttpRequest prototype and attaches its request state.
-	g.Set("XMLHttpRequest", jsvm.ObjectValue(jsvm.NewHostFunc("XMLHttpRequest", func(c jsvm.Call) (jsvm.Value, error) {
+// xhrConstructor builds XMLHttpRequest: a synchronous single-shot GET,
+// enough for beacons and measurement pings. The constructor only links
+// the instance to the page's XMLHttpRequest prototype and attaches its
+// request state.
+func (p *Page) xhrConstructor() *jsvm.Object {
+	return jsvm.NewHostFunc("XMLHttpRequest", func(c jsvm.Call) (jsvm.Value, error) {
 		xhr := c.This.Object()
 		if xhr == nil {
 			xhr = jsvm.NewObject()
 		}
-		xhr.SetPrototype(p.xhrProto)
+		xhr.SetPrototype(p.xhrProto())
 		xhr.Host = &xhrState{}
 		return jsvm.ObjectValue(xhr), nil
-	})))
+	})
+}
 
-	// fetch(): resolves synchronously, returning a pseudo-promise whose
-	// then-callback receives {status, text}.
-	g.Set("fetch", jsvm.ObjectValue(jsvm.NewHostFunc("fetch", func(c jsvm.Call) (jsvm.Value, error) {
+// fetchFunc builds fetch(): it resolves synchronously, returning a
+// pseudo-promise whose then-callback receives {status, text}.
+func (p *Page) fetchFunc() *jsvm.Object {
+	return jsvm.NewHostFunc("fetch", func(c jsvm.Call) (jsvm.Value, error) {
 		p.recordAPI("Window", "fetch")
 		body, status := p.FetchFromScript(c.Arg(0).StringValue())
 		resp := jsvm.NewObject()
@@ -120,9 +158,7 @@ func (p *Page) installBindings() {
 			return jsvm.ObjectValue(promise), nil
 		})
 		return jsvm.ObjectValue(promise), nil
-	})))
-
-	g.Set("performance", jsvm.ObjectValue(p.performanceObject()))
+	})
 }
 
 // resolvedPromise returns a fetch-style pseudo-promise already resolved
@@ -143,15 +179,16 @@ func (p *Page) resolvedPromise(v jsvm.Value) *jsvm.Object {
 	return promise
 }
 
-// installProbeAPIs exposes the sensor, storage and clipboard surfaces
-// the IAB test page probes (the read-only rows of Table 9; sensor and
+// The storage and sensor surfaces below, with navigator's clipboard, are
+// what the IAB test page probes (the read-only rows of Table 9; sensor and
 // clipboard coverage follows the Web-API security literature's probe
 // set). Everything is deterministic and records interception like every
 // other binding.
-func (p *Page) installProbeAPIs(g, navigator *jsvm.Object) {
-	// localStorage: in-memory, with a deterministic quota so storage-probe
-	// scripts observe a browser-like QuotaExceededError instead of
-	// unbounded success.
+
+// localStorageObject builds localStorage: in-memory, with a deterministic
+// quota so storage-probe scripts observe a browser-like
+// QuotaExceededError instead of unbounded success.
+func (p *Page) localStorageObject() *jsvm.Object {
 	const storageQuota = 5120 // bytes of key+value across the store
 	store := map[string]string{}
 	used := 0
@@ -195,10 +232,13 @@ func (p *Page) installProbeAPIs(g, navigator *jsvm.Object) {
 		used = 0
 		return jsvm.Undefined(), nil
 	})
-	g.Set("localStorage", jsvm.ObjectValue(ls))
+	return ls
+}
 
-	// DeviceMotionEvent: constructible, with the iOS-style static
-	// requestPermission probe ad scripts use to detect sensor access.
+// deviceMotionEvent builds DeviceMotionEvent: constructible, with the
+// iOS-style static requestPermission probe ad scripts use to detect
+// sensor access.
+func (p *Page) deviceMotionEvent() *jsvm.Object {
 	dme := jsvm.NewHostFunc("DeviceMotionEvent", func(c jsvm.Call) (jsvm.Value, error) {
 		p.recordAPI("DeviceMotionEvent", "constructor")
 		ev := c.This.Object()
@@ -218,22 +258,7 @@ func (p *Page) installProbeAPIs(g, navigator *jsvm.Object) {
 		p.recordAPI("DeviceMotionEvent", "requestPermission")
 		return jsvm.ObjectValue(p.resolvedPromise(jsvm.String("granted"))), nil
 	})
-	g.Set("DeviceMotionEvent", jsvm.ObjectValue(dme))
-
-	// navigator.clipboard: async read/write stubs over one deterministic
-	// in-page buffer.
-	var clipText string
-	clip := jsvm.NewObject()
-	clip.SetFunc("writeText", func(c jsvm.Call) (jsvm.Value, error) {
-		p.recordAPI("Clipboard", "writeText")
-		clipText = c.Arg(0).StringValue()
-		return jsvm.ObjectValue(p.resolvedPromise(jsvm.Undefined())), nil
-	})
-	clip.SetFunc("readText", func(c jsvm.Call) (jsvm.Value, error) {
-		p.recordAPI("Clipboard", "readText")
-		return jsvm.ObjectValue(p.resolvedPromise(jsvm.String(clipText))), nil
-	})
-	navigator.Set("clipboard", jsvm.ObjectValue(clip))
+	return dme
 }
 
 func (p *Page) performanceObject() *jsvm.Object {
@@ -267,11 +292,11 @@ func (p *Page) documentObject() *jsvm.Object {
 	})
 	doc.SetFunc("getElementsByTagName", func(c jsvm.Call) (jsvm.Value, error) {
 		record("getElementsByTagName")
-		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.GetElementsByTagName(c.Arg(0).StringValue()), p.htmlCollectionProto)), nil
+		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.GetElementsByTagName(c.Arg(0).StringValue()), p.htmlCollectionProto())), nil
 	})
 	doc.SetFunc("querySelectorAll", func(c jsvm.Call) (jsvm.Value, error) {
 		record("querySelectorAll")
-		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.QuerySelectorAll(c.Arg(0).StringValue()), p.nodeListProto)), nil
+		return jsvm.ObjectValue(p.wrapNodeList(p.Doc.QuerySelectorAll(c.Arg(0).StringValue()), p.nodeListProto())), nil
 	})
 	doc.SetFunc("querySelector", func(c jsvm.Call) (jsvm.Value, error) {
 		record("querySelector")
@@ -306,6 +331,41 @@ func (p *Page) documentObject() *jsvm.Object {
 
 // xhrState is the request an XMLHttpRequest instance carries in Host.
 type xhrState struct{ url string }
+
+// pageProtos are a page's interface prototypes, each built the first
+// time a wrapper or an XMLHttpRequest needs it, and per page so no
+// object is shared between VMs.
+type pageProtos struct {
+	element, htmlCollection, nodeList, xhr *jsvm.Object
+}
+
+func (p *Page) elementProto() *jsvm.Object {
+	if p.protos.element == nil {
+		p.protos.element = p.elementPrototype()
+	}
+	return p.protos.element
+}
+
+func (p *Page) htmlCollectionProto() *jsvm.Object {
+	if p.protos.htmlCollection == nil {
+		p.protos.htmlCollection = p.listPrototype("HTMLCollection")
+	}
+	return p.protos.htmlCollection
+}
+
+func (p *Page) nodeListProto() *jsvm.Object {
+	if p.protos.nodeList == nil {
+		p.protos.nodeList = p.listPrototype("NodeList")
+	}
+	return p.protos.nodeList
+}
+
+func (p *Page) xhrProto() *jsvm.Object {
+	if p.protos.xhr == nil {
+		p.protos.xhr = p.xhrPrototype()
+	}
+	return p.protos.xhr
+}
 
 // elementPrototype builds the page's Element interface prototype: the
 // operations and attributes every node wrapper inherits, held once
@@ -366,7 +426,7 @@ func (p *Page) elementPrototype() *jsvm.Object {
 			}
 			return true
 		})
-		return jsvm.ObjectValue(p.wrapNodeList(out, p.htmlCollectionProto)), nil
+		return jsvm.ObjectValue(p.wrapNodeList(out, p.htmlCollectionProto())), nil
 	})
 	op("appendChild", func(c jsvm.Call, n *dom.Node) (jsvm.Value, error) {
 		if child := hostNode(c.Arg(0)); child != nil {
@@ -479,7 +539,7 @@ func (p *Page) wrapNode(n *dom.Node) *jsvm.Object {
 	defer p.mu.Unlock()
 	o, ok := p.nodeWraps[n]
 	if !ok {
-		o = jsvm.NewInstance(p.elementProto, n)
+		o = jsvm.NewInstance(p.elementProto(), n)
 		p.nodeWraps[n] = o
 	}
 	return o

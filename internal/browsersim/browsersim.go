@@ -51,8 +51,7 @@ type Page struct {
 	// initiator labels requests triggered by currently-running script.
 	initiator string
 	nodeWraps map[*dom.Node]*jsvm.Object
-	// The page's interface prototypes (installBindings).
-	elementProto, htmlCollectionProto, nodeListProto, xhrProto *jsvm.Object
+	protos    pageProtos
 }
 
 // APICalls returns the recorded Web-API invocations in call order.
@@ -133,14 +132,13 @@ func (l *Loader) newPage(pageURL string) (*Page, error) {
 	return p, err
 }
 
-// render gives the page its document and a VM with the host bindings
-// and the loader's globals.
+// render gives the page its document and a VM over the page realm with
+// the loader's globals.
 func (p *Page) render(html string) {
 	p.Doc = dom.Parse(html)
 	p.Doc.URL = p.URL
-	p.VM = jsvm.New()
+	p.VM = pageRealm.New(p)
 	p.nodeWraps = make(map[*dom.Node]*jsvm.Object)
-	p.installBindings()
 	for name, obj := range p.loader.Globals {
 		p.VM.Global.Set(name, jsvm.ObjectValue(obj))
 	}

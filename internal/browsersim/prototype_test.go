@@ -123,8 +123,8 @@ r.join(",");`)
 func TestPrototypesArePerPage(t *testing.T) {
 	srv := bindingsSite(t)
 	p1, p2 := loadB(t, srv, nil), loadB(t, srv, nil)
-	if p1.elementProto == p2.elementProto || p1.htmlCollectionProto == p2.htmlCollectionProto ||
-		p1.nodeListProto == p2.nodeListProto || p1.xhrProto == p2.xhrProto {
+	if p1.elementProto() == p2.elementProto() || p1.htmlCollectionProto() == p2.htmlCollectionProto() ||
+		p1.nodeListProto() == p2.nodeListProto() || p1.xhrProto() == p2.xhrProto() {
 		t.Error("prototype object shared between two pages")
 	}
 }

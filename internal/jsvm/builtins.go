@@ -8,13 +8,67 @@ import (
 	"strings"
 )
 
-// installBuiltins seeds the global object with the standard library subset
-// the measured scripts use: Math, JSON, Object.keys, Array.isArray,
-// String(), Number(), parseInt/parseFloat, isNaN, Date.now (deterministic
-// counter) and Error.
-func installBuiltins(vm *VM) {
-	g := vm.Global
+// builtins is the standard library subset the measured scripts use,
+// the realm New starts from: Math, JSON, Object.keys/values,
+// Array.isArray, String(), Number(), Boolean(), parseInt/parseFloat,
+// isNaN, NaN, Infinity, Error, encodeURIComponent/decodeURIComponent and
+// Date (a deterministic counter).
+var builtins = NewRealm(nil,
+	Binding{"Math", buildMath},
+	Binding{"JSON", buildJSON},
+	Binding{"Object", buildObject},
+	Binding{"Array", buildArray},
+	Binding{"String", hostFnBinding("String", func(c Call) (Value, error) {
+		return String(c.Arg(0).StringValue()), nil
+	})},
+	Binding{"Number", hostFnBinding("Number", func(c Call) (Value, error) {
+		return Number(c.Arg(0).NumberValue()), nil
+	})},
+	Binding{"Boolean", hostFnBinding("Boolean", func(c Call) (Value, error) {
+		return Bool(c.Arg(0).Truthy()), nil
+	})},
+	Binding{"parseInt", hostFnBinding("parseInt", parseInt)},
+	Binding{"parseFloat", hostFnBinding("parseFloat", func(c Call) (Value, error) {
+		return Number(c.Arg(0).NumberValue()), nil
+	})},
+	Binding{"isNaN", hostFnBinding("isNaN", func(c Call) (Value, error) {
+		return Bool(math.IsNaN(c.Arg(0).NumberValue())), nil
+	})},
+	Binding{"NaN", func(*VM) Value { return Number(math.NaN()) }},
+	Binding{"Infinity", func(*VM) Value { return Number(math.Inf(1)) }},
+	Binding{"Error", hostFnBinding("Error", func(c Call) (Value, error) {
+		o := NewObject()
+		o.Set("name", String("Error"))
+		o.Set("message", c.Arg(0))
+		if t := c.This.Object(); t != nil {
+			t.Set("name", String("Error"))
+			t.Set("message", c.Arg(0))
+		}
+		return ObjectValue(o), nil
+	})},
+	Binding{"encodeURIComponent", hostFnBinding("encodeURIComponent", func(c Call) (Value, error) {
+		return String(uriEscape(c.Arg(0).StringValue())), nil
+	})},
+	Binding{"decodeURIComponent", hostFnBinding("decodeURIComponent", func(c Call) (Value, error) {
+		s, err := uriUnescape(c.Arg(0).StringValue())
+		if err != nil {
+			return Undefined(), throwError("URI malformed")
+		}
+		return String(s), nil
+	})},
+	Binding{"Date", buildDate},
+)
 
+// Builtins returns the standard-library realm New uses, for embedders to
+// extend with NewRealm.
+func Builtins() *Realm { return builtins }
+
+// hostFnBinding builds a fresh host function per VM.
+func hostFnBinding(name string, f HostFunc) func(*VM) Value {
+	return func(*VM) Value { return hostFn(name, f) }
+}
+
+func buildMath(*VM) Value {
 	mathObj := NewObject()
 	mathObj.SetFunc("floor", math1(math.Floor))
 	mathObj.SetFunc("ceil", math1(math.Ceil))
@@ -44,8 +98,10 @@ func installBuiltins(vm *VM) {
 		lcg = lcg*6364136223846793005 + 1442695040888963407
 		return Number(float64(lcg>>11) / float64(1<<53)), nil
 	})
-	g.Set("Math", ObjectValue(mathObj))
+	return ObjectValue(mathObj)
+}
 
+func buildJSON(*VM) Value {
 	jsonObj := NewObject()
 	jsonObj.SetFunc("stringify", func(c Call) (Value, error) {
 		return String(jsonStringify(c.Arg(0))), nil
@@ -57,8 +113,10 @@ func installBuiltins(vm *VM) {
 		}
 		return v, nil
 	})
-	g.Set("JSON", ObjectValue(jsonObj))
+	return ObjectValue(jsonObj)
+}
 
+func buildObject(*VM) Value {
 	objectCtor := NewHostFunc("Object", func(c Call) (Value, error) {
 		return ObjectValue(NewObject()), nil
 	})
@@ -80,8 +138,10 @@ func installBuiltins(vm *VM) {
 		}
 		return ObjectValue(arr), nil
 	})
-	g.Set("Object", ObjectValue(objectCtor))
+	return ObjectValue(objectCtor)
+}
 
+func buildArray(*VM) Value {
 	arrayCtor := NewHostFunc("Array", func(c Call) (Value, error) {
 		return ObjectValue(NewArray(c.Args...)), nil
 	})
@@ -89,78 +149,42 @@ func installBuiltins(vm *VM) {
 		o := c.Arg(0).Object()
 		return Bool(o != nil && o.IsArray()), nil
 	})
-	g.Set("Array", ObjectValue(arrayCtor))
+	return ObjectValue(arrayCtor)
+}
 
-	g.Set("String", ObjectValue(NewHostFunc("String", func(c Call) (Value, error) {
-		return String(c.Arg(0).StringValue()), nil
-	})))
-	g.Set("Number", ObjectValue(NewHostFunc("Number", func(c Call) (Value, error) {
-		return Number(c.Arg(0).NumberValue()), nil
-	})))
-	g.Set("Boolean", ObjectValue(NewHostFunc("Boolean", func(c Call) (Value, error) {
-		return Bool(c.Arg(0).Truthy()), nil
-	})))
-	g.Set("parseInt", ObjectValue(NewHostFunc("parseInt", func(c Call) (Value, error) {
-		s := strings.TrimSpace(c.Arg(0).StringValue())
-		base := 10
-		if b := c.Arg(1); !b.IsUndefined() && b.NumberValue() != 0 {
-			base = int(b.NumberValue())
-		}
-		end := 0
-		neg := false
-		if end < len(s) && (s[end] == '+' || s[end] == '-') {
-			neg = s[end] == '-'
-			end++
-		}
-		start := end
-		for end < len(s) && digitVal(s[end]) >= 0 && digitVal(s[end]) < base {
-			end++
-		}
-		if start == end {
-			return Number(math.NaN()), nil
-		}
-		n, err := strconv.ParseInt(s[start:end], base, 64)
-		if err != nil {
-			return Number(math.NaN()), nil
-		}
-		if neg {
-			n = -n
-		}
-		return Number(float64(n)), nil
-	})))
-	g.Set("parseFloat", ObjectValue(NewHostFunc("parseFloat", func(c Call) (Value, error) {
-		return Number(c.Arg(0).NumberValue()), nil
-	})))
-	g.Set("isNaN", ObjectValue(NewHostFunc("isNaN", func(c Call) (Value, error) {
-		return Bool(math.IsNaN(c.Arg(0).NumberValue())), nil
-	})))
-	g.Set("NaN", Number(math.NaN()))
-	g.Set("Infinity", Number(math.Inf(1)))
+func parseInt(c Call) (Value, error) {
+	s := strings.TrimSpace(c.Arg(0).StringValue())
+	base := 10
+	if b := c.Arg(1); !b.IsUndefined() && b.NumberValue() != 0 {
+		base = int(b.NumberValue())
+	}
+	end := 0
+	neg := false
+	if end < len(s) && (s[end] == '+' || s[end] == '-') {
+		neg = s[end] == '-'
+		end++
+	}
+	start := end
+	for end < len(s) && digitVal(s[end]) >= 0 && digitVal(s[end]) < base {
+		end++
+	}
+	if start == end {
+		return Number(math.NaN()), nil
+	}
+	n, err := strconv.ParseInt(s[start:end], base, 64)
+	if err != nil {
+		return Number(math.NaN()), nil
+	}
+	if neg {
+		n = -n
+	}
+	return Number(float64(n)), nil
+}
 
-	g.Set("Error", ObjectValue(NewHostFunc("Error", func(c Call) (Value, error) {
-		o := NewObject()
-		o.Set("name", String("Error"))
-		o.Set("message", c.Arg(0))
-		if t := c.This.Object(); t != nil {
-			t.Set("name", String("Error"))
-			t.Set("message", c.Arg(0))
-		}
-		return ObjectValue(o), nil
-	})))
-
-	g.Set("encodeURIComponent", ObjectValue(NewHostFunc("encodeURIComponent", func(c Call) (Value, error) {
-		return String(uriEscape(c.Arg(0).StringValue())), nil
-	})))
-	g.Set("decodeURIComponent", ObjectValue(NewHostFunc("decodeURIComponent", func(c Call) (Value, error) {
-		s, err := uriUnescape(c.Arg(0).StringValue())
-		if err != nil {
-			return Undefined(), throwError("URI malformed")
-		}
-		return String(s), nil
-	})))
-
-	// Date.now: a deterministic monotone counter (wall clocks would break
-	// reproducibility of injected-script output).
+// buildDate builds Date, whose Date.now is a deterministic monotone
+// counter (wall clocks would break reproducibility of injected-script
+// output).
+func buildDate(*VM) Value {
 	var now float64 = 1_700_000_000_000
 	dateCtor := NewHostFunc("Date", func(c Call) (Value, error) {
 		o := NewObject()
@@ -172,7 +196,7 @@ func installBuiltins(vm *VM) {
 		now += 16 // one frame per call
 		return Number(now), nil
 	})
-	g.Set("Date", ObjectValue(dateCtor))
+	return ObjectValue(dateCtor)
 }
 
 func math1(f func(float64) float64) HostFunc {

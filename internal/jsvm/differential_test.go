@@ -151,11 +151,14 @@ var differentialCorpus = []string{
 }
 
 // diffOutcome is everything observable about one engine's execution.
+// ics is the VM's inline-cache hits and misses (zero under the walker),
+// compared only between runs on the bytecode VM.
 type diffOutcome struct {
 	val    string
 	errStr string
 	budget bool
 	log    []string
+	ics    [2]uint64
 }
 
 // engine runs a script on a VM: the production bytecode VM (VM.Run) or
@@ -170,12 +173,29 @@ func (e engine) String() string { return e.name }
 var (
 	engineBytecode = engine{"bytecode", (*VM).Run}
 	engineAST      = engine{"ast", func(vm *VM, src string) (Value, error) { return newWalker(vm).run(src) }}
+	// engineBuilt is the bytecode VM on a realm built in full before the
+	// script runs; a lazy realm must be indistinguishable from it.
+	engineBuilt = engine{"bytecode, realm built", func(vm *VM, src string) (Value, error) {
+		buildRealm(vm)
+		return vm.Run(src)
+	}}
 )
+
+// buildRealm builds every pending binding of vm's realm.
+func buildRealm(vm *VM) {
+	for _, k := range vm.Global.Keys() {
+		vm.Global.Get(k)
+	}
+}
 
 // runEngineDiff executes src on a fresh VM with one engine, capturing the
 // result, error and host-call log.
 func runEngineDiff(src string, eng engine, maxSteps int) diffOutcome {
-	vm := New()
+	return runEngineDiffOn(New(), src, eng, maxSteps)
+}
+
+// runEngineDiffOn is runEngineDiff on a given fresh VM.
+func runEngineDiffOn(vm *VM, src string, eng engine, maxSteps int) diffOutcome {
 	vm.MaxSteps = maxSteps
 	var out diffOutcome
 	vm.Global.Set("HOSTVAL", Number(7))
@@ -189,6 +209,8 @@ func runEngineDiff(src string, eng engine, maxSteps int) diffOutcome {
 		return Undefined(), nil
 	})
 	v, err := eng.run(vm, src)
+	hits, misses := vm.ICStats()
+	out.ics = [2]uint64{hits, misses}
 	if err != nil {
 		out.errStr = err.Error()
 		out.budget = errors.Is(err, ErrStepBudget)
@@ -429,7 +451,9 @@ func TestDifferentialGenerated(t *testing.T) {
 
 // FuzzDifferentialEngines is the open-ended form: the fuzzer explores
 // generator seeds, each expanded into a safe random program executed on
-// both engines.
+// both engines, and on the bytecode VM again over a realm built in full,
+// which must give the same outcome and inline-cache traffic as the lazy
+// realm.
 func FuzzDifferentialEngines(f *testing.F) {
 	for seed := uint64(0); seed < 16; seed++ {
 		f.Add(seed)
@@ -440,5 +464,6 @@ func FuzzDifferentialEngines(f *testing.F) {
 		ast := runEngineDiff(src, engineAST, 200_000)
 		bc := runEngineDiff(src, engineBytecode, 200_000)
 		compareOutcomes(t, src, ast, bc)
+		compareRealms(t, src, bc, runEngineDiff(src, engineBuilt, 200_000))
 	})
 }

@@ -17,10 +17,17 @@ var ErrStepBudget = errors.New("step budget exhausted")
 // A VM is single-goroutine: use one VM per worker. Programs (see Compile)
 // are immutable and may be shared between VMs running concurrently.
 type VM struct {
+	// Global is the global object. It starts empty, with the bindings of
+	// the VM's realm pending on it (see Realm).
 	Global *Object
+	// Host is the embedder's state for this VM, set by Realm.New; the
+	// realm's build functions find their host objects' owner through it.
+	Host any
 	// globals holds the bindings top-level declarations create; a name
 	// missing here resolves on Global, where hosts pre-seed theirs.
 	globals map[string]*Value
+	// pending is the realm bindings not built yet, referenced by Global.
+	pending pendingGlobals
 	// MaxSteps bounds a Run's work in the reference tree walker's unit,
 	// evaluated AST nodes; 0 means the default. The VM charges one step
 	// per instruction against MaxSteps*bcStepFactor.
@@ -44,13 +51,9 @@ type VM struct {
 
 const defaultMaxSteps = 2_000_000
 
-// New creates a VM with the standard built-ins installed on its global
-// object (console is left to embedders).
-func New() *VM {
-	vm := &VM{Global: NewObject(), globals: map[string]*Value{}}
-	installBuiltins(vm)
-	return vm
-}
+// New creates a VM over the standard built-ins (Builtins); console is
+// left to embedders.
+func New() *VM { return builtins.New(nil) }
 
 // declareGlobal binds name in the global scope to a fresh box.
 func (vm *VM) declareGlobal(name string, v Value) {
@@ -117,7 +120,7 @@ func (vm *VM) getProp(obj Value, name string, ln int) (Value, error) {
 				return v, nil
 			}
 		}
-		if v, ok := o.props[name]; ok {
+		if v, ok := o.ownProp(name); ok {
 			return vm.propValue(v, obj)
 		}
 		if o.IsArray() && name == "length" {
@@ -224,8 +227,7 @@ func binaryOp(op string, l, r Value) (Value, error) {
 		return Number(float64(uint32(toInt32(l.NumberValue())) >> (uint32(toInt32(r.NumberValue())) & 31))), nil
 	case "in":
 		if o := r.Object(); o != nil {
-			_, ok := o.findProp(l.StringValue())
-			return Bool(ok), nil
+			return Bool(o.hasProp(l.StringValue())), nil
 		}
 		return Bool(false), nil
 	case "instanceof":

@@ -14,6 +14,14 @@
 // Embedders that expose many objects of one interface put the shared
 // operations and host accessors on a prototype object once
 // (SetPrototype, SetAccessor, NewInstance).
+//
+// A VM's globals come from a Realm: an immutable table of names and Go
+// build functions, shared process-wide. The VM's global object starts
+// empty and builds each binding the first time a script needs its value,
+// so a page pays only for the globals its scripts read; no script can
+// tell (see Realm). New uses the standard library's realm (Builtins);
+// embedders extend it with NewRealm and find their own state through
+// VM.Host.
 package jsvm
 
 import (
@@ -251,8 +259,13 @@ type Object struct {
 	// version counts property-map writes (Set/Delete) and prototype
 	// relinks. Inline caches in the bytecode VM validate against it;
 	// wrap-around is harmless (a stale hit needs 2^32 writes between two
-	// reads of the same site).
+	// reads of the same site). Building a pending realm binding is not a
+	// write and leaves it alone.
 	version uint32
+
+	// pending holds the realm bindings of a VM's global object not built
+	// yet (nil on every other object); see Realm.
+	pending *pendingGlobals
 
 	// Host is arbitrary Go state attached by embedders.
 	Host any
@@ -295,34 +308,60 @@ func (o *Object) Elems() []Value { return o.elems }
 // Append adds elements to an array object.
 func (o *Object) Append(vals ...Value) { o.elems = append(o.elems, vals...) }
 
-// Get reads an own data property. Inherited members and accessors read
-// as undefined here; script property reads resolve both.
+// Get reads an own data property, building it first when it is a
+// pending realm binding. Inherited members and accessors read as
+// undefined here; script property reads resolve both.
 func (o *Object) Get(name string) Value {
 	if o.array && name == "length" {
 		return Number(float64(len(o.elems)))
 	}
-	if v, ok := o.props[name]; ok && v.kind != kindAccessor {
+	if v, ok := o.ownProp(name); ok && v.kind != kindAccessor {
 		return v
 	}
 	return Undefined()
 }
 
-// Has reports whether o has an own property name (hasOwnProperty).
+// Has reports whether o has an own property name (hasOwnProperty). A
+// pending realm binding counts and is not built.
 func (o *Object) Has(name string) bool {
-	_, ok := o.props[name]
-	return ok
+	if _, ok := o.props[name]; ok {
+		return true
+	}
+	return o.pending != nil && o.pending.has(name)
 }
 
-// findProp finds name on o's own properties or its prototype chain (the
-// `in` operator's test). The slot may hold an accessor; VM.propValue
-// resolves it.
+// ownProp returns o's own property slot for name, building it first when
+// it is a pending realm binding.
+func (o *Object) ownProp(name string) (Value, bool) {
+	if v, ok := o.props[name]; ok {
+		return v, true
+	}
+	if o.pending != nil {
+		return o.build(name)
+	}
+	return Undefined(), false
+}
+
+// findProp finds name on o's own properties or its prototype chain. The
+// slot may hold an accessor; VM.propValue resolves it.
 func (o *Object) findProp(name string) (Value, bool) {
 	for ; o != nil; o = o.prototype {
-		if v, ok := o.props[name]; ok {
+		if v, ok := o.ownProp(name); ok {
 			return v, true
 		}
 	}
 	return Undefined(), false
+}
+
+// hasProp reports whether name is on o or its prototype chain (the `in`
+// operator's test) without building a pending realm binding.
+func (o *Object) hasProp(name string) bool {
+	for ; o != nil; o = o.prototype {
+		if o.Has(name) {
+			return true
+		}
+	}
+	return false
 }
 
 // SetPrototype links o to proto: property reads, `in` and for-in that
@@ -351,17 +390,25 @@ func (o *Object) SetAccessor(name string, get HostFunc) {
 	o.Set(name, Value{kind: kindAccessor, o: NewHostFunc(name, get)})
 }
 
-// Set writes a property.
+// Set writes a property. It retires a pending realm binding of the name
+// without building it.
 func (o *Object) Set(name string, v Value) {
 	if o.props == nil {
 		o.props = map[string]Value{}
+	}
+	if o.pending != nil {
+		o.pending.retire(name)
 	}
 	o.props[name] = v
 	o.version++
 }
 
-// Delete removes a property (the delete operator).
+// Delete removes a property (the delete operator), a pending realm
+// binding included.
 func (o *Object) Delete(name string) {
+	if o.pending != nil {
+		o.pending.retire(name)
+	}
 	if o.props != nil {
 		delete(o.props, name)
 		o.version++
@@ -373,14 +420,23 @@ func (o *Object) SetFunc(name string, f HostFunc) {
 	o.Set(name, ObjectValue(NewHostFunc(name, f)))
 }
 
-// Keys returns the own property names, sorted (Object.keys and
-// JSON.stringify order).
+// Keys returns the own property names, pending realm bindings included,
+// sorted (Object.keys and JSON.stringify order).
 func (o *Object) Keys() []string {
-	out := make([]string, 0, len(o.props))
+	out := o.appendOwnKeys(make([]string, 0, len(o.props)))
+	sort.Strings(out)
+	return out
+}
+
+// appendOwnKeys appends o's own property names, pending realm bindings
+// included, in no particular order. A pending name is never in props.
+func (o *Object) appendOwnKeys(out []string) []string {
 	for k := range o.props {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	if o.pending != nil {
+		out = o.pending.appendNames(out)
+	}
 	return out
 }
 
@@ -393,12 +449,16 @@ func (o *Object) enumKeys() []string {
 	seen := map[string]bool{}
 	var out []string
 	for p := o; p != nil; p = p.prototype {
-		for k := range p.props {
+		start := len(out)
+		out = p.appendOwnKeys(out)
+		kept := out[:start]
+		for _, k := range out[start:] {
 			if !seen[k] {
 				seen[k] = true
-				out = append(out, k)
+				kept = append(kept, k)
 			}
 		}
+		out = kept
 	}
 	sort.Strings(out)
 	return out

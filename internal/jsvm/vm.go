@@ -743,12 +743,12 @@ func (vm *VM) getMemberIC(fr *frame, obj Value, in instr, ln int32) (Value, erro
 			return vm.propValue(e.val, obj)
 		}
 		vm.icMisses++
-		if v, ok := o.props[name]; ok {
+		if v, ok := o.ownProp(name); ok {
 			*e = icEntry{state: 3, obj: o, ver: o.version, val: v}
 			return vm.propValue(v, obj)
 		}
 		if p := o.prototype; p != nil {
-			if v, ok := p.props[name]; ok {
+			if v, ok := p.ownProp(name); ok {
 				*e = icEntry{state: 4, obj: o, ver: o.version, holder: p, hver: p.version, val: v}
 				return vm.propValue(v, obj)
 			}
