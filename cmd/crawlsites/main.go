@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -64,7 +65,7 @@ func main() {
 	if err := telem.Start(); err != nil {
 		log.Fatal(err)
 	}
-	err := run(*sites, *rateLimit, *workers, *devices, hub)
+	_, err := run(os.Stdout, *sites, *rateLimit, *workers, *devices, hub)
 	if terr := telem.Finish(); err == nil {
 		err = terr
 	}
@@ -76,7 +77,9 @@ func main() {
 	}
 }
 
-func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
+// run crawls and writes the Figure 6 tables to out; it returns the crawl's
+// result for callers that check more than the tables.
+func run(out io.Writer, nSites, rateLimit, workers, devices int, hub *telemetry.Hub) (*crawler.Result, error) {
 	if hub != nil {
 		jsvm.Instrument(hub)
 	}
@@ -98,13 +101,13 @@ func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
 		spec := &corpus.Spec{Package: n.Package, Title: n.Title, Downloads: n.Downloads,
 			OnPlayStore: true, Dynamic: n.Dynamic}
 		if err := fleet.Install(spec); err != nil {
-			return err
+			return nil, err
 		}
 		apps = append(apps, n.Package)
 	}
 	baseline := core.BaselineShellSpec()
 	if err := fleet.Install(baseline); err != nil {
-		return err
+		return nil, err
 	}
 	apps = append(apps, baseline.Package)
 
@@ -115,7 +118,7 @@ func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
 	}
 	farm, err := adb.StartFarm(fleet.Devices, farmCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer farm.Close()
 
@@ -123,7 +126,7 @@ func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
 	// overlap their visits instead of serializing on one client.
 	clients, err := farm.LaneClients(len(apps))
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	fmt.Fprintf(os.Stderr, "crawling %d sites with %d apps over %d device(s), %d worker(s)...\n",
@@ -134,7 +137,7 @@ func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
 	})
 	res, err := cr.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, f := range res.Failures {
 		fmt.Fprintf(os.Stderr, "failure: %s\n", f)
@@ -143,8 +146,8 @@ func run(nSites, rateLimit, workers, devices int, hub *telemetry.Hub) error {
 		fmt.Fprintf(os.Stderr, "account resets for %s: %d\n", app, n)
 	}
 
-	fmt.Print(report.Figure6(res, "com.linkedin.android", "LinkedIn"))
-	fmt.Print(report.Figure6(res, "kik.android", "Kik"))
-	fmt.Print(report.Figure6(res, baseline.Package, "System WebView Shell (baseline)"))
-	return nil
+	fmt.Fprint(out, report.Figure6(res, "com.linkedin.android", "LinkedIn"))
+	fmt.Fprint(out, report.Figure6(res, "kik.android", "Kik"))
+	fmt.Fprint(out, report.Figure6(res, baseline.Package, "System WebView Shell (baseline)"))
+	return res, nil
 }
