@@ -112,7 +112,7 @@ func main() {
 		errc <- http.ListenAndServe(*azooAddr, androzoo.NewServerFrom(src).Handler())
 	}()
 	go func() {
-		log.Printf("Play Store metadata on http://%s (/v1/apps/{pkg})", *playAddr)
+		log.Printf("Play Store metadata on http://%s (/v1/apps/{pkg,...}, up to %d names)", *playAddr, playstore.MaxBatch)
 		errc <- http.ListenAndServe(*playAddr, playstore.NewServerFrom(src).Handler())
 	}()
 	log.Fatal(<-errc)

@@ -122,3 +122,27 @@ func IsLoadMethod(name string) bool {
 // XRequestedWithHeader is the header WebView stamps on every request with
 // the embedding app's package name (§5).
 const XRequestedWithHeader = "X-Requested-With"
+
+// IsPackageName reports whether s is a package name: dot-separated
+// segments, each a letter followed by letters, digits or underscores. It
+// is the one check the store and repository services and their clients
+// apply, so nothing else reaches a request path.
+func IsPackageName(s string) bool {
+	start := true // at the first byte of a segment
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
+		case start:
+			return false
+		case c >= '0' && c <= '9', c == '_':
+		case c == '.':
+			start = true
+			continue
+		default:
+			return false
+		}
+		start = false
+	}
+	return !start
+}

@@ -50,3 +50,16 @@ func TestEntryPointsIncludeAllComponents(t *testing.T) {
 		}
 	}
 }
+
+func TestIsPackageName(t *testing.T) {
+	for s, want := range map[string]bool{
+		"com.example.app": true, "a": true, "A_1.b2": true, "x.y_z.Q9": true,
+		"": false, ".": false, "a.": false, ".a": false, "a..b": false,
+		"1a": false, "a.1b": false, "_a": false, "a-b": false, "a,b": false,
+		"a/b": false, "a b": false, "é": false,
+	} {
+		if got := IsPackageName(s); got != want {
+			t.Errorf("IsPackageName(%q) = %v, want %v", s, got, want)
+		}
+	}
+}

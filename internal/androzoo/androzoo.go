@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/corpus"
 	"repro/internal/retry"
 )
@@ -160,7 +161,7 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 		if line == "" {
 			continue
 		}
-		if !isPackageName(line) {
+		if !android.IsPackageName(line) {
 			// A damaged line, most likely: the listing is fetched again.
 			return nil, retry.Transient(fmt.Errorf("androzoo: snapshot: %.64q is not a package name", line))
 		}
@@ -187,7 +188,7 @@ func (c *Client) list(ctx context.Context) ([]string, error) {
 // without a digest, is a retryable error, never a silently corrupt image.
 // A pkg that is not a package name is refused without a request.
 func (c *Client) Download(ctx context.Context, pkg string) ([]byte, error) {
-	if !isPackageName(pkg) {
+	if !android.IsPackageName(pkg) {
 		return nil, retry.Permanent(fmt.Errorf("androzoo: %.64q is not a package name", pkg))
 	}
 	return retry.Do(ctx, c.retry, func(ctx context.Context) ([]byte, error) {
@@ -224,29 +225,6 @@ func (c *Client) download(ctx context.Context, pkg string) ([]byte, error) {
 		return nil, retry.Transient(fmt.Errorf("androzoo: %s: payload digest mismatch: got %s, want %s", pkg, got, want))
 	}
 	return img, nil
-}
-
-// isPackageName reports whether s is a package name: dot-separated
-// segments, each a letter followed by letters, digits or underscores.
-// Nothing else may reach a request path.
-func isPackageName(s string) bool {
-	start := true // at the first byte of a segment
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
-		case start:
-			return false
-		case c >= '0' && c <= '9', c == '_':
-		case c == '.':
-			start = true
-			continue
-		default:
-			return false
-		}
-		start = false
-	}
-	return !start
 }
 
 // drainClose reads what is left of a response body, up to 4 KB, before

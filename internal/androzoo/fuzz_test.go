@@ -13,7 +13,7 @@ import (
 	"repro/internal/retry"
 )
 
-// packageName is the oracle for isPackageName.
+// packageName is the oracle for android.IsPackageName.
 var packageName = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_]*(\.[A-Za-z][A-Za-z0-9_]*)*$`)
 
 // FuzzList serves an arbitrary /snapshot body to Client.List. With the

@@ -72,17 +72,14 @@ func (p *Page) consoleObject() *jsvm.Object {
 	return console
 }
 
+// locationObject builds location from the page's parsed URL: host keeps
+// the port, hostname drops it, as in a browser.
 func (p *Page) locationObject() *jsvm.Object {
 	location := jsvm.NewObject()
 	location.Set("href", jsvm.String(p.URL))
-	if i := strings.Index(p.URL, "://"); i > 0 {
-		rest := p.URL[i+3:]
-		host := rest
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			host = rest[:j]
-		}
-		location.Set("host", jsvm.String(host))
-		location.Set("hostname", jsvm.String(host))
+	if p.base != nil && p.base.Host != "" {
+		location.Set("host", jsvm.String(p.base.Host))
+		location.Set("hostname", jsvm.String(p.base.Hostname()))
 	}
 	return location
 }

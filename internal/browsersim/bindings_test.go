@@ -2,6 +2,7 @@ package browsersim
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,6 +65,48 @@ location.host + "|" + (ua.length > 0) + "|" + ran;`)
 		t.Error("sendBeacon not logged")
 	}
 }
+
+// TestLocationHostAndHostname: on a page served on a port, location.host
+// keeps the port and location.hostname is the bare host.
+func TestLocationHostAndHostname(t *testing.T) {
+	srv := bindingsSite(t)
+	page := loadB(t, srv, nil)
+	out, err := page.Execute(`location.host + "|" + location.hostname`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := strings.TrimPrefix(srv.URL, "http://")
+	hostname, _, _ := strings.Cut(host, ":")
+	if want := host + "|" + hostname; out != want {
+		t.Errorf("location.host|location.hostname = %q, want %q", out, want)
+	}
+}
+
+// TestLocationHostOfURLWithQueryAndNoPath: the host ends where the query
+// starts, with no path between them.
+func TestLocationHostOfURLWithQueryAndNoPath(t *testing.T) {
+	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"text/html"}},
+			Body: io.NopCloser(strings.NewReader("<html><body>q</body></html>")), Request: r,
+		}, nil
+	})}
+	page, err := (&Loader{Client: client, ExecuteScripts: true}).Load(context.Background(), "http://a.test?x=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := page.Execute(`location.host + "|" + location.hostname`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a.test|a.test"; out != want {
+		t.Errorf("location.host|location.hostname = %q, want %q", out, want)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func TestElementMutationBindings(t *testing.T) {
 	srv := bindingsSite(t)

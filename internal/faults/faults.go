@@ -125,6 +125,15 @@ func (d draw) err() error {
 	return nil
 }
 
+// fail applies an interface wrapper's faults for this attempt: the
+// latency, then the transient error, if it drew them.
+func (d draw) fail(ctx context.Context) error {
+	if err := d.delay(ctx); err != nil {
+		return err
+	}
+	return d.err()
+}
+
 // truncate cuts b when this attempt drew a truncation; the cut point is
 // hash-derived but always strictly shorter than the input.
 func (d draw) truncate(b []byte) []byte {

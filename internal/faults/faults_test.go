@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/playstore"
 	"repro/internal/retry"
+	"repro/internal/telemetry"
 )
 
 // memRepo is a trivial in-memory repository.
@@ -144,6 +145,70 @@ type fakeMeta struct{}
 
 func (fakeMeta) Metadata(ctx context.Context, pkg string) (playstore.Metadata, error) {
 	return playstore.Metadata{Package: pkg}, nil
+}
+
+// fakeBatch is a batching metadata service that counts its lookups.
+type fakeBatch struct {
+	fakeMeta
+	lookups int
+}
+
+func (f *fakeBatch) Lookup(ctx context.Context, pkgs []string) ([]*playstore.Metadata, error) {
+	f.lookups++
+	out := make([]*playstore.Metadata, len(pkgs))
+	for i, pkg := range pkgs {
+		out[i] = &playstore.Metadata{Package: pkg}
+	}
+	return out, nil
+}
+
+// TestMetadataSourceBatchesWhenItsSourceDoes: the wrapper of a per-package
+// source offers no Lookup, and the wrapper of a batching one does, drawing
+// one decision per request, the one a Metadata call for the request's
+// first package would draw.
+func TestMetadataSourceBatchesWhenItsSourceDoes(t *testing.T) {
+	if _, ok := NewMetadataSource(fakeMeta{}, Config{}).(Batcher); ok {
+		t.Error("the wrapper of a per-package source batches")
+	}
+	cfg := Config{Seed: 4, ErrorRate: 0.5}
+	hub := telemetry.New(telemetry.Options{})
+	inner := &fakeBatch{}
+	batched := cfg
+	batched.Telemetry = hub
+	b, ok := NewMetadataSource(inner, batched).(Batcher)
+	if !ok {
+		t.Fatal("the wrapper of a batching source does not batch")
+	}
+	single := NewMetadataSource(fakeMeta{}, cfg)
+	const requests = 40
+	failed := 0
+	for i := 0; i < requests; i++ {
+		pkgs := make([]string, playstore.MaxBatch)
+		for j := range pkgs {
+			pkgs[j] = fmt.Sprintf("com.app%d.n%d", i, j)
+		}
+		mds, err := b.Lookup(context.Background(), pkgs)
+		if err != nil {
+			failed++
+			if !retry.IsRetryable(err) {
+				t.Errorf("injected fault %v is not retryable", err)
+			}
+		} else if len(mds) != len(pkgs) {
+			t.Errorf("%d entries for %d names", len(mds), len(pkgs))
+		}
+		if _, serr := single.Metadata(context.Background(), pkgs[0]); (serr == nil) != (err == nil) {
+			t.Errorf("request %d: Lookup drew %v, Metadata of its first package %v", i, err, serr)
+		}
+	}
+	if failed == 0 || failed == requests {
+		t.Fatalf("%d of %d requests failed: the draws must mix", failed, requests)
+	}
+	if got := hub.Counter("faults_injected_total", "", "class", "error").Value(); got != int64(failed) {
+		t.Errorf("%d faults injected over %d failed requests, want one per request", got, failed)
+	}
+	if inner.lookups != requests-failed {
+		t.Errorf("%d lookups reached the source, want the %d that drew no fault", inner.lookups, requests-failed)
+	}
 }
 
 type memBlobs struct{ m map[string][]byte }

@@ -35,11 +35,7 @@ func NewRepository(inner APKRepository, cfg Config) *Repository {
 
 // List implements the repository interface with injected faults.
 func (r *Repository) List(ctx context.Context) ([]string, error) {
-	d := r.in.next("list", "snapshot")
-	if err := d.delay(ctx); err != nil {
-		return nil, err
-	}
-	if err := d.err(); err != nil {
+	if err := r.in.next("list", "snapshot").fail(ctx); err != nil {
 		return nil, err
 	}
 	return r.inner.List(ctx)
@@ -48,10 +44,7 @@ func (r *Repository) List(ctx context.Context) ([]string, error) {
 // Download implements the repository interface with injected faults.
 func (r *Repository) Download(ctx context.Context, pkg string) ([]byte, error) {
 	d := r.in.next("download", pkg)
-	if err := d.delay(ctx); err != nil {
-		return nil, err
-	}
-	if err := d.err(); err != nil {
+	if err := d.fail(ctx); err != nil {
 		return nil, err
 	}
 	img, err := r.inner.Download(ctx, pkg)
@@ -66,28 +59,56 @@ type Metadataer interface {
 	Metadata(ctx context.Context, pkg string) (playstore.Metadata, error)
 }
 
+// Batcher is a metadata service that also looks many apps up in one call
+// (structurally pipeline.BatchMetadataSource).
+type Batcher interface {
+	Metadataer
+	Lookup(ctx context.Context, pkgs []string) ([]*playstore.Metadata, error)
+}
+
 // MetadataSource injects transient errors and latency in front of a
-// store-metadata service.
+// store-metadata service, one decision per Metadata call.
 type MetadataSource struct {
 	inner Metadataer
 	in    *injector
 }
 
-// NewMetadataSource wraps inner with the given fault configuration.
-func NewMetadataSource(inner Metadataer, cfg Config) *MetadataSource {
-	return &MetadataSource{inner: inner, in: newInjector(cfg)}
+// BatchMetadataSource is a MetadataSource over a Batcher. A Lookup is one
+// request, so it draws one decision, keyed by its first package; a
+// retried Lookup of the same chunk draws a fresh one.
+type BatchMetadataSource struct {
+	*MetadataSource
+	batch Batcher
+}
+
+// NewMetadataSource wraps inner with the given fault configuration. The
+// wrapper batches when inner does: over a Batcher it is a
+// *BatchMetadataSource, so the faults land on the requests a batching
+// pipeline makes; over any other source it is a *MetadataSource.
+func NewMetadataSource(inner Metadataer, cfg Config) Metadataer {
+	m := &MetadataSource{inner: inner, in: newInjector(cfg)}
+	if b, ok := inner.(Batcher); ok {
+		return &BatchMetadataSource{MetadataSource: m, batch: b}
+	}
+	return m
 }
 
 // Metadata implements the metadata interface with injected faults.
 func (m *MetadataSource) Metadata(ctx context.Context, pkg string) (playstore.Metadata, error) {
-	d := m.in.next("metadata", pkg)
-	if err := d.delay(ctx); err != nil {
-		return playstore.Metadata{}, err
-	}
-	if err := d.err(); err != nil {
+	if err := m.in.next("metadata", pkg).fail(ctx); err != nil {
 		return playstore.Metadata{}, err
 	}
 	return m.inner.Metadata(ctx, pkg)
+}
+
+// Lookup implements the batched lookup with injected faults.
+func (b *BatchMetadataSource) Lookup(ctx context.Context, pkgs []string) ([]*playstore.Metadata, error) {
+	if len(pkgs) > 0 {
+		if err := b.in.next("metadata", pkgs[0]).fail(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return b.batch.Lookup(ctx, pkgs)
 }
 
 // blobStore matches resultcache.BlobStore structurally.

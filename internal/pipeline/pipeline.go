@@ -73,8 +73,20 @@ type Repository interface {
 }
 
 // MetadataSource is the app-store metadata service (Play Store).
+// Metadata returns playstore.ErrNotFound for an app the store does not
+// list.
 type MetadataSource interface {
 	Metadata(ctx context.Context, pkg string) (playstore.Metadata, error)
+}
+
+// BatchMetadataSource is a MetadataSource that looks many apps up in one
+// call. Lookup takes 1 to playstore.MaxBatch names and answers one entry
+// per name, in order: the app's listing, or nil when the store does not
+// list it. A metadata worker over a BatchMetadataSource looks up each
+// chunk of the snapshot in one Lookup.
+type BatchMetadataSource interface {
+	MetadataSource
+	Lookup(ctx context.Context, pkgs []string) ([]*playstore.Metadata, error)
 }
 
 // Config parameterises a run.
@@ -362,10 +374,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		pkg string // snapshot package name, used for download
 		md  playstore.Metadata
 	}
-	// The snapshot is fed in chunks: per-package channel operations dominate
-	// the metadata stage once the backend is fast (warm cache, local mirror),
-	// and batching cuts them by two orders of magnitude.
-	const feedChunk = 64
+	// The snapshot is fed in chunks, one Lookup each over a batching
+	// source; over any other source a chunk still cuts the per-package
+	// channel operations, which dominate the metadata stage once the
+	// backend is fast, by two orders of magnitude.
+	const feedChunk = playstore.MaxBatch
 	pkgCh := make(chan []string)
 	selCh := make(chan selected, workers)
 
@@ -395,8 +408,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}()
 
 	// Stage 1-2: metadata collection and selection filtering (§3.1.1).
+	// Each package is one metadata operation whichever way it is looked
+	// up: its latency observation spans its request, and it counts once in
+	// the retry metrics and, if its lookup gives up, in the quarantine.
 	// Funnel counters accumulate per worker and merge once on exit; the
 	// counts are additive, so the result is identical to locking per item.
+	batch, batching := p.meta.(BatchMetadataSource)
 	var metaWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		metaWG.Add(1)
@@ -411,43 +428,60 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 				mu.Unlock()
 				m.metaOut.Add(int64(filtered))
 			}()
+			// take runs one looked-up package through the funnel and the
+			// selection filter; it reports false once the run is cancelled.
+			take := func(pkg string, l listing, err error) bool {
+				switch {
+				case err != nil:
+					if runCtx.Err() != nil {
+						return false
+					}
+					quarantine("metadata", pkg, err)
+					return true
+				case !l.listed:
+					return true
+				}
+				onPlay++
+				if l.md.Downloads < p.cfg.MinDownloads {
+					return true
+				}
+				popular++
+				if !l.md.LastUpdated.After(p.cfg.UpdatedAfter) {
+					return true
+				}
+				filtered++
+				select {
+				case selCh <- selected{pkg: pkg, md: l.md}:
+					return true
+				case <-runCtx.Done():
+					return false
+				}
+			}
+			var timers []telemetry.Timer
 			for chunk := range pkgCh {
-				for _, pkg := range chunk {
-					tm := m.hub.Timer(pkg, "metadata")
-					md, err := retry.Do(runCtx, p.cfg.Retry, func(ctx context.Context) (playstore.Metadata, error) {
-						md, err := p.meta.Metadata(ctx, pkg)
-						if err != nil && errors.Is(err, playstore.ErrNotFound) {
-							// Absence is a fact, not a fault: never retried.
-							return md, playstore.ErrNotFoundPermanent
-						}
-						return md, err
-					})
-					tm.ObserveInto(m.metaLat)
-					if err != nil {
-						if errors.Is(err, playstore.ErrNotFound) {
-							continue
-						}
-						if runCtx.Err() != nil {
+				if !batching {
+					for _, pkg := range chunk {
+						tm := m.hub.Timer(pkg, "metadata")
+						l, err := p.lookupOne(runCtx, pkg)
+						tm.ObserveInto(m.metaLat)
+						if !take(pkg, l, err) {
 							return
 						}
-						quarantine("metadata", pkg, err)
-						continue
 					}
-					if md.Downloads < p.cfg.MinDownloads {
-						onPlay++
-						continue
+					continue
+				}
+				timers = timers[:0]
+				for _, pkg := range chunk {
+					timers = append(timers, m.hub.Timer(pkg, "metadata"))
+				}
+				mds, err := p.lookupChunk(runCtx, batch, chunk)
+				for i, pkg := range chunk {
+					timers[i].ObserveInto(m.metaLat)
+					var l listing
+					if err == nil && mds[i] != nil {
+						l = listing{md: *mds[i], listed: true}
 					}
-					if !md.LastUpdated.After(p.cfg.UpdatedAfter) {
-						onPlay++
-						popular++
-						continue
-					}
-					onPlay++
-					popular++
-					filtered++
-					select {
-					case selCh <- selected{pkg: pkg, md: md}:
-					case <-runCtx.Done():
+					if !take(pkg, l, err) {
 						return
 					}
 				}
@@ -570,6 +604,50 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		res.Stats.Retries = p.cfg.Retry.Metrics.Retries.Load() - retriesStart
 	}
 	return res, nil
+}
+
+// listing is one package's metadata lookup: its listing, when the store
+// lists it.
+type listing struct {
+	md     playstore.Metadata
+	listed bool
+}
+
+// lookupOne looks one package up under Config.Retry. A not-found is an
+// answer, not a failed operation: it is neither retried nor counted as a
+// failure.
+func (p *Pipeline) lookupOne(ctx context.Context, pkg string) (listing, error) {
+	return retry.Do(ctx, p.cfg.Retry, func(ctx context.Context) (listing, error) {
+		md, err := p.meta.Metadata(ctx, pkg)
+		switch {
+		case errors.Is(err, playstore.ErrNotFound):
+			return listing{}, nil
+		case err != nil:
+			return listing{}, err
+		}
+		return listing{md: md, listed: true}, nil
+	})
+}
+
+// lookupChunk looks a feed chunk up in one Lookup, retried as a whole
+// under Config.Retry. Each attempt, retry and give-up of the request
+// counts once per package it carries, as lookupOne would count them: the
+// retry metrics then do not depend on how a listing is chunked, which
+// differs between a sequential run and the partitions of a sharded one.
+func (p *Pipeline) lookupChunk(ctx context.Context, src BatchMetadataSource, chunk []string) ([]*playstore.Metadata, error) {
+	pol := p.cfg.Retry
+	var counts retry.Metrics
+	if pol != nil && pol.Metrics != nil {
+		pol = pol.WithMetrics(&counts)
+		defer p.cfg.Retry.Metrics.Fold(&counts, len(chunk))
+	}
+	return retry.Do(ctx, pol, func(ctx context.Context) ([]*playstore.Metadata, error) {
+		mds, err := src.Lookup(ctx, chunk)
+		if err == nil && len(mds) != len(chunk) {
+			return nil, retry.Transient(fmt.Errorf("lookup answered %d entries for %d packages", len(mds), len(chunk)))
+		}
+		return mds, err
+	})
 }
 
 // analysisVersion is the generation of the per-APK analysis code no other

@@ -75,6 +75,24 @@ func (m *Metrics) failed() {
 	}
 }
 
+// Fold adds o's counts into m n times, mirror included. An operation that
+// does the work of n others (one request carrying n items) counts into o
+// and is folded in once per item, so m reads the same whether the items
+// travelled together or apart.
+func (m *Metrics) Fold(o *Metrics, n int) {
+	if m == nil || o == nil {
+		return
+	}
+	k := int64(n)
+	a, r, f := k*o.Attempts.Load(), k*o.Retries.Load(), k*o.Failures.Load()
+	m.Attempts.Add(a)
+	m.Retries.Add(r)
+	m.Failures.Add(f)
+	m.Mirror.Attempts.Add(a)
+	m.Mirror.Retries.Add(r)
+	m.Mirror.Failures.Add(f)
+}
+
 // Policy parameterises Do. The zero value (or a nil pointer) means a
 // single attempt with no backoff; set MaxAttempts > 1 to retry.
 // A Policy is safe for concurrent use.

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // recordingSleeper captures requested delays without sleeping.
@@ -215,4 +217,33 @@ func TestWithMetricsCopiesEveryField(t *testing.T) {
 	if (*Policy)(nil).WithMetrics(m) != nil {
 		t.Error("nil policy: WithMetrics returned a policy")
 	}
+}
+
+// TestFoldCountsPerItem folds one batch's traffic in once per item it
+// carried, into the counters and their mirror alike.
+func TestFoldCountsPerItem(t *testing.T) {
+	var batch Metrics
+	p := &Policy{MaxAttempts: 3, Sleep: (&recordingSleeper{}).sleep, Metrics: &batch}
+	Do(context.Background(), p, func(context.Context) (int, error) {
+		return 0, Transient(errors.New("down"))
+	})
+	m := &Metrics{Mirror: Mirror{
+		Attempts: new(telemetry.Counter), Retries: new(telemetry.Counter), Failures: new(telemetry.Counter),
+	}}
+	m.Fold(&batch, 4)
+	for _, c := range []struct {
+		name        string
+		got, mirror int64
+		want        int64
+	}{
+		{"attempts", m.Attempts.Load(), m.Mirror.Attempts.Value(), 12},
+		{"retries", m.Retries.Load(), m.Mirror.Retries.Value(), 8},
+		{"failures", m.Failures.Load(), m.Mirror.Failures.Value(), 4},
+	} {
+		if c.got != c.want || c.mirror != c.want {
+			t.Errorf("%s = %d (mirror %d), want %d", c.name, c.got, c.mirror, c.want)
+		}
+	}
+	var nilM *Metrics
+	nilM.Fold(&batch, 4) // a nil sink counts nothing
 }

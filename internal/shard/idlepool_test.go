@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,25 +16,65 @@ import (
 	"repro/internal/shard"
 )
 
+// cohort holds each request until size requests are waiting, then
+// answers them together, so that many connections come back to the
+// client's idle pool at once. A cohort still short after 20 ms, as the
+// listing's last chunks leave it, is answered as it stands.
+type cohort struct {
+	size int
+
+	mu      sync.Mutex
+	waiting int
+	release chan struct{}
+}
+
+func (c *cohort) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.mu.Lock()
+		if c.release == nil {
+			c.release = make(chan struct{})
+		}
+		release := c.release
+		if c.waiting++; c.waiting == c.size {
+			close(c.release)
+			c.release, c.waiting = nil, 0
+		}
+		c.mu.Unlock()
+		select {
+		case <-release:
+		case <-time.After(20 * time.Millisecond):
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // TestServiceClientsKeepAConnectionPerWorker runs a worker over the HTTP
-// AndroZoo and Play Store services with 8 pipeline workers at scale 2000
-// and counts the connections the Play Store accepts. The worker's service
+// AndroZoo and Play Store services with 8 pipeline workers at scale 500
+// and counts the connections the Play Store accepts. Each metadata worker
+// looks a chunk of the listing up in one request, 204 in all, and the
+// store answers them in cohorts of 8, so 8 connections return to the
+// client's idle pool at once after every cohort. The worker's service
 // client keeps an idle connection per pipeline worker, so the count stays
-// within 2 × workers however many lookups the run makes; with net/http's
-// default of 2 idle connections per host it grows with the lookups.
+// within 2 × workers (it reads 8); with net/http's default of 2 idle
+// connections per host, most of every cohort's connections are closed and
+// dialed again (over 80).
 func TestServiceClientsKeepAConnectionPerWorker(t *testing.T) {
 	const workers = 8
-	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 2000})
+	c, err := corpus.Generate(corpus.Config{Seed: 1, Scale: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	az := httptest.NewServer(androzoo.NewServer(c).Handler())
 	defer az.Close()
-	ps := httptest.NewUnstartedServer(playstore.NewServer(c).Handler())
-	var conns atomic.Int64
+	gate := &cohort{size: workers}
+	ps := httptest.NewUnstartedServer(gate.wrap(playstore.NewServer(c).Handler()))
+	var conns, requests atomic.Int64
 	ps.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
+		switch s {
+		case http.StateNew:
 			conns.Add(1)
+		case http.StateActive:
+			requests.Add(1)
 		}
 	}
 	ps.Start()
@@ -57,14 +98,13 @@ func TestServiceClientsKeepAConnectionPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator wait: %v", err)
 	}
-	lookups := res.Funnel.Snapshot
-	if lookups < 1000 {
-		t.Fatalf("%d lookups: too few to show pool overflow", lookups)
+	n, reqs := conns.Load(), requests.Load()
+	t.Logf("%d metadata lookups in %d requests dialed %d Play Store connections", res.Funnel.Snapshot, reqs, n)
+	if reqs < 4*workers {
+		t.Fatalf("%d requests: too few cohorts to show pool overflow", reqs)
 	}
-	n := conns.Load()
-	t.Logf("%d metadata lookups dialed %d Play Store connections", lookups, n)
 	if n > 2*workers {
-		t.Errorf("%d metadata lookups at %d workers dialed %d Play Store connections, want at most %d",
-			lookups, workers, n, 2*workers)
+		t.Errorf("%d requests at %d workers dialed %d Play Store connections, want at most %d",
+			reqs, workers, n, 2*workers)
 	}
 }
