@@ -14,14 +14,20 @@
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-telemetry-addr ADDR] [-metrics-out FILE] [-trace-out FILE]
 //	           [-telemetry-wallclock]
-//	staticscan -coordinator ADDR -shards N [-shard-spawn N] [-shard-ttl D]
-//	           [-dl-latency D]
-//	staticscan -worker -join URL
+//	           [-coordinator ADDR] [-shards N] [-shard-spawn N]
+//	           [-shard-ttl D] [-dl-latency D]
+//	staticscan -join URL
 //	staticscan -fleet-status URL
 //
 // Scale divides the paper's 6.5M-app population; scale 1 reproduces
 // full-paper counts (slow and memory-hungry), the default 200 finishes in
 // seconds with the same shapes.
+//
+// Every scan is a coordinator: it partitions the streamed corpus into
+// -shards partitions (default 1), a worker in its own process scans them,
+// and -shard-spawn N adds N worker processes; other processes may -join
+// its control plane on -coordinator ADDR. The merged result is the
+// report, byte-identical at every topology.
 //
 // With -cachedir, per-APK analyses are cached on disk keyed by APK content
 // digest: a re-run over an unchanged corpus downloads each APK but skips
@@ -29,7 +35,7 @@
 // hit rate). Edit the SDK catalog or the corpus and the affected entries
 // miss and recompute. This is also how an interrupted run resumes: rerun
 // it with the same -cachedir, and every package it completed is a hit.
-// -stats prints the per-stage pipeline summary to stderr.
+// -stats prints the merged per-stage pipeline summary to stderr.
 //
 // -lint adds the WebView misconfiguration lint stage and prints the
 // per-rule prevalence table. -lint-rules runs only the named
@@ -47,51 +53,41 @@
 //
 // Fault tolerance: -retries N retries each network operation up to N
 // extra times with exponential backoff; -max-failure-frac F lets up to
-// that fraction of the snapshot be quarantined (after retries) without
+// that fraction of each partition be quarantined (after retries) without
 // aborting the run, with casualties summarised on stderr. -faults
 // injects deterministic failures for testing the above, e.g.
 // "seed=7,err=0.1,lat=1ms,latrate=0.05,trunc=0.02,corrupt=0.02":
 // err/latrate perturb the repository and metadata interfaces, trunc and
 // corrupt damage HTTP payloads beneath the client's integrity checks,
-// and err/corrupt also harass the persistent cache tier.
+// and err/corrupt also harass the persistent cache tier. Every worker
+// applies both settings from the coordinator's run spec.
 //
-// Observability: -telemetry-addr serves /metrics (Prometheus text),
-// /metrics.json, /healthz, /trace and /debug/pprof live during the run;
-// -metrics-out and -trace-out write the final snapshot and the per-APK
-// span traces on exit ("-" for stdout). Durations are seed-derived by
-// default so same-seed runs emit byte-identical telemetry; pass
-// -telemetry-wallclock for real latencies.
-//
-// Fleet observability (shard modes): the coordinator federates every
-// worker's metrics registry and per-APK trace spans behind /fleet/metrics,
-// /fleet/metrics.json, /fleet/status and /fleet/trace; `staticscan
-// -fleet-status URL` renders the live status from another terminal. A
-// coordinator's -metrics-out writes the federated rollup and its
-// -trace-out the stitched fleet trace, byte-identical to a sequential
-// run's; its own lease families stay on the live /metrics and its control
-// spans on /fleet/trace?view=control.
+// Observability: the coordinator federates every worker's metrics
+// registry and per-APK trace spans behind /fleet/metrics,
+// /fleet/metrics.json, /fleet/status and /fleet/trace on its -coordinator
+// address; `staticscan -fleet-status URL` renders the live status from
+// another terminal. -metrics-out writes the federated rollup and
+// -trace-out the stitched per-APK trace on exit ("-" for stdout), the same
+// bytes at every topology; a run that fails before its merge writes its
+// workers' final registries instead. -telemetry-addr serves the
+// coordinator process's own /metrics (its lease families), /metrics.json,
+// /healthz, /trace (its control spans) and /debug/pprof live. Durations
+// are seed-derived by default so same-seed runs emit byte-identical
+// telemetry; pass -telemetry-wallclock for real latencies. A -join worker
+// takes no telemetry output: its telemetry leaves it through the
+// coordinator.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
+	"time"
 
-	"repro/internal/androzoo"
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/faults"
-	"repro/internal/pipeline"
-	"repro/internal/playstore"
 	"repro/internal/profiling"
-	"repro/internal/resultcache"
-	"repro/internal/retry"
 	"repro/internal/telemetry"
 	"repro/internal/urlextract"
 	"repro/internal/webviewlint"
@@ -111,24 +107,18 @@ func main() {
 	retries := flag.Int("retries", 3, "extra attempts per failed network operation (0 = no retry)")
 	maxFailureFrac := flag.Float64("max-failure-frac", 0, "fraction of packages that may fail without aborting the run")
 	faultsSpec := flag.String("faults", "", "inject deterministic faults, e.g. \"seed=7,err=0.1,lat=1ms\" (testing)")
-	coordinator := flag.String("coordinator", "", "run as scan-plane coordinator on this listen address (\":0\" for ephemeral)")
-	shards := flag.Int("shards", 0, "partition count for -coordinator mode")
-	shardSpawn := flag.Int("shard-spawn", -1, "worker processes the coordinator spawns (-1 = one per shard, 0 = external workers)")
-	workerMode := flag.Bool("worker", false, "run as scan-plane worker (requires -join)")
-	join := flag.String("join", "", "coordinator URL to join in -worker mode")
+	coordinator := flag.String("coordinator", "127.0.0.1:0", "control-plane listen address of the scan's coordinator")
+	shards := flag.Int("shards", 1, "partitions of the corpus")
+	shardSpawn := flag.Int("shard-spawn", 0, "worker processes to spawn beside the coordinator's own worker")
+	join := flag.String("join", "", "run as a worker of the coordinator at this URL")
 	shardTTL := flag.Duration("shard-ttl", 0, "work-lease TTL (0 = coordinator default)")
-	dlLatency := flag.Duration("dl-latency", 0, "modeled per-APK repository transfer time in shard modes")
+	dlLatency := flag.Duration("dl-latency", 0, "modeled per-APK repository transfer time")
 	fleetStatus := flag.String("fleet-status", "", "render a running coordinator's /fleet/status and exit (coordinator URL)")
 	var prof profiling.Flags
 	prof.Register(nil)
 	var telem telemetry.Flags
 	telem.Register(nil)
 	flag.Parse()
-	if *workerMode && *join != "" {
-		// One shard's local trace is partial and misleading: the debug
-		// server's /trace points at the coordinator's stitched export.
-		telem.FleetTraceURL = strings.TrimRight(*join, "/") + "/fleet/trace"
-	}
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -137,12 +127,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	hub := telem.Hub(*seed)
-	if err := telem.Start(); err != nil {
-		log.Fatal(err)
-	}
 
-	opts := options{
+	o := options{
 		scale: *scale, seed: *seed, workers: *workers,
 		cachedir: *cachedir, stats: *stats,
 		lint:     *lint || *lintRules != "" || *lintJSON != "",
@@ -150,26 +136,21 @@ func main() {
 		urls:     *urls || *urlsJSON != "",
 		urlsJSON: *urlsJSON,
 		retries:  *retries, maxFailureFrac: *maxFailureFrac, faults: *faultsSpec,
-		telemetry: hub, wallclock: telem.Wallclock,
+		listen: *coordinator, shards: *shards, spawn: *shardSpawn,
+		ttl: *shardTTL, dlLatency: *dlLatency,
+		wallclock: telem.Wallclock,
 	}
 	if *lintRules != "" {
-		opts.lintRules = strings.Split(*lintRules, ",")
-	}
-	sopts := shardOptions{
-		coordinator: *coordinator, shards: *shards, spawn: *shardSpawn,
-		worker: *workerMode, join: *join,
-		ttl: *shardTTL, dlLatency: *dlLatency,
+		o.lintRules = strings.Split(*lintRules, ",")
 	}
 	var err error
 	switch {
 	case *fleetStatus != "":
 		err = runFleetStatus(os.Stdout, *fleetStatus)
-	case sopts.worker:
-		err = runWorker(opts, sopts)
-	case sopts.coordinator != "":
-		err = runCoordinator(os.Stdout, opts, sopts, &telem)
+	case *join != "":
+		err = runWorker(*join, *retries, &telem)
 	default:
-		err = run(os.Stdout, opts)
+		err = scan(os.Stdout, o, &telem)
 	}
 	if terr := telem.Finish(); err == nil {
 		err = terr
@@ -193,7 +174,11 @@ type options struct {
 	retries        int
 	maxFailureFrac float64
 	faults         string
-	telemetry      *telemetry.Hub
+	listen         string        // -coordinator control-plane address
+	shards         int           // -shards partition count
+	spawn          int           // -shard-spawn extra worker processes
+	ttl            time.Duration // -shard-ttl lease TTL
+	dlLatency      time.Duration // -dl-latency modeled APK transfer time
 	wallclock      bool
 }
 
@@ -233,112 +218,8 @@ type urlAppEndpoints struct {
 	Endpoints []urlextract.Endpoint `json:"endpoints"`
 }
 
-func run(out *os.File, o options) error {
-	fmt.Fprintf(os.Stderr, "generating corpus (seed=%d scale=1/%d)...\n", o.seed, o.scale)
-	c, err := corpus.Generate(corpus.Config{Seed: o.seed, Scale: o.scale})
-	if err != nil {
-		return err
-	}
-
-	azSrv := httptest.NewServer(androzoo.NewServer(c).Handler())
-	defer azSrv.Close()
-	psSrv := httptest.NewServer(playstore.NewServer(c).Handler())
-	defer psSrv.Close()
-
-	fcfg, err := faults.ParseSpec(o.faults)
-	if err != nil {
-		return err
-	}
-	injecting := o.faults != ""
-
-	cfg := core.StaticConfig{
-		Workers: o.workers, Lint: o.lint, LintRules: o.lintRules, URLs: o.urls,
-		MaxFailureFrac: o.maxFailureFrac, Telemetry: o.telemetry,
-	}
-	if o.retries > 0 {
-		cfg.Retry = &retry.Policy{MaxAttempts: o.retries + 1, Metrics: &retry.Metrics{}}
-	}
-	if o.cachedir != "" {
-		store, err := resultcache.NewDirStore(o.cachedir)
-		if err != nil {
-			return fmt.Errorf("open cache dir: %w", err)
-		}
-		var blobs resultcache.BlobStore = store
-		if injecting {
-			// The cache tier sees load errors and blob corruption; the
-			// cache's purge-on-corrupt path turns both into recomputes.
-			blobs = faults.NewStore(store, faults.Config{
-				Seed: fcfg.Seed, ErrorRate: fcfg.ErrorRate, CorruptRate: fcfg.CorruptRate,
-				Telemetry: o.telemetry,
-			})
-		}
-		cfg.Cache = resultcache.NewPersistent[pipeline.Analysis](0, blobs, nil)
-	}
-
-	// Payload damage (truncation, corruption) rides beneath the APK
-	// client's Content-Length/digest verification, which turns it into a
-	// retryable error; interface-level errors and latency wrap the
-	// services. The pipeline's cfg.Retry is the one retry layer for both:
-	// the clients carry no policy of their own, so -retries N allows N+1
-	// attempts per operation, not (N+1)².
-	//
-	// Both clients keep an idle connection per pipeline worker and host:
-	// with net/http's default of 2, workers beyond the second dial anew.
-	svc := &http.Transport{MaxIdleConnsPerHost: pipeline.PoolSize(o.workers)}
-	defer svc.CloseIdleConnections()
-	azHC := &http.Client{Transport: svc}
-	if injecting && (fcfg.TruncateRate > 0 || fcfg.CorruptRate > 0) {
-		azHC = &http.Client{Transport: faults.NewTransport(svc, faults.Config{
-			Seed: fcfg.Seed, TruncateRate: fcfg.TruncateRate, CorruptRate: fcfg.CorruptRate,
-			Telemetry: o.telemetry,
-		})}
-	}
-	var repo pipeline.Repository = androzoo.NewClient(azSrv.URL, azHC)
-	var meta pipeline.MetadataSource = playstore.NewClient(psSrv.URL, &http.Client{Transport: svc})
-	if injecting && (fcfg.ErrorRate > 0 || fcfg.LatencyRate > 0) {
-		svcCfg := faults.Config{
-			Seed: fcfg.Seed, ErrorRate: fcfg.ErrorRate,
-			LatencyRate: fcfg.LatencyRate, Latency: fcfg.Latency,
-			Telemetry: o.telemetry,
-		}
-		repo = faults.NewRepository(repo, svcCfg)
-		meta = faults.NewMetadataSource(meta, svcCfg)
-	}
-
-	study, err := core.NewStaticStudy(repo, meta, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "running pipeline over %d repository entries...\n", c.Counts.Total)
-	res, err := study.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	if o.cachedir != "" {
-		fmt.Fprintf(os.Stderr, "analysis cache: %d hits, %d misses (%.0f%% hit rate)\n",
-			res.Stats.CacheHits, res.Stats.CacheMisses, 100*res.Stats.CacheHitRate())
-	}
-	if n := len(res.Quarantined); n > 0 {
-		fmt.Fprintf(os.Stderr, "degraded: %d of %d packages quarantined after retries (budget %.1f%%):\n",
-			n, res.Funnel.Snapshot, 100*o.maxFailureFrac)
-		for i, q := range res.Quarantined {
-			if i == 10 {
-				fmt.Fprintf(os.Stderr, "  ... and %d more\n", n-i)
-				break
-			}
-			fmt.Fprintf(os.Stderr, "  %s (%s): %s\n", q.Package, q.Stage, q.Err)
-		}
-	}
-	if o.stats {
-		fmt.Fprintln(os.Stderr, res.Stats.String())
-	}
-
-	printStaticReport(out, o, res)
-	return writeJSONReports(out, o, res)
-}
-
 // writeJSONReports writes the -lint-json and -urls-json documents that
-// were asked for — shared by the sequential and the merged sharded paths.
+// were asked for.
 func writeJSONReports(out *os.File, o options, res *core.StaticResult) error {
 	if o.lintJSON != "" {
 		if err := writeJSON(out, o.lintJSON, buildLintReport(o, res)); err != nil {

@@ -28,8 +28,8 @@ func TestLintJSONGolden(t *testing.T) {
 	defer devnull.Close()
 
 	o := options{scale: 5000, seed: 1, workers: 2, lint: true, lintJSON: jsonPath}
-	if err := run(devnull, o); err != nil {
-		t.Fatalf("run: %v", err)
+	if err := scanTo(devnull, o, &telemetry.Flags{}); err != nil {
+		t.Fatalf("scan: %v", err)
 	}
 	got, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -81,8 +81,8 @@ func TestURLJSONGolden(t *testing.T) {
 	defer devnull.Close()
 
 	o := options{scale: 5000, seed: 1, workers: 2, urls: true, urlsJSON: jsonPath}
-	if err := run(devnull, o); err != nil {
-		t.Fatalf("run: %v", err)
+	if err := scanTo(devnull, o, &telemetry.Flags{}); err != nil {
+		t.Fatalf("scan: %v", err)
 	}
 	got, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -133,8 +133,8 @@ func TestURLJSONWorkerIndependent(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		jsonPath := filepath.Join(t.TempDir(), "urls.json")
 		o := options{scale: 5000, seed: 1, workers: workers, urls: true, urlsJSON: jsonPath}
-		if err := run(devnull, o); err != nil {
-			t.Fatalf("run (workers=%d): %v", workers, err)
+		if err := scanTo(devnull, o, &telemetry.Flags{}); err != nil {
+			t.Fatalf("scan (workers=%d): %v", workers, err)
 		}
 		got, err := os.ReadFile(jsonPath)
 		if err != nil {
@@ -161,22 +161,41 @@ func TestRetriesAreOneLayerDeep(t *testing.T) {
 	defer devnull.Close()
 
 	const retries = 3
-	scan := func(faults string) (*telemetry.Hub, error) {
-		hub := telemetry.New(telemetry.Options{})
-		return hub, run(devnull, options{
-			scale: 20000, seed: 3, retries: retries, maxFailureFrac: 1,
-			faults: faults, telemetry: hub,
-		})
+	// scanned runs one scan and returns its -metrics-out: the rollup, or
+	// for a run that fails before its merge, its worker's final registry.
+	scanned := func(faults string) (*telemetry.Snapshot, error) {
+		telem := &telemetry.Flags{MetricsOut: filepath.Join(t.TempDir(), "metrics.json")}
+		err := scanTo(devnull, options{
+			scale: 20000, seed: 3, retries: retries, maxFailureFrac: 1, faults: faults,
+		}, telem)
+		if ferr := telem.Finish(); ferr != nil {
+			t.Fatal(ferr)
+		}
+		b, rerr := os.ReadFile(telem.MetricsOut)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		snap, derr := telemetry.DecodeSnapshot(b)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		return snap, err
+	}
+	counter := func(snap *telemetry.Snapshot, name string, labels ...string) int64 {
+		if m := snap.Family(name).Series(labels...); m != nil && m.Value != nil {
+			return *m.Value
+		}
+		return 0
 	}
 
 	// A corrupted byte always leaves a listing line that is not a package
 	// name, so every attempt fails and the run stops at the listing.
 	t.Run("listing", func(t *testing.T) {
-		hub, err := scan("seed=1,corrupt=1")
+		snap, err := scanned("seed=1,corrupt=1")
 		if err == nil || !strings.Contains(err.Error(), "list:") || !strings.Contains(err.Error(), "not a package name") {
-			t.Fatalf("run = %v, want the damaged listing refused", err)
+			t.Fatalf("scan = %v, want the damaged listing refused", err)
 		}
-		if got, want := hub.Counter("faults_injected_total", "", "class", "corrupt").Value(), int64(retries+1); got != want {
+		if got, want := counter(snap, "faults_injected_total", "class", "corrupt"), int64(retries+1); got != want {
 			t.Errorf("corrupt listings served = %d, want %d (-retries %d + 1 attempts)", got, want, retries)
 		}
 	})
@@ -188,21 +207,18 @@ func TestRetriesAreOneLayerDeep(t *testing.T) {
 	// check; six downloads are cut on all four attempts and quarantined, and
 	// one more is cut once before it arrives.
 	t.Run("download", func(t *testing.T) {
-		hub, err := scan("seed=3,trunc=0.9")
+		snap, err := scanned("seed=3,trunc=0.9")
 		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		counter := func(name string, labels ...string) int64 {
-			return hub.Counter(name, "", labels...).Value()
+			t.Fatalf("scan: %v", err)
 		}
 		const wantQuarantined, retriedOnce, listingCuts = 6, 1, 1
-		quarantined := counter("pipeline_stage_quarantined_total", "stage", "download")
+		quarantined := counter(snap, "pipeline_stage_quarantined_total", "stage", "download")
 		if quarantined != wantQuarantined {
 			t.Fatalf("quarantined downloads = %d, want %d", quarantined, wantQuarantined)
 		}
 		// The listing counts into no retry metrics, so these are the
 		// downloads' retries alone.
-		retried := counter("retry_retries_total")
+		retried := counter(snap, "retry_retries_total")
 		if want := quarantined*retries + retriedOnce; retried != want {
 			t.Errorf("retry_retries_total = %d, want %d (%d quarantined downloads × %d retries + %d)",
 				retried, want, quarantined, retries, retriedOnce)
@@ -211,7 +227,7 @@ func TestRetriesAreOneLayerDeep(t *testing.T) {
 		// quarantined download; the rest are the listing's cuts. A retry
 		// layer inside the client would add cut attempts that no retry
 		// counter sees.
-		if got, want := counter("faults_injected_total", "class", "truncate"), retried+quarantined+listingCuts; got != want {
+		if got, want := counter(snap, "faults_injected_total", "class", "truncate"), retried+quarantined+listingCuts; got != want {
 			t.Errorf("truncated bodies served = %d, want %d (%d retried + %d quarantined download attempts + %d listing)",
 				got, want, retried, quarantined, listingCuts)
 		}

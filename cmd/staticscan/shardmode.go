@@ -1,17 +1,10 @@
-// Sharded scan plane modes of staticscan:
-//
-//	staticscan -coordinator ADDR -shards N   partition the snapshot, lease
-//	                                         work to joining workers, merge
-//	staticscan -worker -join URL             scan leased partitions
-//
-// The coordinator serves the corpus (streamed, bounded memory) as AndroZoo
-// + Play Store endpoints over hardened listeners, so workers are plain
-// separate OS processes that reach everything over HTTP. -shard-spawn N
-// starts N of them itself from the same binary (-1 = one per shard);
-// with -shard-spawn 0 the coordinator waits for externally started
-// workers to -join. A run whose spawned workers have all exited before the
-// merge fails with the first worker's error instead of waiting on leases
-// nobody will take.
+// The scan plane of staticscan. Every scan is a coordinator: it serves
+// the corpus and leases its -shards partitions to a worker in its own
+// process, which hands results to the merge directly, and to -shard-spawn
+// worker processes of this binary (staticscan -join URL), which reach
+// everything over HTTP. A run whose workers have all failed before the
+// merge fails with the first failure instead of waiting on leases nobody
+// will take.
 package main
 
 import (
@@ -25,6 +18,7 @@ import (
 	"repro/internal/androzoo"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/faults"
 	"repro/internal/pipeline"
 	"repro/internal/playstore"
 	"repro/internal/report"
@@ -32,20 +26,7 @@ import (
 	"repro/internal/serving"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
-	"repro/internal/urlextract"
-	"repro/internal/webviewlint"
 )
-
-// shardOptions carries the scan-plane flags.
-type shardOptions struct {
-	coordinator string        // -coordinator listen address
-	shards      int           // -shards partition count
-	spawn       int           // -shard-spawn worker processes (-1 = one per shard)
-	worker      bool          // -worker mode
-	join        string        // -join coordinator URL
-	ttl         time.Duration // -shard-ttl lease TTL
-	dlLatency   time.Duration // -dl-latency modeled APK transfer time
-}
 
 // workerName builds a unique lease identity for this process.
 func workerName() string {
@@ -56,20 +37,19 @@ func workerName() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// runWorker joins a coordinator and scans partitions until the run is done.
-func runWorker(o options, so shardOptions) error {
-	if so.join == "" {
-		return fmt.Errorf("-worker needs -join URL")
-	}
-	var pol *retry.Policy
-	if o.retries > 0 {
-		pol = &retry.Policy{MaxAttempts: o.retries + 1, Metrics: &retry.Metrics{}}
+// runWorker joins the coordinator at join and scans partitions until the
+// run is done. Its scan runs under the coordinator's spec: seed, retry
+// budget and faults included; retries bounds only its own control-plane
+// calls. Its telemetry leaves it through the coordinator, so it writes
+// and serves none itself.
+func runWorker(join string, retries int, telem *telemetry.Flags) error {
+	if telem.Enabled() {
+		return fmt.Errorf("-join takes no -telemetry-addr, -metrics-out or -trace-out: a worker's telemetry reaches the coordinator's")
 	}
 	w, err := shard.NewWorker(shard.WorkerConfig{
-		Coordinator: so.join,
+		Coordinator: join,
 		Name:        workerName(),
-		Retry:       pol,
-		Telemetry:   o.telemetry,
+		Retry:       &retry.Policy{MaxAttempts: retries + 1},
 		// The coordinator scrapes this worker live for /fleet/status.
 		MetricsAddr: "127.0.0.1:0",
 	})
@@ -83,79 +63,6 @@ func runWorker(o options, so shardOptions) error {
 	return nil
 }
 
-// referenceConfigKey fingerprints the analysis configuration the
-// coordinator expects every worker to run.
-func referenceConfigKey(o options) (string, error) {
-	cfg := pipeline.Config{}
-	if o.lint || o.lintRules != nil {
-		lint, err := webviewlint.New(webviewlint.Config{Rules: o.lintRules})
-		if err != nil {
-			return "", err
-		}
-		cfg.Lint = lint
-	}
-	if o.urls {
-		cfg.URLs = urlextract.New(urlextract.Config{})
-	}
-	return pipeline.New(nil, nil, cfg).ConfigKey(), nil
-}
-
-// corpusPlane serves the streamed corpus as AndroZoo + Play Store
-// endpoints on hardened listeners.
-type corpusPlane struct {
-	snap   *corpus.Snapshot
-	az, ps *serving.Endpoint
-}
-
-func startCorpusPlane(o options) (*corpusPlane, error) {
-	snap, err := corpus.NewSnapshot(corpus.Config{Seed: o.seed, Scale: o.scale})
-	if err != nil {
-		return nil, err
-	}
-	az, err := serving.Listen("127.0.0.1:0", androzoo.NewServerFrom(snap).Handler())
-	if err != nil {
-		return nil, err
-	}
-	ps, err := serving.Listen("127.0.0.1:0", playstore.NewServerFrom(snap).Handler())
-	if err != nil {
-		az.Close()
-		return nil, err
-	}
-	return &corpusPlane{snap: snap, az: az, ps: ps}, nil
-}
-
-func (p *corpusPlane) Close() {
-	p.az.Close()
-	p.ps.Close()
-}
-
-// buildSpec assembles the RunSpec the coordinator hands to workers.
-func buildSpec(o options, so shardOptions, plane *corpusPlane) (shard.RunSpec, error) {
-	key, err := referenceConfigKey(o)
-	if err != nil {
-		return shard.RunSpec{}, err
-	}
-	return shard.RunSpec{
-		Shards:          so.shards,
-		RepoURL:         "http://" + plane.az.Addr,
-		StoreURL:        "http://" + plane.ps.Addr,
-		MinDownloads:    corpus.MinDownloads,
-		UpdatedAfter:    corpus.UpdateCutoff,
-		Workers:         o.workers,
-		Lint:            o.lint,
-		LintRules:       o.lintRules,
-		URLs:            o.urls,
-		MaxFailureFrac:  o.maxFailureFrac,
-		CacheDir:        o.cachedir,
-		DownloadLatency: so.dlLatency,
-		LeaseTTL:        so.ttl,
-		ConfigKey:       key,
-		Seed:            o.seed,
-		Wallclock:       o.wallclock,
-		CorpusEntries:   plane.snap.Total(),
-	}, nil
-}
-
 // workerEnvGuard lets a test binary reuse itself as the worker executable:
 // when the variable is set, TestMain dispatches straight into main().
 const workerEnvGuard = "STATICSCAN_WORKER_PROCESS"
@@ -164,14 +71,14 @@ const workerEnvGuard = "STATICSCAN_WORKER_PROCESS"
 // coordinator URL. Their stderr is inherited; a worker that exits nonzero
 // is reported but not fatal while a peer lives — the lease TTL re-issues
 // its partitions.
-func spawnWorkers(n int, joinURL string, o options) ([]*exec.Cmd, error) {
+func spawnWorkers(n int, joinURL string) ([]*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	var cmds []*exec.Cmd
 	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-worker", "-join", joinURL, "-retries", fmt.Sprint(o.retries))
+		cmd := exec.Command(exe, "-join", joinURL)
 		cmd.Stderr = os.Stderr
 		cmd.Env = append(os.Environ(), workerEnvGuard+"=1")
 		if err := cmd.Start(); err != nil {
@@ -185,16 +92,27 @@ func spawnWorkers(n int, joinURL string, o options) ([]*exec.Cmd, error) {
 	return cmds, nil
 }
 
-// superviseWorkers reaps the spawned worker processes in the background,
-// logging each that exits nonzero. The returned context ends once every
-// one of them has exited, with the first failure as its cause.
-func superviseWorkers(cmds []*exec.Cmd) context.Context {
+// superviseWorkers runs the in-process worker and reaps the spawned
+// processes in the background, logging each that fails. The returned
+// context ends once every one of them has exited, with the first failure
+// as its cause.
+func superviseWorkers(local *shard.Worker, cmds []*exec.Cmd) context.Context {
 	ctx, cancel := context.WithCancelCause(context.Background())
+	exits := make(chan error)
+	go func() { exits <- local.Run(context.Background()) }()
+	for _, cmd := range cmds {
+		go func() {
+			if err := cmd.Wait(); err != nil {
+				exits <- fmt.Errorf("worker %d: %w", cmd.Process.Pid, err)
+				return
+			}
+			exits <- nil
+		}()
+	}
 	go func() {
 		var first error
-		for _, cmd := range cmds {
-			if err := cmd.Wait(); err != nil {
-				err = fmt.Errorf("worker %d: %w", cmd.Process.Pid, err)
+		for range len(cmds) + 1 {
+			if err := <-exits; err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				if first == nil {
 					first = err
@@ -206,84 +124,135 @@ func superviseWorkers(cmds []*exec.Cmd) context.Context {
 	return ctx
 }
 
-// staticResult wraps a merged pipeline result into the report-ready shape
-// the sequential path produces (core computes aggregates the same way).
-func staticResult(res *pipeline.Result) *core.StaticResult {
-	return &core.StaticResult{
-		Funnel:      res.Funnel,
-		Apps:        res.Apps,
-		Aggregates:  pipeline.Aggregate(res),
-		Quarantined: res.Quarantined,
-		Stats:       res.Stats,
+// scan runs the static study: o.shards partitions of the served corpus
+// leased to the worker in this process, to o.spawn spawned workers and to
+// any that join, then the report, the stderr summaries and -lint-json and
+// -urls-json from the merged result. The fleet's federated rollup and
+// stitched trace become the run's -metrics-out and -trace-out, so every
+// output carries the same bytes at every topology; -telemetry-addr serves
+// the coordinator's own hub.
+func scan(out *os.File, o options, telem *telemetry.Flags) error {
+	if o.shards < 1 || o.spawn < 0 {
+		return fmt.Errorf("need -shards >= 1 and -shard-spawn >= 0, got %d and %d", o.shards, o.spawn)
 	}
-}
-
-// runCoordinator is the -coordinator entry point: lease so.shards
-// partitions of the served corpus to spawned or joining workers, wait for
-// the merge, then print the standard report and write -lint-json and
-// -urls-json. The fleet's federated rollup and stitched trace become the
-// run's -metrics-out and -trace-out, so all of them carry the sequential
-// run's bytes.
-func runCoordinator(out *os.File, o options, so shardOptions, telem *telemetry.Flags) error {
-	if so.shards < 1 {
-		return fmt.Errorf("-coordinator needs -shards >= 1")
+	if _, err := faults.ParseSpec(o.faults); err != nil {
+		return err
 	}
-	plane, err := startCorpusPlane(o)
+	// The streamed corpus (bounded memory) as AndroZoo + Play Store
+	// endpoints on hardened listeners.
+	snap, err := corpus.NewSnapshot(corpus.Config{Seed: o.seed, Scale: o.scale})
 	if err != nil {
 		return err
 	}
-	defer plane.Close()
-	spec, err := buildSpec(o, so, plane)
+	az, err := serving.Listen("127.0.0.1:0", androzoo.NewServerFrom(snap).Handler())
 	if err != nil {
 		return err
 	}
-	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{Spec: spec, Telemetry: o.telemetry})
+	defer az.Close()
+	ps, err := serving.Listen("127.0.0.1:0", playstore.NewServerFrom(snap).Handler())
 	if err != nil {
 		return err
 	}
-	telem.Report(coord.Fleet().Rollup, coord.Fleet().WriteTraceJSONL)
-	ep, err := serving.Listen(so.coordinator, coord.Handler())
+	defer ps.Close()
+	spec := shard.RunSpec{
+		Shards:          o.shards,
+		RepoURL:         "http://" + az.Addr,
+		StoreURL:        "http://" + ps.Addr,
+		MinDownloads:    corpus.MinDownloads,
+		UpdatedAfter:    corpus.UpdateCutoff,
+		Workers:         o.workers,
+		Lint:            o.lint,
+		LintRules:       o.lintRules,
+		URLs:            o.urls,
+		MaxFailureFrac:  o.maxFailureFrac,
+		Retries:         o.retries,
+		Faults:          o.faults,
+		CacheDir:        o.cachedir,
+		DownloadLatency: o.dlLatency,
+		LeaseTTL:        o.ttl,
+		Seed:            o.seed,
+		Wallclock:       o.wallclock,
+		CorpusEntries:   snap.Total(),
+	}
+	// The key every worker's own pipelineConfig must reproduce.
+	if spec.ConfigKey, err = shard.ConfigKey(spec); err != nil {
+		return err
+	}
+	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{Spec: spec, Telemetry: telem.Hub(o.seed)})
+	if err != nil {
+		return err
+	}
+	if err := telem.Start(); err != nil {
+		return err
+	}
+	fed := coord.Fleet()
+	telem.Report(fed.Rollup, fed.WriteTraceJSONL)
+	ep, err := serving.Listen(o.listen, coord.Handler())
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
 	joinURL := "http://" + ep.Addr
 	fmt.Fprintf(os.Stderr, "coordinator on %s: %d shards over %d repository entries\n",
-		joinURL, so.shards, plane.snap.Total())
+		joinURL, o.shards, snap.Total())
 
-	// The wait ends at the merge or, with spawned workers, once every one
-	// of them has exited and nobody is left to take the leases. With
-	// external workers only (-shard-spawn 0) it waits for the merge.
+	// The wait ends at the merge or once every worker has exited and
+	// nobody is left to take the leases.
 	start := time.Now()
-	exited := context.Background()
-	if n := so.spawn; n != 0 {
-		if n < 0 {
-			n = so.shards
-		}
-		cmds, err := spawnWorkers(n, joinURL, o)
-		if err != nil {
-			return err
-		}
-		exited = superviseWorkers(cmds)
-		// Workers exit once they see the run done; reap them before the
-		// listener closes under their final snapshot flush.
-		defer func() { <-exited.Done() }()
+	local, err := shard.NewWorker(shard.WorkerConfig{Local: coord, Name: workerName(), MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		return err
 	}
+	cmds, err := spawnWorkers(o.spawn, joinURL)
+	if err != nil {
+		return err
+	}
+	exited := superviseWorkers(local, cmds)
+	// Workers exit once they see the run done; reap them before the
+	// listener closes under their final snapshot flush.
+	defer func() { <-exited.Done() }()
 	res, err := coord.Wait(exited)
 	if err != nil {
-		return fmt.Errorf("every spawned worker exited before the merge: %w", err)
+		telem.Report(fed.Flushed, fed.WriteTraceJSONL)
+		return fmt.Errorf("every worker failed before the merge: %w", err)
 	}
 	wall := time.Since(start)
-	fmt.Fprintf(os.Stderr, "merged %d shards in %v (merge itself %v)\n", so.shards, wall, coord.MergeLatency())
+	fmt.Fprintf(os.Stderr, "merged %d shards in %v (merge itself %v)\n", o.shards, wall, coord.MergeLatency())
 	fmt.Fprintf(os.Stderr, "throughput: %d APKs in %v = %.1f APKs/s\n",
 		res.Funnel.Filtered, wall, float64(res.Funnel.Filtered)/wall.Seconds())
-	sr := staticResult(res)
+	sr := &core.StaticResult{
+		Funnel: res.Funnel, Apps: res.Apps, Aggregates: pipeline.Aggregate(res),
+		Quarantined: res.Quarantined, Stats: res.Stats,
+	}
+	printRunSummary(os.Stderr, o, sr)
 	printStaticReport(out, o, sr)
 	return writeJSONReports(out, o, sr)
 }
 
-// printStaticReport renders the standard static-study tables for a
-// result — shared by the sequential and the merged sharded paths.
+// printRunSummary writes the merged run's cache line, quarantine summary
+// and -stats to w.
+func printRunSummary(w io.Writer, o options, res *core.StaticResult) {
+	if o.cachedir != "" {
+		fmt.Fprintf(w, "analysis cache: %d hits, %d misses (%.0f%% hit rate)\n",
+			res.Stats.CacheHits, res.Stats.CacheMisses, 100*res.Stats.CacheHitRate())
+	}
+	if n := len(res.Quarantined); n > 0 {
+		fmt.Fprintf(w, "degraded: %d of %d packages quarantined after retries (budget %.1f%%):\n",
+			n, res.Funnel.Snapshot, 100*o.maxFailureFrac)
+		for i, q := range res.Quarantined {
+			if i == 10 {
+				fmt.Fprintf(w, "  ... and %d more\n", n-i)
+				break
+			}
+			fmt.Fprintf(w, "  %s (%s): %s\n", q.Package, q.Stage, q.Err)
+		}
+	}
+	if o.stats {
+		fmt.Fprintln(w, res.Stats.String())
+	}
+}
+
+// printStaticReport renders the standard static-study tables for a result.
 func printStaticReport(out io.Writer, o options, res *core.StaticResult) {
 	fmt.Fprint(out, report.Table2(res.Funnel, o.scale))
 	fmt.Fprint(out, report.Table3(res.Aggregates))

@@ -77,10 +77,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", DigestHeader)
 	h := sha256.New()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	s.src.Each(func(app *corpus.Spec) error {
-		bw.WriteString(app.Package)
+	s.src.EachPackage(func(pkg string) {
+		bw.WriteString(pkg)
 		bw.WriteByte('\n')
-		return nil
 	})
 	bw.Flush()
 	w.Header().Set(DigestHeader, hex.EncodeToString(h.Sum(nil)))

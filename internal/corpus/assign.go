@@ -63,6 +63,7 @@ func affinityNorms(get func(playCategory) map[sdkindex.Category]float64) map[sdk
 // code, and whether the app exposes a deep-link activity.
 func assignStatic(s *Spec, idx *sdkindex.Index, seed int64) {
 	rng := appRNG(seed, s.Package, "static")
+	defer rngPool.Put(rng)
 	if s.PlayCategory == "" {
 		s.PlayCategory = pickPlayCategory(rng).Name
 	}

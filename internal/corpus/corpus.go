@@ -165,6 +165,22 @@ func (g *generator) eligibleBeyondTopK(r int) int {
 	return g.filteredBeyond(r - g.topK)
 }
 
+// packageAt is specAt(r).Package without the spec: a closed form of the
+// rank, the named apps while the dynamic prefix covers them, then
+// com.genapp, com.longtail and org.offplay names that encode it. A listing
+// needs no more.
+func (g *generator) packageAt(r int) string {
+	switch {
+	case r > g.counts.OnPlay:
+		return fmt.Sprintf("org.offplay%07d", r)
+	case r <= len(NamedApps) && r <= g.topK:
+		return NamedApps[r-1].Package
+	case r <= g.counts.Popular:
+		return fmt.Sprintf("com.genapp%07d", r)
+	}
+	return fmt.Sprintf("com.longtail%07d", r)
+}
+
 // specAt synthesizes the spec at 1-based download rank r (off-Play apps
 // occupy the ranks past counts.OnPlay). specAt(r) is byte-identical to
 // Generate(cfg).Apps[r-1].
@@ -213,9 +229,10 @@ func (g *generator) specAt(r int) *Spec {
 	if spec.Eligible(MinDownloads, UpdateCutoff) {
 		// Named top apps stay clear (the dynamic study probes their
 		// behaviour); any other app may ship obfuscated.
-		if g.cfg.ObfuscationRate > 0 && r > len(NamedApps) &&
-			appRNG(g.cfg.Seed, spec.Package, "obfuscate").Float64() < g.cfg.ObfuscationRate {
-			spec.Obfuscated = true
+		if g.cfg.ObfuscationRate > 0 && r > len(NamedApps) {
+			rng := appRNG(g.cfg.Seed, spec.Package, "obfuscate")
+			spec.Obfuscated = rng.Float64() < g.cfg.ObfuscationRate
+			rngPool.Put(rng)
 		}
 		// Mark broken APKs at a fixed stride, skipping the dynamic
 		// top apps so the semi-manual study always installs cleanly.
@@ -275,6 +292,13 @@ func (c *Corpus) Each(fn func(*Spec) error) error {
 	return nil
 }
 
+// EachPackage implements Source: package names in snapshot order.
+func (c *Corpus) EachPackage(fn func(pkg string)) {
+	for _, s := range c.Apps {
+		fn(s.Package)
+	}
+}
+
 // Total reports the number of repository snapshot entries.
 func (c *Corpus) Total() int { return c.Counts.Total }
 
@@ -322,11 +346,19 @@ func longTailDownloads(r, onPlay int) int64 {
 	return d
 }
 
+// rngPool recycles appRNG's generators. A math/rand source is about 4.9 KB
+// of state, and Rand.Seed resets all of it, so a reseeded generator draws
+// exactly the stream a fresh one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // appRNG derives a per-app random stream independent of generation order.
+// The caller puts it back in rngPool once its draws are done.
 func appRNG(seed int64, pkg string, salt string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s", seed, pkg, salt)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(int64(h.Sum64()))
+	return rng
 }
 
 // pickPlayCategory draws a Play category from the weighted list.

@@ -46,6 +46,7 @@ func assignEndpoints(s *Spec, seed int64) {
 		return
 	}
 	rng := appRNG(seed, s.Package, "urls")
+	defer rngPool.Put(rng)
 	if rng.Float64() >= endpointRate {
 		return
 	}

@@ -72,6 +72,7 @@ func assignMisconfigs(s *Spec, seed int64) {
 		return
 	}
 	rng := appRNG(seed, s.Package, "lint")
+	defer rngPool.Put(rng)
 	if len(s.OwnMethods) > 0 {
 		if fixed, ok := namedMisconfigs[s.Package]; ok {
 			s.Misconfigs = append([]string(nil), fixed...)

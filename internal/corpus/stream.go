@@ -13,6 +13,9 @@ type Source interface {
 	// Each calls fn for every snapshot entry in rank order, stopping at
 	// the first error.
 	Each(fn func(*Spec) error) error
+	// EachPackage calls fn with every snapshot entry's package name in
+	// rank order, synthesizing no spec.
+	EachPackage(fn func(pkg string))
 	// ByPackage returns the spec for pkg, or nil when the snapshot does
 	// not contain it.
 	ByPackage(pkg string) *Spec
@@ -77,6 +80,14 @@ func (s *Snapshot) Each(fn func(*Spec) error) error {
 		}
 	}
 	return nil
+}
+
+// EachPackage streams every entry's package name in rank order, each
+// derived from its rank alone.
+func (s *Snapshot) EachPackage(fn func(pkg string)) {
+	for r := 1; r <= s.g.counts.Total; r++ {
+		fn(s.g.packageAt(r))
+	}
 }
 
 // ByPackage synthesizes the spec for pkg, or nil when the snapshot does

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -151,5 +152,60 @@ func TestSnapshotPaperScaleBoundedMemory(t *testing.T) {
 	if after.HeapAlloc > before.HeapAlloc && after.HeapAlloc-before.HeapAlloc > maxGrowth {
 		t.Fatalf("heap grew %d bytes streaming paper-scale snapshot (limit %d)",
 			after.HeapAlloc-before.HeapAlloc, uint64(maxGrowth))
+	}
+}
+
+// TestEachPackageMatchesEach pins the closed-form listing: the names
+// EachPackage derives from ranks alone are the package names of the specs
+// Each synthesizes, at scales that put the named apps inside and beyond
+// the dynamic prefix (20000 keeps 7 of them) and move the OnPlay and
+// Popular boundaries.
+func TestEachPackageMatchesEach(t *testing.T) {
+	for _, scale := range []int{146, 147, 200, 2500, 20000} {
+		snap, err := NewSnapshot(Config{Seed: 1, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []string
+		snap.Each(func(s *Spec) error {
+			want = append(want, s.Package)
+			return nil
+		})
+		snap.EachPackage(func(pkg string) { got = append(got, pkg) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scale %d: EachPackage lists %d names, Each %d, or they differ", scale, len(got), len(want))
+		}
+	}
+}
+
+// TestSpecSynthesisReusesGenerators pins what synthesizing an eligible
+// spec allocates. Each one draws three per-app streams (static, lint and
+// URL ground truth); a fresh math/rand source for each would add about
+// 4.9 KB apiece.
+func TestSpecSynthesisReusesGenerators(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a share of the generators put back")
+	}
+	snap, err := NewSnapshot(Config{Seed: 1, Scale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranks []int
+	for r := 1; r <= snap.Counts().Popular; r++ {
+		if snap.At(r).Eligible(MinDownloads, UpdateCutoff) {
+			ranks = append(ranks, r)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range ranks {
+		snap.At(r)
+	}
+	runtime.ReadMemStats(&after)
+	perSpec := (after.TotalAlloc - before.TotalAlloc) / uint64(len(ranks))
+	t.Logf("%d eligible specs: %d bytes each", len(ranks), perSpec)
+	if perSpec > 4096 {
+		t.Errorf("synthesizing an eligible spec allocates %d bytes, want at most 4096", perSpec)
 	}
 }

@@ -42,9 +42,10 @@ type lease struct {
 
 // Coordinator owns the partition ledger: which partitions are leased, to
 // whom, until when, and which are complete. It is an HTTP control plane —
-// workers join over the wire, so they can be separate OS processes — but
-// all state lives here, in one place, guarded by one mutex; workers are
-// stateless between leases.
+// workers join over the wire, so they can be separate OS processes, and a
+// worker in the coordinator's own process calls the same ledger methods
+// directly — but all state lives here, in one place, guarded by one mutex;
+// workers are stateless between leases.
 type Coordinator struct {
 	spec    RunSpec
 	now     func() time.Time
@@ -210,17 +211,22 @@ func partitionSpan(tag string) string { return "partition:" + tag }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !readJSON(w, r, &req) {
-		return
+	if readJSON(w, r, &req) {
+		writeJSON(w, http.StatusOK, c.lease(req.Worker, scrapeURL(req.MetricsURL, r.RemoteAddr)))
 	}
-	c.fed.RegisterWorker(req.Worker, scrapeURL(req.MetricsURL, r.RemoteAddr))
+}
+
+// lease grants worker the first partition neither complete nor leased, or
+// answers wait or done. metricsURL is the worker's live endpoint, already
+// vetted ("" = not scrapeable).
+func (c *Coordinator) lease(worker, metricsURL string) LeaseGrant {
+	c.fed.RegisterWorker(worker, metricsURL)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweep()
 
 	if len(c.complete) == c.spec.Shards {
-		writeJSON(w, http.StatusOK, LeaseGrant{Partition: -1, Done: true})
-		return
+		return LeaseGrant{Partition: -1, Done: true}
 	}
 	for p := 0; p < c.spec.Shards; p++ {
 		if _, ok := c.complete[p]; ok {
@@ -232,27 +238,26 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		now := c.now()
 		tag := PartitionTag(p, c.spec.Shards)
 		c.leases[p] = &lease{
-			worker:  req.Worker,
+			worker:  worker,
 			expires: now.Add(c.spec.TTL()),
 			granted: now,
-			span:    c.hub.Trace(c.traceID).Start(partitionSpan(tag), "worker", req.Worker),
+			span:    c.hub.Trace(c.traceID).Start(partitionSpan(tag), "worker", worker),
 		}
 		if c.firstGrant.IsZero() {
 			c.firstGrant = now
 		}
 		c.metrics.grants.Inc()
 		c.metrics.inflight.Add(1)
-		writeJSON(w, http.StatusOK, LeaseGrant{
+		return LeaseGrant{
 			Partition: p,
 			Tag:       tag,
 			TTL:       c.spec.TTL(),
 			TraceID:   c.traceID,
 			Parent:    partitionSpan(tag),
-		})
-		return
+		}
 	}
 	// Nothing free, nothing done-for-good: the worker should poll again.
-	writeJSON(w, http.StatusOK, LeaseGrant{Partition: -1, Wait: true})
+	return LeaseGrant{Partition: -1, Wait: true}
 }
 
 type renewRequest struct {
@@ -262,26 +267,29 @@ type renewRequest struct {
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req renewRequest
-	if !readJSON(w, r, &req) {
-		return
+	if readJSON(w, r, &req) {
+		reply(w, c.renew(req))
 	}
+}
+
+// renew extends req's lease: 200, or 410 when the lease expired (and may
+// already be re-issued elsewhere), so the worker must abandon the
+// partition.
+func (c *Coordinator) renew(req renewRequest) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweep()
 
 	l, ok := c.leases[req.Partition]
 	if !ok || l.worker != req.Worker {
-		// The lease expired (and may already be re-issued elsewhere): the
-		// worker must abandon the partition.
 		c.metrics.rejects.Inc()
-		http.Error(w, "lease gone", http.StatusGone)
-		return
+		return http.StatusGone
 	}
 	l.expires = c.now().Add(c.spec.TTL())
 	l.renewed = c.now()
 	c.metrics.renewals.Inc()
 	c.fed.Heartbeat(req.Worker)
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	return http.StatusOK
 }
 
 type resultRequest struct {
@@ -302,12 +310,17 @@ type resultRequest struct {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
-	if !readJSON(w, r, &req) {
-		return
+	if readJSON(w, r, &req) {
+		reply(w, c.accept(&req))
 	}
+}
+
+// accept merges a partition's result into the ledger: 200, 400 without a
+// result, 409 under another analysis configuration, 410 when the lease is
+// gone. The last acceptance merges the run.
+func (c *Coordinator) accept(req *resultRequest) int {
 	if req.Result == nil {
-		http.Error(w, "missing result", http.StatusBadRequest)
-		return
+		return http.StatusBadRequest
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -317,8 +330,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// The worker ran a different analysis configuration; merging its
 		// partition would silently corrupt the report.
 		c.metrics.mismatch.Inc()
-		http.Error(w, "analysis configuration mismatch", http.StatusConflict)
-		return
+		return http.StatusConflict
 	}
 	l, ok := c.leases[req.Partition]
 	if !ok || l.worker != req.Worker {
@@ -328,8 +340,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// spans, which is what keeps a killed worker's partial snapshot out
 		// of the fleet rollup.
 		c.metrics.stale.Inc()
-		http.Error(w, "lease gone", http.StatusGone)
-		return
+		return http.StatusGone
 	}
 	delete(c.leases, req.Partition)
 	c.metrics.inflight.Add(-1)
@@ -355,7 +366,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.metrics.mergeSeconds.Observe(c.mergeDur.Seconds())
 		close(c.done)
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	return http.StatusOK
 }
 
 // snapshotRequest is a worker's out-of-band registry flush — pushed on
@@ -368,18 +379,40 @@ type snapshotRequest struct {
 
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var req snapshotRequest
-	if !readJSON(w, r, &req) {
-		return
+	if readJSON(w, r, &req) {
+		reply(w, c.flush(req))
 	}
-	if req.Worker == "" {
-		http.Error(w, "missing worker", http.StatusBadRequest)
-		return
+}
+
+// flush records a worker's final registry in its live view: 200, or 400
+// without a worker name or with a snapshot that does not decode.
+func (c *Coordinator) flush(req snapshotRequest) int {
+	if req.Worker == "" || c.fed.FinalFlush(req.Worker, req.Metrics) != nil {
+		return http.StatusBadRequest
 	}
-	if err := c.fed.FinalFlush(req.Worker, req.Metrics); err != nil {
-		http.Error(w, "bad snapshot", http.StatusBadRequest)
-		return
+	return http.StatusOK
+}
+
+// serve answers a control-plane call from a worker in this process through
+// the ledger methods the HTTP handlers decode into, dispatching on the
+// request's type as the handlers do on the path. Nothing is encoded: a
+// partition's result reaches the merge as the worker built it, and the
+// worker's own endpoint registers without the remote-address check that
+// guards announced URLs.
+func (c *Coordinator) serve(in, out any) int {
+	switch req := in.(type) {
+	case nil:
+		*out.(*RunSpec) = c.spec
+	case leaseRequest:
+		*out.(*LeaseGrant) = c.lease(req.Worker, req.MetricsURL)
+	case renewRequest:
+		return c.renew(req)
+	case resultRequest:
+		return c.accept(&req)
+	case snapshotRequest:
+		return c.flush(req)
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	return http.StatusOK
 }
 
 func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
@@ -567,6 +600,16 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// reply answers a ledger decision: {"ok":true} on 200, the status text
+// otherwise.
+func reply(w http.ResponseWriter, code int) {
+	if code != http.StatusOK {
+		http.Error(w, http.StatusText(code), code)
+		return
+	}
+	writeJSON(w, code, map[string]bool{"ok": true})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

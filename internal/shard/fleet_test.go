@@ -37,8 +37,11 @@ func fleetSpec(shards int, seed int64) shard.RunSpec {
 		UpdatedAfter: corpus.UpdateCutoff,
 		Lint:         true,
 		URLs:         true,
-		LeaseTTL:     time.Minute,
-		Seed:         seed,
+		// A retry budget like the CLI's, so the federated exposition
+		// carries the mirrored retry families (all zero on a clean run).
+		Retries:  1,
+		LeaseTTL: time.Minute,
+		Seed:     seed,
 	}
 }
 

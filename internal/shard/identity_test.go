@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/pipeline"
 	"repro/internal/report"
+	"repro/internal/shard"
 	"repro/internal/urlextract"
 	"repro/internal/webviewlint"
 )
@@ -83,5 +85,105 @@ func TestShardedRunMatchesSequential(t *testing.T) {
 				t.Fatalf("rendered tables diverged from the sequential run:\n--- sharded ---\n%s\n--- sequential ---\n%s", got, seqTables)
 			}
 		})
+	}
+}
+
+// TestLocalWorkerMatchesRemoteWorkers runs four partitions over a worker
+// in the coordinator's process, which leases and submits through direct
+// calls, beside one that joins over HTTP, and requires the merged report,
+// the federated rollup and the stitched trace of a one-partition run.
+func TestLocalWorkerMatchesRemoteWorkers(t *testing.T) {
+	c := testCorpus(t)
+	refCoord, ref := fleetRun(t, c, 1, 1, 3)
+	refProm, refTrace := rollupAndTrace(t, refCoord)
+
+	coord, srv := startCoordinator(t, shard.CoordinatorConfig{Spec: fleetSpec(4, 3)})
+	local, err := shard.NewWorker(shard.WorkerConfig{
+		Local:    coord,
+		Name:     "local",
+		Poll:     10 * time.Millisecond,
+		Services: inProcessServices(newTestRepo(c), &testMeta{c: c}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	localErr := make(chan error, 1)
+	go func() { localErr <- local.Run(ctx) }()
+	// The remote worker joins once the local one has asked for a lease.
+	for len(coord.Fleet().Workers()) == 0 {
+		select {
+		case err := <-localErr:
+			t.Fatalf("local worker stopped before its first lease: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for i, err := range runWorkers(ctx, t, srv.URL, 1, newTestRepo(c), &testMeta{c: c}) {
+		if err != nil {
+			t.Fatalf("remote worker %d: %v", i, err)
+		}
+	}
+	if err := <-localErr; err != nil {
+		t.Fatalf("local worker: %v", err)
+	}
+	merged, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Funnel != ref.Funnel || !reflect.DeepEqual(merged.Apps, ref.Apps) {
+		t.Fatal("merged report diverged from the one-partition run")
+	}
+	if prom, trace := rollupAndTrace(t, coord); prom != refProm || trace != refTrace {
+		t.Fatalf("rollup or trace diverged from the one-partition run:\n%.800s", prom)
+	}
+	if local.Completed() == 0 {
+		t.Fatal("the local worker completed no partition")
+	}
+}
+
+// TestSpecFaultsReachWorkers puts the spec's faults on every worker's
+// services: with every operation failing each worker stops at its
+// listing, and with one in fifty failing under a retry budget of 7 the
+// merged report is the sequential one and the rollup counts the faults.
+func TestSpecFaultsReachWorkers(t *testing.T) {
+	c := testCorpus(t)
+	scan := func(faults string, retries int) (*shard.Coordinator, *pipeline.Result, []error) {
+		spec := fleetSpec(4, 3)
+		spec.Faults, spec.Retries = faults, retries
+		coord, srv := startCoordinator(t, shard.CoordinatorConfig{Spec: spec})
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+		defer cancel()
+		errs := runWorkers(ctx, t, srv.URL, 2, newTestRepo(c), &testMeta{c: c})
+		done, stop := context.WithCancel(ctx)
+		stop()
+		merged, _ := coord.Wait(done)
+		return coord, merged, errs
+	}
+
+	if _, merged, errs := scan("seed=1,err=1", 3); merged != nil {
+		t.Fatal("every listing failed, yet the plane merged")
+	} else {
+		for i, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "list: faults: injected failure") {
+				t.Errorf("worker %d: %v, want the injected listing failure", i, err)
+			}
+		}
+	}
+
+	coord, merged, errs := scan("seed=7,err=0.02", 7)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if merged == nil {
+		t.Fatal("faulted plane never merged")
+	}
+	if got, want := renderAllTables(t, merged), renderAllTables(t, sequentialRun(t, c)); got != want {
+		t.Fatalf("faulted 4-shard report diverged from the sequential run:\n%s", got)
+	}
+	if n := coord.Fleet().Rollup().Family("faults_injected_total").Total(); n == 0 {
+		t.Fatal("the rollup counts no injected fault")
 	}
 }

@@ -148,9 +148,7 @@ func runWorkers(ctx context.Context, t *testing.T, url string, n int, repo pipel
 			Name:        fmt.Sprintf("worker-%d", i),
 			Poll:        10 * time.Millisecond,
 			Services:    inProcessServices(repo, meta),
-			// A retry policy like the CLI's, so the federated exposition
-			// carries the mirrored retry families (all zero on a clean run).
-			Retry: &retry.Policy{MaxAttempts: 2, Metrics: &retry.Metrics{}},
+			Retry:       &retry.Policy{MaxAttempts: 2},
 		})
 		if err != nil {
 			t.Fatal(err)

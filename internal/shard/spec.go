@@ -69,6 +69,15 @@ type RunSpec struct {
 	// MaxFailureFrac is each shard's quarantine error budget.
 	MaxFailureFrac float64 `json:"maxFailureFrac,omitempty"`
 
+	// Retries is the extra attempts a partition's pipeline gives each
+	// repository and store operation (0 = no retry).
+	Retries int `json:"retries,omitempty"`
+
+	// Faults is the fault-injection spec (faults.ParseSpec) every worker
+	// applies to each partition's services and cache, drawn afresh per
+	// partition: one partition injects what a single scan would.
+	Faults string `json:"faults,omitempty"`
+
 	// CacheDir, when non-empty, is the shared content-addressed blob tier:
 	// every worker opens a persistent resultcache over this directory, so
 	// an APK analysed by any shard (or a previous run) is never analysed

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/androzoo"
 	"repro/internal/corpus"
+	"repro/internal/faults"
 	"repro/internal/pipeline"
 	"repro/internal/playstore"
 	"repro/internal/resultcache"
@@ -23,23 +25,24 @@ import (
 	"repro/internal/webviewlint"
 )
 
-// WorkerConfig parameterises one worker process.
+// WorkerConfig parameterises one worker.
 type WorkerConfig struct {
 	// Coordinator is the control-plane base URL (-join ADDR).
 	Coordinator string
+	// Local, when non-nil, is the coordinator in this process: the worker
+	// leases and submits through direct calls to its ledger instead of
+	// HTTP, so its partition results reach the merge unencoded.
+	// Coordinator is then unused.
+	Local *Coordinator
 	// Name identifies this worker on leases; it must be unique within the
 	// run (the CLI defaults to host+pid).
 	Name string
 	// HTTP is the control-plane client (nil = a 60s-timeout default).
 	HTTP *http.Client
 	// Retry, when non-nil, wraps control-plane calls in retries with
-	// backoff, and the partition's pipeline retries repository/store calls
-	// on the same schedule.
+	// backoff. A partition's pipeline retries repository and store calls
+	// under the spec's Retries budget instead.
 	Retry *retry.Policy
-	// Telemetry, when non-nil, is the worker's hub: it receives the
-	// per-shard pipeline metrics and spans the worker federates. Nil
-	// builds one from the spec (seed-derived timing, tracing on).
-	Telemetry *telemetry.Hub
 	// Poll is the wait between lease polls when every partition is leased
 	// out (0 = 100ms).
 	Poll time.Duration
@@ -52,10 +55,8 @@ type WorkerConfig struct {
 	// unbounded either way.
 	CacheEntries int
 	// MetricsAddr, when non-empty, is the listen address for this
-	// worker's debug endpoint (e.g. "127.0.0.1:0"); its /metrics.json URL
-	// is announced to the coordinator for live scrapes. The endpoint's
-	// /trace answers 404 pointing at the coordinator's stitched
-	// /fleet/trace.
+	// worker's live registry (e.g. "127.0.0.1:0"), served as /metrics.json
+	// alone and announced to the coordinator for /fleet/status scrapes.
 	MetricsAddr string
 }
 
@@ -68,11 +69,13 @@ type Worker struct {
 	hc   *http.Client
 	base string
 
-	// hub is the worker's telemetry hub: WorkerConfig's when provided,
-	// otherwise built from the spec (seed-derived timing, tracing on) so
-	// every worker process observes with the same clock discipline.
-	// metricsURL is the announced live endpoint.
+	// hub is the worker's telemetry hub, built from the spec's seed
+	// (seed-derived timing, tracing on), so every worker observes with the
+	// same clock discipline whatever process it runs in; faults is the
+	// spec's fault configuration, counting into it. metricsURL is the
+	// announced live endpoint.
 	hub        *telemetry.Hub
+	faults     faults.Config
 	metricsURL string
 
 	// Completed counts partitions this worker finished (read after Run for
@@ -82,7 +85,7 @@ type Worker struct {
 
 // NewWorker validates the configuration.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Coordinator == "" {
+	if cfg.Coordinator == "" && cfg.Local == nil {
 		return nil, errors.New("shard: worker needs a coordinator address")
 	}
 	if cfg.Name == "" {
@@ -92,14 +95,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 60 * time.Second}
 	}
-	return &Worker{cfg: cfg, hc: hc, base: trimSlash(cfg.Coordinator)}, nil
-}
-
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
+	return &Worker{cfg: cfg, hc: hc, base: strings.TrimRight(cfg.Coordinator, "/")}, nil
 }
 
 // Completed reports how many partitions this worker finished.
@@ -115,20 +111,28 @@ var errLeaseLost = errors.New("shard: lease lost")
 // partition is someone else's now.
 func (w *Worker) Run(ctx context.Context) error {
 	var spec RunSpec
-	if _, err := w.call(ctx, "GET", "/v1/spec", nil, &spec); err != nil {
+	_, err := w.call(ctx, "GET", "/v1/spec", nil, &spec)
+	if err != nil {
 		return fmt.Errorf("shard: fetch spec: %w", err)
 	}
-	w.hub = w.cfg.Telemetry
-	if w.hub == nil {
-		var timing telemetry.Timing = telemetry.SeededTiming{Seed: spec.Seed}
-		if spec.Wallclock {
-			timing = telemetry.RealTiming{}
-		}
-		w.hub = telemetry.New(telemetry.Options{Timing: timing, Tracing: true})
+	if w.faults, err = faults.ParseSpec(spec.Faults); err != nil {
+		return fmt.Errorf("shard: spec: %w", err)
 	}
+	var timing telemetry.Timing = telemetry.SeededTiming{Seed: spec.Seed}
+	if spec.Wallclock {
+		timing = telemetry.RealTiming{}
+	}
+	w.hub = telemetry.New(telemetry.Options{Timing: timing, Tracing: true})
+	w.faults.Telemetry = w.hub
 	if w.cfg.MetricsAddr != "" {
-		srv, err := serving.Listen(w.cfg.MetricsAddr, telemetry.NewHandler(w.hub,
-			telemetry.HandlerOptions{FleetTraceURL: w.base + "/fleet/trace"}))
+		// The one path scrapeURL accepts: a partition's spans and its final
+		// registry reach the run's outputs through the coordinator.
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /metrics.json", func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", "application/json; charset=utf-8")
+			w.hub.Registry().Snapshot().WriteJSON(rw)
+		})
+		srv, err := serving.Listen(w.cfg.MetricsAddr, mux)
 		if err != nil {
 			return fmt.Errorf("shard: worker metrics endpoint: %w", err)
 		}
@@ -152,7 +156,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConnsPerHost = pipeline.PoolSize(spec.Workers)
 		defer tr.CloseIdleConnections()
-		services = httpServices(&http.Client{Timeout: 60 * time.Second, Transport: tr})
+		services = w.httpServices(tr)
 	}
 	poll := w.cfg.Poll
 	if poll <= 0 {
@@ -197,6 +201,13 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 	if err != nil {
 		return fmt.Errorf("shard: partition %d services: %w", grant.Partition, err)
 	}
+	// Errors and latency around both services, drawn afresh per partition.
+	if fc := w.faults; fc.ErrorRate > 0 || fc.LatencyRate > 0 {
+		svc := faults.Config{Seed: fc.Seed, ErrorRate: fc.ErrorRate,
+			LatencyRate: fc.LatencyRate, Latency: fc.Latency, Telemetry: fc.Telemetry}
+		repo = faults.NewRepository(repo, svc)
+		meta = faults.NewMetadataSource(meta, svc)
+	}
 	repo = &partitionRepository{
 		inner:   repo,
 		part:    grant.Partition,
@@ -206,52 +217,36 @@ func (w *Worker) runPartition(ctx context.Context, spec RunSpec, grant LeaseGran
 
 	// The partition runs against the worker hub and its contribution is
 	// captured as a registry snapshot delta + trace spans, measured from
-	// marks taken here. The pipeline gets its own retry policy (same
-	// schedule, fresh metrics) so the federated retry counters carry only
-	// the deterministic per-package traffic, never this worker's
-	// scheduling-dependent lease and renew calls.
+	// marks taken here. The pipeline's retry policy is fresh per partition,
+	// so the federated retry counters carry only the deterministic
+	// per-package traffic, never this worker's scheduling-dependent lease
+	// and renew calls.
+	cfg, err := pipelineConfig(spec)
+	if err != nil {
+		return fmt.Errorf("shard: partition %d: %w", grant.Partition, err)
+	}
 	hub := w.hub
+	cfg.Telemetry = hub
 	before := hub.Registry().Snapshot()
 	traceMark := hub.Tracer().Mark()
 	runSpan := hub.Trace(grant.TraceID).Child(grant.Parent, "run:"+grant.Tag, "worker", w.cfg.Name)
-
-	cfg := pipeline.Config{
-		MinDownloads: spec.MinDownloads,
-		UpdatedAfter: spec.UpdatedAfter,
-		// (defaults below mirror core.NewStaticStudy, so a spec with the
-		// zero filter scans the paper's selection, not the whole snapshot)
-		Workers:        spec.Workers,
-		MaxFailureFrac: spec.MaxFailureFrac,
-		// Fresh Metrics: the federated retry counters carry only the
-		// pipeline's deterministic per-package traffic, not the control
-		// plane's.
-		Retry:     w.cfg.Retry.WithMetrics(&retry.Metrics{}),
-		Telemetry: hub,
-	}
-	if cfg.MinDownloads == 0 {
-		cfg.MinDownloads = corpus.MinDownloads
-	}
-	if cfg.UpdatedAfter.IsZero() {
-		cfg.UpdatedAfter = corpus.UpdateCutoff
-	}
-	if spec.Lint || spec.LintRules != nil {
-		if cfg.Lint, err = webviewlint.New(webviewlint.Config{Rules: spec.LintRules}); err != nil {
-			return fmt.Errorf("shard: partition %d lint config: %w", grant.Partition, err)
-		}
-	}
-	if spec.URLs {
-		cfg.URLs = urlextract.New(urlextract.Config{})
-	}
 	if spec.CacheDir != "" {
 		store, err := resultcache.NewDirStore(spec.CacheDir)
 		if err != nil {
 			return fmt.Errorf("shard: partition %d cache: %w", grant.Partition, err)
 		}
+		var blobs resultcache.BlobStore = store
+		if fc := w.faults; fc.ErrorRate > 0 || fc.CorruptRate > 0 {
+			// Load errors and corrupt blobs: the cache's purge-on-corrupt
+			// path turns both into recomputes.
+			blobs = faults.NewStore(store, faults.Config{Seed: fc.Seed,
+				ErrorRate: fc.ErrorRate, CorruptRate: fc.CorruptRate, Telemetry: fc.Telemetry})
+		}
 		entries := w.cfg.CacheEntries
 		if entries <= 0 {
 			entries = 4096
 		}
-		cfg.Cache = resultcache.NewPersistent[pipeline.Analysis](entries, store, resultcache.JSONCodec[pipeline.Analysis]{})
+		cfg.Cache = resultcache.NewPersistent[pipeline.Analysis](entries, blobs, resultcache.JSONCodec[pipeline.Analysis]{})
 	}
 
 	pipe := pipeline.New(repo, meta, cfg)
@@ -345,15 +340,66 @@ func (w *Worker) flushSnapshot(ctx context.Context) {
 		snapshotRequest{Worker: w.cfg.Name, Metrics: metrics}, &struct{}{})
 }
 
-// httpServices dials the repository and store over HTTP with hc, the way
-// a standalone worker process reaches the real services.
-func httpServices(hc *http.Client) func(RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
+// pipelineConfig builds the analysis configuration every worker runs
+// spec's partitions with; ConfigKey fingerprints the same build. The zero
+// filter scans the paper's selection, as core.NewStaticStudy does, not the
+// whole snapshot.
+func pipelineConfig(spec RunSpec) (pipeline.Config, error) {
+	cfg := pipeline.Config{
+		MinDownloads:   spec.MinDownloads,
+		UpdatedAfter:   spec.UpdatedAfter,
+		Workers:        spec.Workers,
+		MaxFailureFrac: spec.MaxFailureFrac,
+	}
+	if cfg.MinDownloads == 0 {
+		cfg.MinDownloads = corpus.MinDownloads
+	}
+	if cfg.UpdatedAfter.IsZero() {
+		cfg.UpdatedAfter = corpus.UpdateCutoff
+	}
+	if spec.Lint || spec.LintRules != nil {
+		lint, err := webviewlint.New(webviewlint.Config{Rules: spec.LintRules})
+		if err != nil {
+			return cfg, fmt.Errorf("lint config: %w", err)
+		}
+		cfg.Lint = lint
+	}
+	if spec.URLs {
+		cfg.URLs = urlextract.New(urlextract.Config{})
+	}
+	if spec.Retries > 0 {
+		cfg.Retry = &retry.Policy{MaxAttempts: spec.Retries + 1, Metrics: &retry.Metrics{}}
+	}
+	return cfg, nil
+}
+
+// ConfigKey fingerprints the analysis configuration a worker builds from
+// spec: what a coordinator serves as RunSpec.ConfigKey.
+func ConfigKey(spec RunSpec) (string, error) {
+	cfg, err := pipelineConfig(spec)
+	if err != nil {
+		return "", err
+	}
+	return pipeline.New(nil, nil, cfg).ConfigKey(), nil
+}
+
+// httpServices dials the repository and store over HTTP through tr, the
+// way a standalone worker process reaches the real services. The spec's
+// payload damage rides beneath the AndroZoo client's Content-Length and
+// digest checks, which turn it into retryable errors.
+func (w *Worker) httpServices(tr http.RoundTripper) func(RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
 	return func(spec RunSpec) (pipeline.Repository, pipeline.MetadataSource, error) {
 		if spec.RepoURL == "" || spec.StoreURL == "" {
 			return nil, nil, errors.New("spec names no repoUrl/storeUrl and the worker has no injected services")
 		}
+		az := tr
+		if fc := w.faults; fc.TruncateRate > 0 || fc.CorruptRate > 0 {
+			az = faults.NewTransport(tr, faults.Config{Seed: fc.Seed,
+				TruncateRate: fc.TruncateRate, CorruptRate: fc.CorruptRate, Telemetry: fc.Telemetry})
+		}
 		// No client-side retry: the pipeline is the one retry layer.
-		return androzoo.NewClient(spec.RepoURL, hc), playstore.NewClient(spec.StoreURL, hc), nil
+		return androzoo.NewClient(spec.RepoURL, &http.Client{Timeout: 60 * time.Second, Transport: az}),
+			playstore.NewClient(spec.StoreURL, &http.Client{Timeout: 60 * time.Second, Transport: tr}), nil
 	}
 }
 
@@ -361,6 +407,9 @@ func httpServices(hc *http.Client) func(RunSpec) (pipeline.Repository, pipeline.
 // under the worker's policy. Non-5xx statuses are outcomes, not errors:
 // the caller branches on the returned code (e.g. 410 Gone = lease lost).
 func (w *Worker) call(ctx context.Context, method, path string, in, out any) (int, error) {
+	if c := w.cfg.Local; c != nil {
+		return c.serve(in, out), nil
+	}
 	type outcome struct{ code int }
 	res, err := retry.Do(ctx, w.cfg.Retry, func(ctx context.Context) (outcome, error) {
 		code, err := w.callOnce(ctx, method, path, in, out)

@@ -28,12 +28,6 @@ type Flags struct {
 	TraceOut   string
 	Wallclock  bool
 
-	// FleetTraceURL marks this process as one shard of a federated run:
-	// the debug server's /trace answers 404 pointing at the coordinator's
-	// stitched export instead of a misleading partial trace. Set by the
-	// binary (not a flag) once it knows it is running as a worker.
-	FleetTraceURL string
-
 	hub    *Hub
 	server *serving.Endpoint
 	// metrics and trace are what Finish writes -metrics-out and -trace-out
@@ -82,7 +76,7 @@ func (f *Flags) Start() error {
 	if f.Addr == "" || f.hub == nil {
 		return nil
 	}
-	srv, err := serving.Listen(f.Addr, NewHandler(f.hub, HandlerOptions{FleetTraceURL: f.FleetTraceURL}))
+	srv, err := serving.Listen(f.Addr, Handler(f.hub))
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}

@@ -218,6 +218,27 @@ func (f *Federator) FinalFlush(worker string, metrics []byte) error {
 	return nil
 }
 
+// Flushed merges the final snapshots workers flushed, in name order: all
+// the work they did, accepted or not. A run that fails before its merge
+// has no rollup; this is its account of what its workers did before they
+// stopped.
+func (f *Federator) Flushed() *telemetry.Snapshot {
+	var snaps []*telemetry.Snapshot
+	for _, wk := range f.Workers() {
+		f.mu.Lock()
+		if wd := f.workers[wk.Name]; wd.finalFlush {
+			snaps = append(snaps, wd.snap)
+		}
+		f.mu.Unlock()
+	}
+	merged, err := telemetry.Merge(snaps...)
+	if err != nil {
+		// A flush from another build's worker conflicts: account for none.
+		merged, _ = telemetry.Merge()
+	}
+	return merged
+}
+
 // Scrape pulls /metrics.json from every registered worker, rate-limited by
 // ScrapeGap. It is called on demand when /fleet/status is requested, the
 // one view that reads scraped data; failures are recorded per worker and

@@ -126,3 +126,25 @@ func TestRenderStatusText(t *testing.T) {
 		t.Errorf("finished rendering wrong:\n%s", sb.String())
 	}
 }
+
+// TestFlushedMergesFinalSnapshots covers a failed run's metrics: the
+// final snapshots workers flushed, summed, and none when two of them
+// conflict, since /v1/snapshot takes a flush from any worker.
+func TestFlushedMergesFinalSnapshots(t *testing.T) {
+	f := New(Config{})
+	for _, worker := range []string{"b", "a"} {
+		if err := f.FinalFlush(worker, []byte(`{"families":[{"name":"x_total","type":"counter","metrics":[{"value":2}]}]}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.RegisterWorker("c", "")
+	if m := f.Flushed().Family("x_total").Series(); m == nil || *m.Value != 4 {
+		t.Fatalf("flushed x_total = %+v, want the two flushes' 4", m)
+	}
+	if err := f.FinalFlush("d", []byte(`{"families":[{"name":"x_total","type":"gauge","metrics":[{"value":1}]}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if fams := f.Flushed().Families; len(fams) != 0 {
+		t.Fatalf("conflicting flushes merged into %+v, want no family", fams)
+	}
+}

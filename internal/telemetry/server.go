@@ -6,15 +6,6 @@ import (
 	"net/http/pprof"
 )
 
-// HandlerOptions adjusts how the debug mux is assembled.
-type HandlerOptions struct {
-	// FleetTraceURL, when set, marks this process as one shard of a
-	// federated fleet: /trace answers 404 pointing operators at the
-	// coordinator's stitched /fleet/trace instead of serving a partial,
-	// single-shard span export that reads like the whole story.
-	FleetTraceURL string
-}
-
 // Handler builds the debug mux for a hub:
 //
 //	/metrics        Prometheus text exposition
@@ -26,11 +17,6 @@ type HandlerOptions struct {
 // The handler is safe to serve while a run is mutating the hub: metric
 // reads are atomic and trace export copies under the trace locks.
 func Handler(h *Hub) http.Handler {
-	return NewHandler(h, HandlerOptions{})
-}
-
-// NewHandler is Handler with options.
-func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -45,12 +31,6 @@ func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
 		h.Registry().Snapshot().WriteJSON(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		if opts.FleetTraceURL != "" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(http.StatusNotFound)
-			fmt.Fprintf(w, "this process is one shard of a federated run; its local trace is partial.\nfetch the stitched fleet trace from %s\n", opts.FleetTraceURL)
-			return
-		}
 		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 		h.Tracer().WriteJSONL(w)
 	})

@@ -87,26 +87,16 @@ func TestStitchedTraceMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointUnderFederation pins satellite 6: a worker's debug
-// server answers /trace with 404 pointing at the coordinator's stitched
-// /fleet/trace, and serves it normally when not federated.
+// TestTraceEndpointUnderFederation pins the debug server's /trace: it
+// serves the hub's recorded spans. A worker of a federated run serves no
+// debug server; its spans reach /fleet/trace through the coordinator.
 func TestTraceEndpointUnderFederation(t *testing.T) {
 	h := New(Options{Timing: SeededTiming{Seed: 1}, Tracing: true})
 	recordTrace(h, "apk:x")
 
-	fed := httptest.NewServer(NewHandler(h, HandlerOptions{FleetTraceURL: "http://coord:9090/fleet/trace"}))
-	defer fed.Close()
-	code, _, body := fetch(t, fed.URL+"/trace")
-	if code != http.StatusNotFound {
-		t.Errorf("federated /trace answered %d, want 404", code)
-	}
-	if !strings.Contains(body, "/fleet/trace") {
-		t.Errorf("federated /trace body does not point at the fleet trace:\n%s", body)
-	}
-
-	solo := httptest.NewServer(NewHandler(h, HandlerOptions{}))
+	solo := httptest.NewServer(Handler(h))
 	defer solo.Close()
-	code, _, body = fetch(t, solo.URL+"/trace")
+	code, _, body := fetch(t, solo.URL+"/trace")
 	if code != http.StatusOK {
 		t.Errorf("solo /trace answered %d, want 200", code)
 	}
